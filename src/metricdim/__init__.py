@@ -17,6 +17,7 @@ from .errors import (
     HeaderMismatch,
     InvalidAnchor,
     InvalidEdge,
+    InvalidOption,
     InvalidSpec,
     IsAPath,
     MetricDimError,
@@ -118,6 +119,7 @@ __all__ = [
     "NotConnected",
     "EmptySet",
     "InvalidAnchor",
+    "InvalidOption",
     "InvalidSpec",
     "RuleViolation",
     "GenerationFailed",

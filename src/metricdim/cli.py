@@ -21,7 +21,7 @@ import time
 from typing import Optional, Sequence, TextIO
 
 from . import families
-from .errors import HeaderMismatch, MetricDimError, ParseError
+from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError
 from .formulas import (
     cdim_at_vertex_formula,
     cdim_formula,
@@ -44,13 +44,22 @@ from .solver import (
 def parse_graph_file(
     source: str | TextIO, fmt: str = "edgelist"
 ) -> tuple[Graph, tuple[str, ...]]:
-    """Parse an edge-list or DIMACS stream into a graph plus its label map."""
-    if isinstance(source, str):
+    """Parse an edge-list or DIMACS stream into a graph plus its label map.
+
+    A path that cannot be read, or text that is not UTF-8, raises ParseError.
+    """
+    if not isinstance(source, str):
+        return _parse(source, fmt)
+    try:
         if source == "-":
             return _parse(sys.stdin, fmt)
         with open(source, "r", encoding="utf-8") as fh:
             return _parse(fh, fmt)
-    return _parse(source, fmt)
+    except OSError as exc:
+        raise ParseError(0, f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        name = "standard input" if source == "-" else source
+        raise ParseError(0, f"{name} is not valid UTF-8 text") from None
 
 
 def _parse(fh: TextIO, fmt: str) -> tuple[Graph, tuple[str, ...]]:
@@ -287,13 +296,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args, out: TextIO) -> int:
     started = time.perf_counter()
     report = _blank_report()
+    if args.cap is not None and args.cap < 1:
+        raise InvalidOption(f"--cap must be at least 1, got {args.cap}")
 
     if args.command == "generate":
         spec = families.parse_spec(args.family, default_seed=args.seed)
         g, labels = families.generate(spec)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                write_edgelist(g, labels, fh)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    write_edgelist(g, labels, fh)
+            except OSError as exc:
+                raise MetricDimError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         if args.json:
             report["input"] = {"source": spec.text(), "format": "family", "n": g.n, "m": g.m}
             report["query"] = "generate"

@@ -29,6 +29,10 @@ class InvalidAnchor(MetricDimError):
     """Anchor set contains vertices outside the graph."""
 
 
+class InvalidOption(MetricDimError):
+    """Solver or command option outside its admissible domain."""
+
+
 class InvalidSpec(MetricDimError):
     """Family parameters outside their admissible domain."""
 
@@ -66,11 +70,14 @@ class Unsupported(MetricDimError):
 
 
 class ParseError(MetricDimError):
-    """Malformed graph file; carries the offending line number."""
+    """Malformed or unreadable graph file; carries the offending line number.
+
+    Line number 0 marks an error about the file as a whole.
+    """
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
 class HeaderMismatch(MetricDimError):

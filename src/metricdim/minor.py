@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-import networkx as nx
-
 from .errors import InvalidSpec, TooLarge
 from .graph import Graph, bits
 
@@ -148,6 +146,10 @@ def has_minor(
         return False, None
     kernel_ids = sorted(adj)
     index = {v: i for i, v in enumerate(kernel_ids)}
+    # Imported here, not at module level: networkx is most of the package's
+    # import time, and only this prefilter needs it.
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(kn))
     nxg.add_edges_from((index[u], index[v]) for u in adj for v in adj[u] if u < v)

@@ -1,22 +1,33 @@
-"""Exact brute-force solvers for metric dimension and its connected variants.
+"""Exact solvers for metric dimension and its connected variants.
 
-Search strategy shared by the cdim family: for each cardinality k, ascending
-from a sound lower bound (twin classes plus the diameter floor), enumerate
-connected vertex subsets duplicate-free by seeded growth with a per-branch
-ban set, check each candidate's code table, and keep the lexicographically
-smallest qualifying set.  Exceeding a cap is an error, never a silent
-approximation.
+A vertex set resolves a graph exactly when it meets the distinguisher mask
+D(u, w) = {v : d(v, u) != d(v, w)} of every vertex pair, so each solver here
+searches for small hitting sets of those masks.  This is the set-cover view
+of Khuller, Raghavachari and Rosenfeld ("Landmarks in graphs", 1996) and the
+constraint matrix of the integer program of Chartrand, Eroh, Johnson and
+Oellermann (2000).  ``_prepare`` builds the deduplicated masks once per call,
+smallest first.  A mask of size two belongs to a twin pair, which gives the
+twin-class lower bound; the diameter floor is the other one.
+
+For each cardinality k, ascending from that bound, the search carries the
+masks its partial set has not hit yet.  It cuts a branch as soon as an unhit
+mask has no vertex left that the branch could still add, and it fills the
+last slot from the intersection of the unhit masks.  Plain sets come from an
+include-first walk over the vertices in ascending order, which meets k-sets
+in lexicographic order, so its first hit is the lexicographically smallest
+witness.  Connected sets come from seeded growth with a per-branch ban set,
+which meets each connected k-set exactly once; the smallest hit is kept.
+The search is sequential: ``workers`` is checked but never changes the work
+done.  Exceeding a cap is an error, never a silent approximation.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import EmptySet, InvalidAnchor, TooLarge
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, twin_partition
+from .errors import EmptySet, InvalidAnchor, InvalidOption, TooLarge
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
 
 DIM_CAP = 24
 ENUM_CAP = 16
@@ -79,153 +90,137 @@ def check_resolving(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> Resolving
     )
 
 
-def _is_resolving(rows: Sequence[Sequence[int]], members: tuple[int, ...], base: int) -> bool:
-    # Codes packed into one integer per vertex, base > diam, so digits never carry.
-    seen = set()
-    add = seen.add
-    for row in rows:
-        acc = 0
-        for u in members:
-            acc = acc * base + row[u]
-        if acc in seen:
-            return False
-        add(acc)
-    return True
+def _pair_masks(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Distinguisher masks of all vertex pairs, deduplicated, smallest first.
 
-
-def _twin_filter(mask: int, twin_reqs: Sequence[tuple[int, int]]) -> bool:
-    for cmask, need in twin_reqs:
-        if (mask & cmask).bit_count() < need:
-            return False
-    return True
-
-
-# A growth state: (current mask, size, banned mask, neighborhood mask).
-_State = tuple[int, int, int, int]
-
-
-def _grow(adj: Sequence[int], cur: int, size: int, banned: int, nb: int, k: int) -> Iterator[int]:
-    """All size-k connected-growth extensions of ``cur``, each exactly once.
-
-    Extending only with neighbors of the current set and banning a candidate
-    for the rest of its branch once its subtree is exhausted partitions the
-    output family, so no visited-set is needed.
+    The distance matrix is symmetric, so D(u, w) is where rows u and w differ.
     """
-    if size == k:
-        yield cur
-        return
-    ext = nb & ~banned
-    while ext:
-        b = ext & -ext
-        ext ^= b
-        v = b.bit_length() - 1
-        new_cur = cur | b
-        yield from _grow(adj, new_cur, size + 1, banned, (nb | adj[v]) & ~new_cur, k)
-        banned |= b
+    n = len(rows)
+    masks = set()
+    for u in range(n):
+        ru = rows[u]
+        for w in range(u + 1, n):
+            rw = rows[w]
+            mask = 0
+            for v in range(n):
+                if ru[v] != rw[v]:
+                    mask |= 1 << v
+            masks.add(mask)
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
-def _split_state(adj: Sequence[int], state: _State, k: int) -> list[_State]:
-    """First-level branches of a growth state, for distribution to workers."""
-    cur, size, banned, nb = state
-    if size >= k:
-        return [state]
-    out: list[_State] = []
-    ext = nb & ~banned
-    while ext:
-        b = ext & -ext
-        ext ^= b
-        v = b.bit_length() - 1
-        new_cur = cur | b
-        out.append((new_cur, size + 1, banned, (nb | adj[v]) & ~new_cur))
-        banned |= b
-    return out
-
-
-def _root_states(g: Graph, k: int) -> list[_State]:
-    """Seed states for anchor-free search: one per root, root = subset minimum."""
-    states: list[_State] = []
-    for root in range(g.n - k + 1):
-        banned = (1 << root) - 1
-        states.append((1 << root, 1, banned, g.adj_bits[root] & ~banned))
-    return states
-
-
-def _anchor_state(g: Graph, anchor_mask: int) -> _State:
-    size = anchor_mask.bit_count()
-    return (anchor_mask, size, 0, g.neighborhood_of_set(anchor_mask))
-
-
-def _scan_states(
+def _prepare(
     g: Graph,
-    rows: Sequence[Sequence[int]],
-    base: int,
-    k: int,
-    states: Sequence[_State],
-    twin_reqs: Sequence[tuple[int, int]],
-    need_connectivity_check: bool,
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest resolving candidate of size k in these branches."""
-    adj = g.adj_bits
-    best: Optional[tuple[int, ...]] = None
-    for state in states:
-        cur, size, banned, nb = state
-        for mask in _grow(adj, cur, size, banned, nb, k):
-            if not _twin_filter(mask, twin_reqs):
-                continue
-            if need_connectivity_check and not g.is_connected_subset(mask):
-                continue
-            members = tuple(bits(mask))
-            if _is_resolving(rows, members, base):
-                if best is None or members < best:
-                    best = members
-    return best
-
-
-def _scan_k_parallel(
-    g: Graph,
-    rows: Sequence[Sequence[int]],
-    base: int,
-    k: int,
-    states: list[_State],
-    twin_reqs: Sequence[tuple[int, int]],
-    need_connectivity_check: bool,
-    workers: int,
-) -> Optional[tuple[int, ...]]:
-    if workers <= 1:
-        return _scan_states(g, rows, base, k, states, twin_reqs, need_connectivity_check)
-    if len(states) < workers:
-        split: list[_State] = []
-        for st in states:
-            split.extend(_split_state(g.adj_bits, st, k))
-        states = split or states
-    chunks: list[list[_State]] = [states[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda ch: _scan_states(g, rows, base, k, ch, twin_reqs, need_connectivity_check),
-                chunks,
-            )
-        )
-    hits = [r for r in results if r is not None]
-    return min(hits) if hits else None
-
-
-def _prepare(g: Graph, dm: Optional[DistanceMatrix], cap: Optional[int], default_cap: int):
+    dm: Optional[DistanceMatrix],
+    cap: Optional[int],
+    default_cap: int,
+    workers: int = 1,
+    what: str = "solver",
+) -> tuple[list[int], int]:
+    """Checked arguments to (distinguisher masks, lower bound on the answer)."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
     effective_cap = default_cap if cap is None else cap
     if g.n > effective_cap:
         raise TooLarge(
-            f"n={g.n} exceeds the solver cap {effective_cap}; pass cap={g.n} to override"
+            f"n={g.n} exceeds the {what} cap {effective_cap}; pass cap={g.n} to override"
         )
     if dm is None:
         dm = all_pairs_distances(g)
-    tp = twin_partition(g)
-    twin_reqs = tuple(
-        (mask, len(cls) - 1)
-        for cls, mask in zip(tp.classes, tp.class_masks)
-        if len(cls) >= 2
-    )
-    floor = max(1, tp.lower_bound(), dim_floor_from_diameter(g.n, dm.diam))
-    return dm, tp, twin_reqs, floor
+    masks = _pair_masks(dm.rows)
+    # Only twins have a mask of size two.  A twin class of size c has c - 1
+    # members above its smallest one, and a resolving set holds at least c - 1.
+    twins = len({m.bit_length() for m in masks if m.bit_count() == 2})
+    return masks, max(1, twins, dim_floor_from_diameter(g.n, dm.diam))
+
+
+def _hitting_sets(masks: list[int], n: int, k: int) -> Iterator[int]:
+    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order."""
+    full = (1 << n) - 1
+
+    def walk(cur: int, lo: int, r: int, unhit: list[int]) -> Iterator[int]:
+        # Invariant: every unhit mask has a vertex at or above ``lo``.
+        if r == 1:
+            last = full >> lo << lo
+            for m in unhit:
+                last &= m
+            while last:
+                b = last & -last
+                yield cur | b
+                last ^= b
+            return
+        # The next vertex taken must not pass the lowest top vertex of an
+        # unhit mask, and must leave room for the r - 1 after it.
+        hi = min(n - r, min(map(int.bit_length, unhit), default=n) - 1)
+        for v in range(lo, hi + 1):
+            b = 1 << v
+            yield from walk(cur | b, v + 1, r - 1, [m for m in unhit if not m & b])
+
+    return walk(0, 0, k, masks)
+
+
+# A growth start: (current mask, banned mask, neighborhood mask).
+_Start = tuple[int, int, int]
+
+
+def _roots(adj: Sequence[int], n: int, k: int) -> Iterator[_Start]:
+    """Starts for anchor-free growth of k-sets: one per root, root = subset minimum."""
+    for root in range(n - k + 1):
+        banned = (1 << root) - 1
+        yield 1 << root, banned, adj[root] & ~banned
+
+
+def _connected_hits(
+    adj: Sequence[int],
+    full: int,
+    unhit: list[int],
+    cur: int,
+    r: int,
+    banned: int,
+    nb: int,
+    done: list[int],
+) -> Iterator[int]:
+    """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
+
+    Banning a candidate for the rest of its branch once its subtree is
+    exhausted yields each extension exactly once.  A branch is cut when an
+    unhit mask misses every vertex it could still add, or when those vertices
+    and ``cur`` all lie in ``done[0]``, a mask the caller may grow between hits.
+    """
+    if r == 0:
+        if not unhit:
+            yield cur
+        return
+    ext = nb & ~banned
+    if r == 1:
+        for m in unhit:
+            ext &= m
+        while ext:
+            b = ext & -ext
+            yield cur | b
+            ext ^= b
+        return
+    free = full & ~(banned | cur)
+    if not (cur | free) & ~done[0]:
+        return
+    for m in unhit:
+        if not m & free:
+            return
+    while ext:
+        b = ext & -ext
+        ext ^= b
+        new_cur = cur | b
+        yield from _connected_hits(
+            adj,
+            full,
+            [m for m in unhit if not m & b],
+            new_cur,
+            r - 1,
+            banned,
+            (nb | adj[b.bit_length() - 1]) & ~new_cur,
+            done,
+        )
+        banned |= b
 
 
 def dim_exact(
@@ -236,35 +231,10 @@ def dim_exact(
     workers: int = 1,
 ) -> SolveResult:
     """Exact metric dimension with the lexicographically smallest witness."""
-    dm, _, twin_reqs, floor = _prepare(g, dm, cap, DIM_CAP)
-    rows = dm.rows
-    base = dm.diam + 1
-
-    def scan_first(args: tuple[int, int]) -> Optional[tuple[int, ...]]:
-        first, k = args
-        for rest in itertools.combinations(range(first + 1, g.n), k - 1):
-            members = (first, *rest)
-            mask = 0
-            for u in members:
-                mask |= 1 << u
-            if not _twin_filter(mask, twin_reqs):
-                continue
-            if _is_resolving(rows, members, base):
-                return members
-        return None
-
+    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     for k in range(floor, g.n):
-        firsts = [(first, k) for first in range(g.n - k + 1)]
-        if workers <= 1:
-            for args in firsts:
-                hit = scan_first(args)
-                if hit is not None:
-                    return SolveResult(k, hit)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for hit in pool.map(scan_first, firsts):
-                    if hit is not None:
-                        return SolveResult(k, hit)
+        for hit in _hitting_sets(masks, g.n, k):
+            return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
 
 
@@ -284,23 +254,35 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    dm, _, twin_reqs, floor = _prepare(g, dm, cap, DIM_CAP)
-    rows = dm.rows
-    base = dm.diam + 1
+    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    adj = g.adj_bits
+    full = g.vertex_mask()
     anchor_mask = 0
     for v in anchor_set:
         anchor_mask |= 1 << v
+    # Growth from a disconnected anchor also meets disconnected supersets.
+    need_check = not g.is_connected_subset(anchor_mask)
 
-    floor = max(floor, len(anchor_set))
-    for k in range(floor, g.n + 1):
+    for k in range(max(floor, len(anchor_set)), g.n + 1):
         if anchor_mask:
-            states = [_anchor_state(g, anchor_mask)]
-            need_check = not g.is_connected_subset(anchor_mask)
+            starts: Iterable[_Start] = [(anchor_mask, 0, g.neighborhood_of_set(anchor_mask))]
         else:
-            states = _root_states(g, k)
-            need_check = False
-        best = _scan_k_parallel(g, rows, base, k, states, twin_reqs, need_check, workers)
-        if best is not None:
+            starts = _roots(adj, g.n, k)
+        best = 0
+        for cur, banned, nb in starts:
+            unhit = [m for m in masks if not m & cur]
+            for hit in _connected_hits(adj, full, unhit, cur, k - cur.bit_count(), banned, nb, [0]):
+                if need_check and not g.is_connected_subset(hit):
+                    continue
+                # hit precedes best when the smallest vertex they differ in is in hit.
+                diff = hit ^ best
+                if not best or diff & -diff & hit:
+                    best = hit
+            if best:
+                # Sets from later roots have larger minima.
+                break
+        if best:
+            best = tuple(bits(best))
             return SolveResult(k, best)
     raise AssertionError("unreachable: the full vertex set resolves any connected graph")
 
@@ -327,44 +309,27 @@ def vertex_profile(
 
     A vertex's value is the smallest k for which some connected resolving
     k-set contains it, so marking members of every resolving set found while
-    k ascends yields the whole table without per-vertex searches.
+    k ascends yields the whole table without per-vertex searches.  Branches
+    that can only mark marked vertices are cut.
     """
-    dm, _, twin_reqs, floor = _prepare(g, dm, cap, DIM_CAP)
-    rows = dm.rows
-    base = dm.diam + 1
+    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     adj = g.adj_bits
-    values: list[Optional[int]] = [None] * g.n
-
-    def sweep_chunk(args: tuple[int, list[_State]]) -> int:
-        k, states = args
-        marked = 0
-        for cur, size, banned, nb in states:
-            for mask in _grow(adj, cur, size, banned, nb, k):
-                if not _twin_filter(mask, twin_reqs):
-                    continue
-                members = tuple(bits(mask))
-                if _is_resolving(rows, members, base):
-                    marked |= mask
-        return marked
-
-    for k in range(floor, g.n):
-        if all(v is not None for v in values):
-            break
-        states = _root_states(g, k)
-        if workers <= 1:
-            marked = sweep_chunk((k, states))
-        else:
-            chunks = [(k, states[i::workers]) for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                marked = 0
-                for part in pool.map(sweep_chunk, chunks):
-                    marked |= part
-        for v in bits(marked):
-            if values[v] is None:
-                values[v] = k
+    full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
     # every vertex is marked by k = n-1 at the latest.
-    per_vertex = tuple(v if v is not None else g.n - 1 for v in values)
+    values = [g.n - 1] * g.n
+    marked = [0]
+    for k in range(floor, g.n):
+        if marked[0] == full:
+            break
+        before = marked[0]
+        for cur, banned, nb in _roots(adj, g.n, k):
+            unhit = [m for m in masks if not m & cur]
+            for hit in _connected_hits(adj, full, unhit, cur, k - 1, banned, nb, marked):
+                marked[0] |= hit
+        for v in bits(marked[0] & ~before):
+            values[v] = k
+    per_vertex = tuple(values)
     rrad = min(per_vertex)
     rdiam = max(per_vertex)
     rc = tuple(v for v in range(g.n) if per_vertex[v] == rrad)
@@ -379,29 +344,9 @@ def enumerate_min_resolving_sets(
     cap: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, in lexicographic order."""
-    effective_cap = ENUM_CAP if cap is None else cap
-    if g.n > effective_cap:
-        raise TooLarge(
-            f"n={g.n} exceeds the enumeration cap {effective_cap}; pass cap={g.n} to override"
-        )
-    if dm is None:
-        dm = all_pairs_distances(g)
-    k = dim_exact(g, dm, cap=max(DIM_CAP, effective_cap)).value
-    tp = twin_partition(g)
-    twin_reqs = tuple(
-        (mask, len(cls) - 1)
-        for cls, mask in zip(tp.classes, tp.class_masks)
-        if len(cls) >= 2
-    )
-    rows = dm.rows
-    base = dm.diam + 1
-    out: list[tuple[int, ...]] = []
-    for members in itertools.combinations(range(g.n), k):
-        mask = 0
-        for u in members:
-            mask |= 1 << u
-        if not _twin_filter(mask, twin_reqs):
-            continue
-        if _is_resolving(rows, members, base):
-            out.append(members)
-    return out
+    masks, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
+    for k in range(floor, g.n):
+        sets = [tuple(bits(hit)) for hit in _hitting_sets(masks, g.n, k)]
+        if sets:
+            return sets
+    raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

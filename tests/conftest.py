@@ -1,13 +1,26 @@
 """Shared test oracles, all implemented independently of the library's
 algorithms: plain dict/queue BFS, DFS connectivity, and exhaustive
-subset searches over itertools combinations."""
+subset searches over itertools combinations; plus the hypothesis strategy
+for random connected graphs."""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
 
+from hypothesis import assume, strategies as st
+
 from metricdim import Graph, build_graph
+
+
+@st.composite
+def connected_graphs(draw, min_n=2, max_n=8):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
+    assume(g.is_connected())
+    return g
 
 
 def naive_bfs(g: Graph, source: int, removed: frozenset[int] = frozenset()) -> dict[int, int]:

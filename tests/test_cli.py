@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,62 @@ def test_reported_witness_reverifies():
     witness = [ix[lab] for lab in report["witness"]]
     cert = check_resolving(g, all_pairs_distances(g), witness)
     assert cert.resolving
+
+
+@pytest.mark.parametrize("command", [["dim"], ["profile"], ["cdim-at", "--vertex", "a"]])
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, command):
+    code, out, err = run_cli([command[0], str(tmp_path / "missing.el"), *command[1:]])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read") and "missing.el" in err
+
+
+def test_directory_input_is_an_error(tmp_path):
+    code, _, err = run_cli(["dim", str(tmp_path)])
+    assert code == 1 and err.startswith("error: cannot read")
+
+
+def test_unreadable_input_is_an_error(tmp_path, monkeypatch):
+    import metricdim.cli as cli_mod
+
+    path = tmp_path / "locked.el"
+    path.write_text("a b\n")
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    # The module-level name shadows the builtin inside the CLI only; a chmod
+    # would not stop a process running as root.
+    monkeypatch.setattr(cli_mod, "open", denied, raising=False)
+    code, _, err = run_cli(["dim", str(path)])
+    assert code == 1 and "Permission denied" in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.el"
+    path.write_bytes(b"a b\n\xe9 c\n")
+    with pytest.raises(ParseError):
+        parse_graph_file(str(path))
+    code, _, err = run_cli(["dim", str(path), "--format", "dimacs"])
+    assert code == 1 and "not valid UTF-8" in err
+
+
+def test_unwritable_output_is_an_error(tmp_path):
+    code, _, err = run_cli(["generate", "--family", "petersen", "--out", str(tmp_path / "no" / "g.el")])
+    assert code == 1 and err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_exits_one(cap):
+    for argv in (["dim", "--family", "petersen"], ["generate", "--family", "wheel:5"]):
+        code, out, err = run_cli([*argv, "--cap", cap])
+        assert code == 1 and out == "" and "--cap" in err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, metricdim.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

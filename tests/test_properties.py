@@ -1,12 +1,9 @@
 """Property-based checks of the solver invariants on random connected graphs."""
 
-import itertools
-
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metricdim import (
     all_pairs_distances,
-    build_graph,
     cdim_at_set,
     cdim_exact,
     check_resolving,
@@ -17,17 +14,7 @@ from metricdim import (
     vertex_profile,
 )
 
-from conftest import naive_all_pairs, naive_cut_vertices, subset_connected
-
-
-@st.composite
-def connected_graphs(draw, min_n=2, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
-    assume(g.is_connected())
-    return g
+from conftest import connected_graphs, naive_all_pairs, naive_cut_vertices, subset_connected
 
 
 @given(connected_graphs())

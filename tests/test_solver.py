@@ -3,6 +3,8 @@ import pytest
 from metricdim import (
     EmptySet,
     InvalidAnchor,
+    InvalidOption,
+    MetricDimError,
     TooLarge,
     all_pairs_distances,
     build_graph,
@@ -273,6 +275,15 @@ def test_parallel_workers_do_not_change_results():
         assert cdim_exact(g) == cdim_exact(g, workers=3)
         assert cdim_at_set(g, [1]) == cdim_at_set(g, [1], workers=3)
         assert vertex_profile(g) == vertex_profile(g, workers=3)
+
+
+@pytest.mark.parametrize("workers", [0, -5, 1.5, "2", None, True])
+def test_workers_must_be_a_positive_int(workers):
+    g, _ = generate("petersen")
+    for solve in (dim_exact, cdim_exact, vertex_profile, lambda g, **kw: cdim_at_set(g, [1], **kw)):
+        with pytest.raises(InvalidOption) as exc:
+            solve(g, workers=workers)
+        assert isinstance(exc.value, MetricDimError)
 
 
 def test_diameter_floor():
