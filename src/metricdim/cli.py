@@ -15,6 +15,7 @@ from the determinism contract.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -52,7 +53,8 @@ def parse_graph_file(
         return _parse(source, fmt)
     try:
         if source == "-":
-            return _parse(sys.stdin, fmt)
+            # Decode the raw bytes: sys.stdin may use surrogateescape (C locale).
+            return _parse(io.StringIO(sys.stdin.buffer.read().decode("utf-8")), fmt)
         with open(source, "r", encoding="utf-8") as fh:
             return _parse(fh, fmt)
     except OSError as exc:
@@ -208,6 +210,9 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
             out.write(f"{key}: {val}\n")
     if report["checks"] is not None:
         for chk in report["checks"]:
+            if chk["match"] is None:
+                out.write(f"{chk['query']}: skipped: {chk['skipped']}\n")
+                continue
             status = "ok" if chk["match"] else "MISMATCH"
             out.write(
                 f"{chk['query']}: formula={chk['formula']} exact={chk['exact']} {status}\n"
@@ -401,12 +406,16 @@ def _dispatch(args, out: TextIO) -> int:
         report["case"] = f"{res.theorem_id}:{res.case_label}"
     elif args.command == "verify":
         checks = _verify_family(g, cap)
+        if all(c["match"] is None for c in checks):
+            reasons = dict.fromkeys(c["skipped"] for c in checks)
+            raise MetricDimError("verify compared nothing: " + "; ".join(reasons))
         report["query"] = "verify"
         report["checks"] = checks
-        report["value"] = int(all(c["match"] for c in checks))
+        ok = all(c["match"] is not False for c in checks)
+        report["value"] = int(ok)
         report["elapsed_ms"] = _ms(started)
         _emit(report, args.json, out)
-        return 0 if all(c["match"] for c in checks) else 2
+        return 0 if ok else 2
     else:  # pragma: no cover
         raise MetricDimError(f"unknown command {args.command!r}")
 
@@ -416,41 +425,39 @@ def _dispatch(args, out: TextIO) -> int:
 
 
 def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
-    """Cross-check the closed forms against the exact solvers."""
+    """Cross-check the closed forms against the exact solvers.
+
+    A check that cannot run keeps ``"match": None`` and says why in ``skipped``.
+    """
     checks: list[dict] = []
     dm = all_pairs_distances(g)
-    try:
-        fd = dim_formula(g)
-        ed = dim_exact(g, dm, cap=cap)
-        checks.append(
-            {"query": "dim", "formula": fd.value, "exact": ed.value, "match": fd.value == ed.value}
-        )
-    except MetricDimError as exc:
-        checks.append({"query": "dim", "formula": None, "exact": None, "match": True,
+
+    def compared(query: str, formula: int, exact: int) -> None:
+        checks.append({"query": query, "formula": formula, "exact": exact, "match": formula == exact})
+
+    def skipped(query: str, exc: MetricDimError) -> None:
+        checks.append({"query": query, "formula": None, "exact": None, "match": None,
                        "skipped": str(exc)})
-    try:
-        fc = cdim_formula(g)
-        ec = cdim_exact(g, dm, cap=cap)
-        checks.append(
-            {"query": "cdim", "formula": fc.value, "exact": ec.value, "match": fc.value == ec.value}
-        )
-    except MetricDimError as exc:
-        checks.append({"query": "cdim", "formula": None, "exact": None, "match": True,
-                       "skipped": str(exc)})
-    try:
-        prof = vertex_profile(g, dm, cap=cap)
-        for v in range(g.n):
-            fv = cdim_at_vertex_formula(g, v)
-            checks.append(
-                {
-                    "query": f"cdim-at:{v}",
-                    "formula": fv.value,
-                    "exact": prof.per_vertex[v],
-                    "match": fv.value == prof.per_vertex[v],
-                }
-            )
-    except MetricDimError:
-        pass
+
+    for query, formula, exact in (("dim", dim_formula, dim_exact), ("cdim", cdim_formula, cdim_exact)):
+        try:
+            compared(query, formula(g).value, exact(g, dm, cap=cap).value)
+        except MetricDimError as exc:
+            skipped(query, exc)
+    prof = None
+    for v in range(g.n):
+        try:
+            fv = cdim_at_vertex_formula(g, v).value
+        except MetricDimError as exc:
+            skipped(f"cdim-at:{v}", exc)
+            continue
+        if prof is None:
+            try:
+                prof = vertex_profile(g, dm, cap=cap)
+            except MetricDimError as exc:
+                skipped("cdim-at", exc)
+                break
+        compared(f"cdim-at:{v}", fv, prof.per_vertex[v])
     return checks
 
 

@@ -18,6 +18,10 @@ from .graph import Graph, build_graph
 
 Labeled = tuple[Graph, tuple[str, ...]]
 
+# Vertex-pair trials that rand:n:p may spend on rejection draws in total; each
+# trial is one random() call, so this bounds the generation time.
+RAND_PAIR_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -465,11 +469,17 @@ def random_tree(n: int, seed: int) -> Labeled:
 
 
 def random_connected(n: int, p: float, seed: int) -> Labeled:
-    """Edge-probability sample conditioned on connectivity by rejection."""
+    """Edge-probability sample conditioned on connectivity by rejection.
+
+    Rejection stops after 10,000 draws, or sooner once the next draw would
+    take the vertex-pair trials past ``RAND_PAIR_BUDGET``; below n = 46 the
+    draw ceiling binds first.
+    """
     n >= 2 or _fail("rand needs n ≥ 2")
     (0 < p <= 1) or _fail("rand needs edge probability 0 < p ≤ 1")
     rng = random.Random(seed)
-    for _ in range(10_000):
+    draws = min(10_000, RAND_PAIR_BUDGET // (n * (n - 1) // 2))
+    for _ in range(draws):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
@@ -477,7 +487,10 @@ def random_connected(n: int, p: float, seed: int) -> Labeled:
         if g.is_connected():
             g = build_graph(n, _bfs_relabel(n, edges))
             return g, tuple(f"v{i + 1}" for i in range(n))
-    raise GenerationFailed(f"no connected sample in 10000 draws (n={n}, p={p})")
+    raise GenerationFailed(
+        f"no connected sample in {draws} draws (n={n}, p={p}; "
+        f"the budget is {RAND_PAIR_BUDGET} vertex-pair trials)"
+    )
 
 
 _GENERATORS = {

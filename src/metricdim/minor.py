@@ -7,6 +7,15 @@ vertices are suppressed (merged into a neighbor).  Each kernel vertex keeps a
 sets of the original graph.  A planar kernel has neither target minor, so an
 exact planarity test dispatches the negative case quickly; otherwise an
 exhaustive seeded branch-set search either finds a model or proves absence.
+
+The search grows one branch of the first unmet pair at a time, depth first,
+into free vertices (those in no branch).  A state is dead when some unmet
+pair (i, j) has no free component touching both branch i and branch j:
+branches grow only into free vertices, so they can become adjacent only
+through a path whose interior lies in one free component that touches both.
+Dead states are not expanded.  No model extends a dead state, so the
+live states are popped in the same order as without the prune, and the first
+model found is the same.
 """
 
 from __future__ import annotations
@@ -84,42 +93,58 @@ def _seed_sets(target: str, kn: int) -> Iterator[tuple[int, ...]]:
                     yield side_a + side_b
 
 
+def _free_components(adjm: Sequence[int], free: int) -> list[int]:
+    """Connected components of the subgraph induced by ``free``, as masks."""
+    comps = []
+    while free:
+        comp = frontier = free & -free
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adjm[v]
+            frontier = reach & free & ~comp
+            comp |= frontier
+        free &= ~comp
+        comps.append(comp)
+    return comps
+
+
 def _search_from_seed(
     adjm: Sequence[int],
     seed: tuple[int, ...],
     pairs: tuple[tuple[int, int], ...],
 ) -> Optional[tuple[int, ...]]:
-    h = len(seed)
+    full = (1 << len(adjm)) - 1
     start = tuple(1 << v for v in seed)
+    # Each entry carries its branch masks, their neighbourhoods and their union.
+    stack = [(start, tuple(adjm[v] for v in seed), sum(start))]
     seen: set[tuple[int, ...]] = set()
-    stack = [start]
     while stack:
-        branches = stack.pop()
+        branches, nbhd, used = stack.pop()
         if branches in seen:
             continue
         seen.add(branches)
-        used = 0
-        nbhd = []
-        for bm in branches:
-            used |= bm
-            nb = 0
-            for v in bits(bm):
-                nb |= adjm[v]
-            nbhd.append(nb)
-        unmet = None
-        for i, j in pairs:
-            if not nbhd[i] & branches[j]:
-                unmet = (i, j)
-                break
-        if unmet is None:
+        unmet = [(i, j) for i, j in pairs if not nbhd[i] & branches[j]]
+        if not unmet:
             return branches
-        i, j = unmet
+        # Branches grow only into free vertices, so an unmet pair can still be
+        # joined only through one free component touching both branches.
+        comps = _free_components(adjm, full & ~used)
+        touch = [0] * len(branches)
+        for k, nb in enumerate(nbhd):
+            for comp in comps:
+                if comp & nb:
+                    touch[k] |= comp
+        if any(not touch[i] & touch[j] for i, j in unmet):
+            continue
+        i, j = unmet[0]
         for side in (i, j):
-            cand = nbhd[side] & ~used
-            for v in bits(cand):
+            for v in bits(nbhd[side] & ~used):
                 grown = list(branches)
                 grown[side] |= 1 << v
-                stack.append(tuple(grown))
+                grown_nbhd = list(nbhd)
+                grown_nbhd[side] |= adjm[v]
+                stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v))
     return None
 
 

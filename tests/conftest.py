@@ -1,7 +1,7 @@
 """Shared test oracles, all implemented independently of the library's
 algorithms: plain dict/queue BFS, DFS connectivity, and exhaustive
 subset searches over itertools combinations; plus the hypothesis strategy
-for random connected graphs."""
+for random connected graphs and the Moebius ladders of the minor tests."""
 
 from __future__ import annotations
 
@@ -21,6 +21,12 @@ def connected_graphs(draw, min_n=2, max_n=8):
     g = build_graph(n, [p for p, keep in zip(pairs, picks) if keep])
     assume(g.is_connected())
     return g
+
+
+def moebius_ladder(n: int) -> Graph:
+    """The Moebius ladder on n (even) vertices: a cycle plus its long diagonals."""
+    half = n // 2
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + half) for i in range(half)])
 
 
 def naive_bfs(g: Graph, source: int, removed: frozenset[int] = frozenset()) -> dict[int, int]:

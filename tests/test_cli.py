@@ -123,6 +123,46 @@ def test_verify_family_exit_codes(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["rand:12:0.3:1", "wheel:30"])
+def test_verify_that_compares_nothing_exits_one(spec):
+    code, out, err = run_cli(["verify", "--family", spec])
+    assert code == 1 and out == ""
+    assert err.startswith("error: verify compared nothing: ")
+
+
+def test_verify_skips_are_visible(monkeypatch):
+    import metricdim.cli as cli_mod
+    from metricdim import TooLarge, Unsupported
+
+    real = cli_mod.cdim_at_vertex_formula
+
+    def no_form_at_zero(g, v):
+        if v == 0:
+            raise Unsupported("no closed form at vertex 0")
+        return real(g, v)
+
+    monkeypatch.setattr(cli_mod, "cdim_at_vertex_formula", no_form_at_zero)
+    code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
+    checks = json.loads(out)["checks"]
+    assert code == 0 and len(checks) == 12
+    assert checks[2] == {"query": "cdim-at:0", "formula": None, "exact": None, "match": None,
+                         "skipped": "no closed form at vertex 0"}
+    assert all(chk["match"] for chk in checks[3:])
+    code, out, _ = run_cli(["verify", "--family", "wheel:9"])
+    assert "cdim-at:0: skipped: no closed form at vertex 0\n" in out
+
+    def profile_too_large(g, dm, cap=None):
+        raise TooLarge("profile cap")
+
+    monkeypatch.setattr(cli_mod, "cdim_at_vertex_formula", real)
+    monkeypatch.setattr(cli_mod, "vertex_profile", profile_too_large)
+    code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["value"] == 1
+    assert [chk["query"] for chk in report["checks"]] == ["dim", "cdim", "cdim-at"]
+    assert report["checks"][2]["match"] is None and report["checks"][2]["skipped"] == "profile cap"
+
+
 def test_enumerate_min_command():
     code, out, _ = run_cli(["enumerate-min", "--family", "grid:3x3", "--json"])
     assert code == 0
@@ -278,3 +318,15 @@ def test_cli_import_leaves_networkx_unloaded():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_stdin_that_is_not_utf8_is_an_error():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, LC_ALL="C",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys; from metricdim.cli import run; sys.exit(run(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", probe, "dim", "-"], input=b"\xff\n", env=env,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr == b"error: standard input is not valid UTF-8 text\n"

@@ -1,8 +1,10 @@
-"""Every public solver against the reference searches of ``reference_solver``.
+"""Every public solver against the reference searches of ``reference_solver``,
+and ``has_minor`` against the unpruned branch-set search of ``reference_minor``.
 
 Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
-atlas and random connected graphs from the shared hypothesis strategy.  Values
-and witnesses, every profile field and whole enumerations must be equal.
+atlas and random connected graphs from the shared hypothesis strategy; the
+minor search also runs on the benchmark's two nonplanar kernels.  Values and
+witnesses, every profile field and whole enumerations must be equal.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import networkx as nx
 from hypothesis import given, settings
 
 import metricdim as md
+import reference_minor as ref_minor
 import reference_solver as ref
 
-from conftest import connected_graphs, graph_from_nx
+from conftest import connected_graphs, graph_from_nx, moebius_ladder
 
 
 @functools.cache
@@ -66,3 +69,29 @@ def test_atlas_matches_reference():
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_match_reference(g):
     assert_matches_reference(g, list(itertools.combinations(range(g.n), 2)), "random graph")
+
+
+def minors_matching_reference(g: md.Graph, where: str) -> int:
+    """How many of K5 and K33 ``g`` has; asserts both answers equal the reference."""
+    found = 0
+    for target in ("K5", "K33"):
+        got = md.has_minor(g, target)
+        assert got == ref_minor.has_minor(g, target), (where, target)
+        found += got[0]
+    return found
+
+
+def test_atlas_minors_match_reference():
+    found = sum(minors_matching_reference(g, f"atlas graph {i}") for i, g in enumerate(atlas()))
+    assert found > 0
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_random_graph_minors_match_reference(g):
+    minors_matching_reference(g, "random graph")
+
+
+def test_nonplanar_kernels_match_reference():
+    assert minors_matching_reference(moebius_ladder(12), "moebius:12") == 2
+    assert minors_matching_reference(md.generate("rand:16:0.3:3")[0], "rand:16:0.3:3") == 2

@@ -168,6 +168,18 @@ def test_random_connected_sparse_outcome_is_deterministic():
     assert outcome() == outcome()
 
 
+def test_random_connected_stops_at_the_pair_budget(monkeypatch):
+    import metricdim.families as families
+
+    with pytest.raises(GenerationFailed, match="in 0 draws"):
+        generate("rand:5000:0.0001:1")  # one draw alone is past the budget
+    monkeypatch.setattr(families, "RAND_PAIR_BUDGET", 100)
+    with pytest.raises(GenerationFailed, match="in 10 draws"):
+        generate("rand:5:0.01:7")
+    g, _ = generate("rand:8:0.4:42")  # connected on its first draw: unchanged
+    assert g.m == 15
+
+
 def test_random_tree_is_tree_and_deterministic():
     for seed in range(5):
         g, _ = generate(f"randtree:10:{seed}")

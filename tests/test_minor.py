@@ -2,6 +2,8 @@ import pytest
 
 from metricdim import TooLarge, build_graph, generate, has_minor, is_planar_desk, verify_minor_witness
 
+from conftest import moebius_ladder
+
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_kite_has_k5_minor(k):
@@ -70,3 +72,24 @@ def test_witness_verifier_rejects_bad_models():
     broken[0] = broken[0] + broken[1]  # overlapping branch sets
     assert not verify_minor_witness(g, "K5", tuple(broken))
     assert not verify_minor_witness(g, "K5", witness[:4])
+
+
+# Witnesses of the unpruned branch-set search (tests/reference_minor.py) on
+# inputs where that search is too slow to run in the suite.
+@pytest.mark.parametrize(
+    "g, witness",
+    [
+        (
+            moebius_ladder(16),
+            ((0, 11, 12, 13, 14, 15), (2,), (4, 5, 6, 7, 8, 9), (1,), (3,), (10,)),
+        ),
+        (
+            generate("rand:17:0.3:2")[0],
+            ((0, 3, 7, 11, 15), (1, 2, 4, 6), (5,), (8, 13), (9,), (10, 12, 14)),
+        ),
+    ],
+    ids=["moebius:16", "rand:17:0.3:2"],
+)
+def test_k33_witness_pinned(g, witness):
+    assert has_minor(g, "K33", cap=g.n) == (True, witness)
+    assert verify_minor_witness(g, "K33", witness)
