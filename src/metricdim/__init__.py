@@ -11,123 +11,84 @@ generators build every family, including the layered graphs resolved by a
 single adjacent vertex pair.
 """
 
-from .errors import (
-    EmptySet,
-    GenerationFailed,
-    HeaderMismatch,
-    InvalidAnchor,
-    InvalidEdge,
-    InvalidOption,
-    InvalidSpec,
-    IsAPath,
-    MetricDimError,
-    NotATree,
-    NotConnected,
-    NotUnicyclic,
-    ParseError,
-    RuleViolation,
-    TooLarge,
-    TooMany,
-    TooSmall,
-    Unsupported,
-)
-from .families import FamilySpec, FrLevel, generate, parse_spec
-from .formulas import (
-    ExtremesClassification,
-    FormulaResult,
-    FrMembership,
-    TreeSkeleton,
-    UnicyclicClassification,
-    cdim_at_vertex_formula,
-    cdim_formula,
-    classify_extremes,
-    dim_formula,
-    fr_membership,
-    recognize,
-    tree_min_resolving_sets,
-    tree_skeleton,
-    unicyclic_cdim_eq_dim,
-)
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    TwinPartition,
-    all_pairs_distances,
-    build_graph,
-    cut_vertices,
-    twin_partition,
-)
-from .minor import has_minor, is_planar_desk, verify_minor_witness
-from .solver import (
-    ResolvingCertificate,
-    SolveResult,
-    VertexProfile,
-    cdim_at_set,
-    cdim_exact,
-    check_resolving,
-    dim_exact,
-    dim_floor_from_diameter,
-    enumerate_min_resolving_sets,
-    vertex_profile,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "DistanceMatrix",
-    "TwinPartition",
-    "build_graph",
-    "all_pairs_distances",
-    "cut_vertices",
-    "twin_partition",
-    "ResolvingCertificate",
-    "SolveResult",
-    "VertexProfile",
-    "check_resolving",
-    "dim_exact",
-    "cdim_exact",
-    "cdim_at_set",
-    "vertex_profile",
-    "enumerate_min_resolving_sets",
-    "dim_floor_from_diameter",
-    "has_minor",
-    "is_planar_desk",
-    "verify_minor_witness",
-    "FamilySpec",
-    "FrLevel",
-    "generate",
-    "parse_spec",
-    "FormulaResult",
-    "TreeSkeleton",
-    "tree_skeleton",
-    "dim_formula",
-    "cdim_formula",
-    "cdim_at_vertex_formula",
-    "classify_extremes",
-    "ExtremesClassification",
-    "fr_membership",
-    "FrMembership",
-    "unicyclic_cdim_eq_dim",
-    "UnicyclicClassification",
-    "tree_min_resolving_sets",
-    "recognize",
-    "MetricDimError",
-    "InvalidEdge",
-    "TooSmall",
-    "TooLarge",
-    "NotConnected",
-    "EmptySet",
-    "InvalidAnchor",
-    "InvalidOption",
-    "InvalidSpec",
-    "RuleViolation",
-    "GenerationFailed",
-    "NotATree",
-    "NotUnicyclic",
-    "IsAPath",
-    "TooMany",
-    "Unsupported",
-    "ParseError",
-    "HeaderMismatch",
-]
+# Public name -> the submodule that defines it.  Submodules load on first use,
+# so importing the package (or only the command line) stays cheap.
+_EXPORTS = {
+    "Graph": "graph",
+    "DistanceMatrix": "graph",
+    "TwinPartition": "graph",
+    "build_graph": "graph",
+    "all_pairs_distances": "graph",
+    "cut_vertices": "graph",
+    "twin_partition": "graph",
+    "ResolvingCertificate": "solver",
+    "SolveResult": "solver",
+    "VertexProfile": "solver",
+    "check_resolving": "solver",
+    "dim_exact": "solver",
+    "cdim_exact": "solver",
+    "cdim_at_set": "solver",
+    "vertex_profile": "solver",
+    "enumerate_min_resolving_sets": "solver",
+    "dim_floor_from_diameter": "solver",
+    "has_minor": "minor",
+    "is_planar_desk": "minor",
+    "verify_minor_witness": "minor",
+    "FamilySpec": "families",
+    "FrLevel": "families",
+    "generate": "families",
+    "parse_spec": "families",
+    "FormulaResult": "formulas",
+    "TreeSkeleton": "formulas",
+    "tree_skeleton": "formulas",
+    "dim_formula": "formulas",
+    "cdim_formula": "formulas",
+    "cdim_at_vertex_formula": "formulas",
+    "classify_extremes": "formulas",
+    "ExtremesClassification": "formulas",
+    "fr_membership": "formulas",
+    "FrMembership": "formulas",
+    "unicyclic_cdim_eq_dim": "formulas",
+    "UnicyclicClassification": "formulas",
+    "tree_min_resolving_sets": "formulas",
+    "recognize": "formulas",
+    "MetricDimError": "errors",
+    "InvalidEdge": "errors",
+    "TooSmall": "errors",
+    "TooLarge": "errors",
+    "NotConnected": "errors",
+    "EmptySet": "errors",
+    "InvalidAnchor": "errors",
+    "InvalidOption": "errors",
+    "InvalidSpec": "errors",
+    "RuleViolation": "errors",
+    "GenerationFailed": "errors",
+    "NotATree": "errors",
+    "NotUnicyclic": "errors",
+    "IsAPath": "errors",
+    "TooMany": "errors",
+    "Unsupported": "errors",
+    "ParseError": "errors",
+    "HeaderMismatch": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS.values():  # a submodule: ``metricdim.solver`` needs no import first
+        return importlib.import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

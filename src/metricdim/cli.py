@@ -21,18 +21,10 @@ import sys
 import time
 from typing import Optional, Sequence, TextIO
 
-from . import families
+# Only these modules load with the command line; the commands that need
+# families, formulas or minor import them where they run.
 from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError
-from .formulas import (
-    cdim_at_vertex_formula,
-    cdim_formula,
-    classify_extremes,
-    dim_formula,
-    fr_membership,
-    unicyclic_cdim_eq_dim,
-)
 from .graph import Graph, all_pairs_distances, build_graph
-from .minor import is_planar_desk
 from .solver import (
     cdim_at_set,
     cdim_exact,
@@ -229,6 +221,8 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
 
 def _load_input(args) -> tuple[Graph, tuple[str, ...], str]:
     if getattr(args, "family", None):
+        from . import families
+
         spec = families.parse_spec(args.family, default_seed=args.seed)
         g, labels = families.generate(spec)
         return g, labels, spec.text()
@@ -305,6 +299,8 @@ def _dispatch(args, out: TextIO) -> int:
         raise InvalidOption(f"--cap must be at least 1, got {args.cap}")
 
     if args.command == "generate":
+        from . import families
+
         spec = families.parse_spec(args.family, default_seed=args.seed)
         g, labels = families.generate(spec)
         if args.out:
@@ -368,6 +364,8 @@ def _dispatch(args, out: TextIO) -> int:
         report["value"] = len(sets[0]) if sets else 0
         report["sets"] = [[labels[v] for v in s] for s in sets]
     elif args.command == "classify":
+        from .formulas import classify_extremes, fr_membership, unicyclic_cdim_eq_dim
+
         report["query"] = "classify"
         cls = classify_extremes(g)
         info = {
@@ -384,9 +382,14 @@ def _dispatch(args, out: TextIO) -> int:
             info["unicyclic_case"] = uni.case
         report["classification"] = info
     elif args.command == "planar-desk":
+        from .minor import is_planar_desk
+
         report["query"] = "planar-desk"
         report["value"] = is_planar_desk(g, cap=cap)
     elif args.command == "formula":
+        from . import families
+        from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
+
         spec_or_graph = (
             families.parse_spec(args.family, default_seed=args.seed)
             if getattr(args, "family", None)
@@ -429,6 +432,8 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
 
     A check that cannot run keeps ``"match": None`` and says why in ``skipped``.
     """
+    from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
+
     checks: list[dict] = []
     dm = all_pairs_distances(g)
 

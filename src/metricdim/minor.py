@@ -8,6 +8,21 @@ sets of the original graph.  A planar kernel has neither target minor, so an
 exact planarity test dispatches the negative case quickly; otherwise an
 exhaustive seeded branch-set search either finds a model or proves absence.
 
+The planarity test works on the kernel's adjacency bitmasks.  A graph is
+planar exactly when each of its biconnected blocks is, and the blocks come
+from a lowpoint depth-first search with an edge stack.  A block with more
+than 3n - 6 edges is nonplanar by Euler's formula; any other block is
+embedded by the path-addition algorithm of Demoucron, Malgrange and
+Pertuiset (1964).  It embeds one cycle, then repeatedly looks at the
+fragments: each unembedded edge between embedded vertices, and each
+component of the unembedded vertices together with its attachments (its
+embedded neighbours).  A face is admissible for a fragment when the face's
+boundary holds every attachment.  If some fragment has no admissible face
+the block is nonplanar.  Otherwise a fragment with exactly one admissible
+face, or else any fragment, gets a path between two of its attachments drawn
+through that face, which splits the face in two.  For a 2-connected graph
+this succeeds exactly when the graph is planar.
+
 The search grows one branch of the first unmet pair at a time, depth first,
 into free vertices (those in no branch).  A state is dead when some unmet
 pair (i, j) has no free component touching both branch i and branch j:
@@ -23,7 +38,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidSpec, TooLarge
+from .errors import InvalidOption, InvalidSpec, TooLarge
 from .graph import Graph, bits
 
 MINOR_CAP = 20
@@ -35,6 +50,12 @@ _TARGETS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 Witness = tuple[tuple[int, ...], ...]
+
+
+def _target(target: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    if target not in _TARGETS:
+        raise InvalidSpec(f"unknown minor target {target!r}; expected K5 or K33")
+    return _TARGETS[target]
 
 
 def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
@@ -109,6 +130,144 @@ def _free_components(adjm: Sequence[int], free: int) -> list[int]:
     return comps
 
 
+def _blocks(adjm: Sequence[int]) -> list[int]:
+    """Vertex masks of the biconnected blocks that have at least one edge."""
+    n = len(adjm)
+    disc = [0] * n  # discovery time; 0 while unvisited
+    low = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        # Frames are (vertex, DFS parent, neighbours not yet scanned).
+        frames = [(root, -1, adjm[root])]
+        edges: list[tuple[int, int]] = []
+        while frames:
+            v, parent, todo = frames[-1]
+            if todo:
+                w = (todo & -todo).bit_length() - 1
+                frames[-1] = (v, parent, todo & (todo - 1))
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    edges.append((v, w))
+                    frames.append((w, v, adjm[w]))
+                elif w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+                continue
+            frames.pop()
+            if not frames:
+                break
+            u = frames[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                # No back edge from v's subtree climbs above u: the edges
+                # stacked since the tree edge (u, v) form one block.
+                block = 0
+                while True:
+                    a, b = edges.pop()
+                    block |= 1 << a | 1 << b
+                    if a == u and b == v:
+                        break
+                blocks.append(block)
+    return blocks
+
+
+def _path(adj: Sequence[int], a: int, b: int, inner: int) -> list[int]:
+    """Interior of a shortest a-b path whose interior is nonempty and inside ``inner``."""
+    frontier = seen = adj[a] & inner
+    parent = dict.fromkeys(bits(frontier), -1)
+    while frontier:
+        for x in bits(frontier):
+            if adj[x] >> b & 1:
+                path = []
+                while x != -1:
+                    path.append(x)
+                    x = parent[x]
+                return path[::-1]
+        reached = 0
+        for x in bits(frontier):
+            new = adj[x] & inner & ~seen & ~reached
+            for y in bits(new):
+                parent[y] = x
+            reached |= new
+        seen |= reached
+        frontier = reached
+    raise ValueError(f"no path from {a} to {b} inside {inner:#x}")
+
+
+def _block_is_planar(adjm: Sequence[int], block: int) -> bool:
+    """Planarity of one biconnected block, by Demoucron-Malgrange-Pertuiset."""
+    n = block.bit_count()
+    if n < 5:
+        return True
+    adj = [nb & block if block >> v & 1 else 0 for v, nb in enumerate(adjm)]
+    m = sum(nb.bit_count() for nb in adj) // 2
+    if m > 3 * n - 6:
+        return False
+    r = (block & -block).bit_length() - 1
+    s = (adj[r] & -adj[r]).bit_length() - 1
+    cycle = [r, *_path(adj, r, s, block & ~(1 << r | 1 << s)), s]
+    placed = sum(1 << v for v in cycle)
+    faces = [(cycle, placed), (cycle, placed)]  # (boundary cycle, its vertex mask)
+    drawn = [0] * len(adj)  # embedded edges, per vertex
+    route = cycle + cycle[:1]
+    embedded = 0
+    while True:
+        for u, v in zip(route, route[1:]):
+            drawn[u] |= 1 << v
+            drawn[v] |= 1 << u
+        embedded += len(route) - 1
+        if embedded == m:
+            return True
+        # Fragments as (attachment mask, unembedded vertices).
+        fragments = [
+            (1 << u | 1 << v, 0)
+            for u in bits(placed)
+            for v in bits(adj[u] & placed & ~drawn[u])
+            if u < v
+        ]
+        for comp in _free_components(adj, block & ~placed):
+            reach = 0
+            for v in bits(comp):
+                reach |= adj[v]
+            fragments.append((reach & placed, comp))
+        chosen = None
+        for attach, inner in fragments:
+            admissible = [f for f, (_, face) in enumerate(faces) if not attach & ~face]
+            if not admissible:
+                return False
+            if chosen is None or len(admissible) == 1:
+                chosen = attach, inner, admissible[0]
+                if len(admissible) == 1:
+                    break
+        attach, inner, f = chosen
+        a = (attach & -attach).bit_length() - 1
+        rest = attach & (attach - 1)
+        b = (rest & -rest).bit_length() - 1
+        path = _path(adj, a, b, inner) if inner else []
+        # Draw a-path-b through face f, splitting it in two.
+        cycle = faces[f][0]
+        i = cycle.index(a)
+        cycle = cycle[i:] + cycle[:i]
+        k = cycle.index(b)
+        one = cycle[: k + 1] + path[::-1]
+        two = cycle[k:] + [a] + path
+        faces[f] = (one, sum(1 << v for v in one))
+        faces.append((two, sum(1 << v for v in two)))
+        placed |= sum(1 << v for v in path)
+        route = [a, *path, b]
+
+
+def _is_planar(adjm: Sequence[int]) -> bool:
+    """Exact planarity of the graph with adjacency bitmasks ``adjm``."""
+    return all(_block_is_planar(adjm, block) for block in _blocks(adjm))
+
+
 def _search_from_seed(
     adjm: Sequence[int],
     seed: tuple[int, ...],
@@ -152,14 +311,14 @@ def has_minor(
     g: Graph, target: str, *, cap: Optional[int] = None
 ) -> tuple[bool, Optional[Witness]]:
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
-    if target not in _TARGETS:
-        raise InvalidSpec(f"unknown minor target {target!r}; expected K5 or K33")
+    h, pairs = _target(target)
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"cap must be at least 1, got {cap}")
     effective_cap = MINOR_CAP if cap is None else cap
     if g.n > effective_cap:
         raise TooLarge(
             f"n={g.n} exceeds the minor-search cap {effective_cap}; pass cap={g.n} to override"
         )
-    h, pairs = _TARGETS[target]
     adj, bags = _kernelize(g)
     kn = len(adj)
     km = sum(len(nbs) for nbs in adj.values()) // 2
@@ -171,19 +330,12 @@ def has_minor(
         return False, None
     kernel_ids = sorted(adj)
     index = {v: i for i, v in enumerate(kernel_ids)}
-    # Imported here, not at module level: networkx is most of the package's
-    # import time, and only this prefilter needs it.
-    import networkx as nx
-
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(kn))
-    nxg.add_edges_from((index[u], index[v]) for u in adj for v in adj[u] if u < v)
-    if nx.check_planarity(nxg, counterexample=False)[0]:
-        return False, None  # planar graphs contain neither obstruction
     adjm = [0] * kn
     for u in adj:
         for v in adj[u]:
             adjm[index[u]] |= 1 << index[v]
+    if _is_planar(adjm):
+        return False, None  # planar graphs contain neither obstruction
     for seed in _seed_sets(target, kn):
         model = _search_from_seed(adjm, seed, pairs)
         if model is not None:
@@ -203,7 +355,7 @@ def has_minor(
 
 def verify_minor_witness(g: Graph, target: str, witness: Witness) -> bool:
     """Check branch sets are disjoint, connected, and pairwise adjacent as required."""
-    h, pairs = _TARGETS[target]
+    h, pairs = _target(target)
     if len(witness) != h:
         return False
     masks = []
@@ -229,6 +381,8 @@ def verify_minor_witness(g: Graph, target: str, witness: Witness) -> bool:
 
 def is_planar_desk(g: Graph, *, cap: Optional[int] = None) -> bool:
     """Planarity by obstruction minors, for desk-scale inputs only."""
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"cap must be at least 1, got {cap}")
     if g.n < 3:
         return True
     if g.m > 3 * g.n - 6:

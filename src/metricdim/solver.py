@@ -120,6 +120,8 @@ def _prepare(
     """Checked arguments to (distinguisher masks, lower bound on the answer)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"cap must be at least 1, got {cap}")
     effective_cap = default_cap if cap is None else cap
     if g.n > effective_cap:
         raise TooLarge(

@@ -1,11 +1,15 @@
 """Shared test oracles, all implemented independently of the library's
 algorithms: plain dict/queue BFS, DFS connectivity, and exhaustive
 subset searches over itertools combinations; plus the hypothesis strategy
-for random connected graphs and the Moebius ladders of the minor tests."""
+for random connected graphs, the Moebius ladders of the minor tests, and a
+fresh interpreter for probes of what an import loads."""
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import deque
 
 from hypothesis import assume, strategies as st
@@ -117,3 +121,15 @@ def graph_from_nx(nxg) -> Graph:
     mapping = {node: i for i, node in enumerate(sorted(nxg.nodes()))}
     edges = [(mapping[u], mapping[v]) for u, v in nxg.edges()]
     return build_graph(nxg.number_of_nodes(), edges)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(code: str, *args: str) -> str:
+    """Standard output of ``python -c code *args`` in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -9,6 +9,8 @@ import pytest
 from metricdim import HeaderMismatch, ParseError, generate
 from metricdim.cli import parse_graph_file, run, write_edgelist
 
+from conftest import SRC, run_python
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -115,10 +117,10 @@ def test_verify_family_exit_codes(monkeypatch):
     report = json.loads(out)
     assert all(chk["match"] for chk in report["checks"])
     # force a mismatch to exercise exit code 2
-    import metricdim.cli as cli_mod
+    import metricdim.formulas as formulas
     from metricdim.formulas import FormulaResult
 
-    monkeypatch.setattr(cli_mod, "dim_formula", lambda x: FormulaResult(99, "bogus", "bogus"))
+    monkeypatch.setattr(formulas, "dim_formula", lambda x: FormulaResult(99, "bogus", "bogus"))
     code, out, _ = run_cli(["verify", "--family", "wheel:9"])
     assert code == 2
 
@@ -132,16 +134,17 @@ def test_verify_that_compares_nothing_exits_one(spec):
 
 def test_verify_skips_are_visible(monkeypatch):
     import metricdim.cli as cli_mod
+    import metricdim.formulas as formulas
     from metricdim import TooLarge, Unsupported
 
-    real = cli_mod.cdim_at_vertex_formula
+    real = formulas.cdim_at_vertex_formula
 
     def no_form_at_zero(g, v):
         if v == 0:
             raise Unsupported("no closed form at vertex 0")
         return real(g, v)
 
-    monkeypatch.setattr(cli_mod, "cdim_at_vertex_formula", no_form_at_zero)
+    monkeypatch.setattr(formulas, "cdim_at_vertex_formula", no_form_at_zero)
     code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
     checks = json.loads(out)["checks"]
     assert code == 0 and len(checks) == 12
@@ -154,7 +157,7 @@ def test_verify_skips_are_visible(monkeypatch):
     def profile_too_large(g, dm, cap=None):
         raise TooLarge("profile cap")
 
-    monkeypatch.setattr(cli_mod, "cdim_at_vertex_formula", real)
+    monkeypatch.setattr(formulas, "cdim_at_vertex_formula", real)
     monkeypatch.setattr(cli_mod, "vertex_profile", profile_too_large)
     code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
     report = json.loads(out)
@@ -311,19 +314,27 @@ def test_cap_below_one_exits_one(cap):
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, metricdim.cli; print('networkx' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    # Commands import families, formulas and minor only where they run.
+    probe = "import sys, metricdim.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    loaded = run_python(probe, "networkx", "metricdim.families", "metricdim.formulas",
+                        "metricdim.minor")
+    assert loaded.strip() == "[]"
+
+
+def test_planar_desk_leaves_networkx_unloaded():
+    probe = (
+        "import io, json, sys\n"
+        "from metricdim.cli import run\n"
+        "out = io.StringIO()\n"
+        "code = run(['planar-desk', '--family', 'k33sub', '--json'], out)\n"
+        "print(code, json.loads(out.getvalue())['value'], 'networkx' in sys.modules)"
+    )
+    assert run_python(probe).split() == ["0", "False", "False"]
 
 
 def test_stdin_that_is_not_utf8_is_an_error():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, LC_ALL="C",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys; from metricdim.cli import run; sys.exit(run(sys.argv[1:]))"
     done = subprocess.run([sys.executable, "-c", probe, "dim", "-"], input=b"\xff\n", env=env,
                           capture_output=True, timeout=60)

@@ -1,10 +1,13 @@
 """Every public solver against the reference searches of ``reference_solver``,
-and ``has_minor`` against the unpruned branch-set search of ``reference_minor``.
+``has_minor`` against the unpruned branch-set search of ``reference_minor``,
+and the minor module's bitmask planarity test against ``networkx``.
 
 Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
 minor search also runs on the benchmark's two nonplanar kernels.  Values and
-witnesses, every profile field and whole enumerations must be equal.
+witnesses, every profile field and whole enumerations must be equal.  The
+planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
+planar graphs with one edge added or moved, and nonplanar minor kernels.
 """
 
 from __future__ import annotations
@@ -12,13 +15,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
 import metricdim as md
 import reference_minor as ref_minor
 import reference_solver as ref
+from metricdim.minor import _is_planar, _kernelize
 
 from conftest import connected_graphs, graph_from_nx, moebius_ladder
 
@@ -95,3 +101,82 @@ def test_random_graph_minors_match_reference(g):
 def test_nonplanar_kernels_match_reference():
     assert minors_matching_reference(moebius_ladder(12), "moebius:12") == 2
     assert minors_matching_reference(md.generate("rand:16:0.3:3")[0], "rand:16:0.3:3") == 2
+
+
+def masks_of(nxg: nx.Graph) -> list[int]:
+    index = {v: i for i, v in enumerate(nxg.nodes())}
+    adjm = [0] * len(index)
+    for u, v in nxg.edges():
+        adjm[index[u]] |= 1 << index[v]
+        adjm[index[v]] |= 1 << index[u]
+    return adjm
+
+
+def planarity_matching_networkx(graphs) -> list[bool]:
+    """The planarity of each graph; asserts it equals ``nx.check_planarity``."""
+    answers = []
+    for i, nxg in enumerate(graphs):
+        planar = nx.check_planarity(nxg)[0]
+        assert _is_planar(masks_of(nxg)) == planar, (i, sorted(nxg.edges()))
+        answers.append(planar)
+    return answers
+
+
+def test_planarity_matches_networkx_on_the_atlas():
+    graphs = nx.graph_atlas_g()
+    answers = planarity_matching_networkx(graphs)
+    assert len(answers) == 1253 and not all(answers)
+    assert any(not planar and not nx.is_connected(g) for g, planar in zip(graphs[1:], answers[1:]))
+
+
+def test_planarity_matches_networkx_on_random_graphs():
+    rng = random.Random(20)
+    graphs = [nx.gnp_random_graph(rng.randint(5, 20), rng.uniform(0.1, 0.4), seed=rng.randrange(2**32))
+              for _ in range(800)]
+    answers = planarity_matching_networkx(graphs)
+    # Nonplanar graphs within the Euler bound reach the path-addition test.
+    sparse = [planar for g, planar in zip(graphs, answers)
+              if g.number_of_edges() <= 3 * g.number_of_nodes() - 6]
+    assert sparse.count(True) > 100 and sparse.count(False) > 100
+
+
+def maximal_planar(rng: random.Random, n: int) -> nx.Graph:
+    """An edge-maximal planar graph: every non-edge, in random order, joins if planarity holds."""
+    g = nx.empty_graph(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        g.add_edge(u, v)
+        if not nx.check_planarity(g)[0]:
+            g.remove_edge(u, v)
+    return g
+
+
+def test_planarity_matches_networkx_on_edge_maximal_planar_graphs():
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(60):
+        g = maximal_planar(rng, rng.randint(5, 14))
+        assert g.number_of_edges() == 3 * g.number_of_nodes() - 6
+        extra = rng.choice([e for e in itertools.combinations(g, 2) if not g.has_edge(*e)])
+        added = g.copy()
+        added.add_edge(*extra)
+        moved = added.copy()
+        moved.remove_edge(*rng.choice(list(g.edges())))
+        graphs += [g, added, moved]
+    answers = planarity_matching_networkx(graphs)
+    assert answers[0::3] == [True] * 60 and answers[1::3] == [False] * 60
+    assert 0 < answers[2::3].count(False) < 60
+
+
+@pytest.mark.parametrize("spec", ["moebius:12", "moebius:16", "moebius:20", "rand:16:0.3:3",
+                                  "rand:17:0.3:2", "rand:18:0.3:20"])
+def test_planarity_matches_networkx_on_minor_kernels(spec):
+    n = int(spec.split(":")[1])
+    g = moebius_ladder(n) if spec.startswith("moebius") else md.generate(spec)[0]
+    adj, _ = _kernelize(g)
+    kernel = nx.Graph()
+    kernel.add_nodes_from(sorted(adj))
+    kernel.add_edges_from((u, v) for u in adj for v in adj[u] if u < v)
+    assert kernel.number_of_nodes() >= 5
+    planarity_matching_networkx([kernel])

@@ -1,6 +1,15 @@
 import pytest
 
-from metricdim import TooLarge, build_graph, generate, has_minor, is_planar_desk, verify_minor_witness
+from metricdim import (
+    InvalidOption,
+    InvalidSpec,
+    TooLarge,
+    build_graph,
+    generate,
+    has_minor,
+    is_planar_desk,
+    verify_minor_witness,
+)
 
 from conftest import moebius_ladder
 
@@ -45,6 +54,26 @@ def test_cap_enforced_and_overridable():
     with pytest.raises(TooLarge):
         has_minor(g, "K5")
     assert has_minor(g, "K5", cap=28) == (False, None)
+
+
+def test_unknown_target_is_an_invalid_spec():
+    g, _ = generate("kite:3")
+    witness = has_minor(g, "K5")[1]
+    for check in (lambda: has_minor(g, "K4"), lambda: verify_minor_witness(g, "K4", witness)):
+        with pytest.raises(InvalidSpec, match="unknown minor target 'K4'"):
+            check()
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_is_an_invalid_option(cap):
+    g, _ = generate("petersen")
+    for target in ("K5", "K33"):
+        with pytest.raises(InvalidOption, match="cap must be at least 1"):
+            has_minor(g, target, cap=cap)
+    # is_planar_desk answers these without the minor search.
+    for spec in ("petersen", "complete:5", "complete:2"):
+        with pytest.raises(InvalidOption, match="cap must be at least 1"):
+            is_planar_desk(generate(spec)[0], cap=cap)
 
 
 def test_planarity_examples():

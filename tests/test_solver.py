@@ -286,6 +286,15 @@ def test_workers_must_be_a_positive_int(workers):
         assert isinstance(exc.value, MetricDimError)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_is_an_invalid_option(cap):
+    g, _ = generate("petersen")
+    for solve in (dim_exact, cdim_exact, vertex_profile, enumerate_min_resolving_sets,
+                  lambda g, **kw: cdim_at_set(g, [1], **kw)):
+        with pytest.raises(InvalidOption, match="cap must be at least 1"):
+            solve(g, cap=cap)
+
+
 def test_diameter_floor():
     assert dim_floor_from_diameter(2, 1) == 1
     assert dim_floor_from_diameter(6, 1) == 5
