@@ -74,7 +74,8 @@ def _parse_edgelist(fh: TextIO) -> tuple[Graph, tuple[str, ...]]:
     header: Optional[tuple[int, int]] = None
     if data:
         first = data[0][1]
-        if len(first) == 2 and all(tok.isdigit() for tok in first):
+        # isdecimal accepts exactly the digits int() does; isdigit also takes "²".
+        if len(first) == 2 and all(tok.isdecimal() for tok in first):
             n_decl, m_decl = int(first[0]), int(first[1])
             if len(data) - 1 == m_decl and n_decl >= 2:
                 header = (n_decl, m_decl)

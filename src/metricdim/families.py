@@ -529,6 +529,14 @@ def generate(spec: FamilySpec | str) -> Labeled:
 
 def parse_spec(text: str, *, default_seed: Optional[int] = None) -> FamilySpec:
     """Parse the canonical text grammar, e.g. wheel:9, grid:7x4, sun:8:1,0,3,1,0,2,0,0."""
+    spec = _parse_fields(text, default_seed)
+    # Canonical text spells out every field its grammar allows, seeds included.
+    if text.count(":") > spec.text().count(":"):
+        raise InvalidSpec(f"malformed family spec {text!r}: too many ':' fields")
+    return spec
+
+
+def _parse_fields(text: str, default_seed: Optional[int]) -> FamilySpec:
     parts = text.strip().split(":")
     kind = parts[0]
     args = parts[1:]

@@ -21,7 +21,7 @@ from .errors import (
     Unsupported,
 )
 from .families import FamilySpec, generate, parse_spec
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, components
 from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
@@ -267,25 +267,13 @@ def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], .
 def _recognize_multipartite(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
     full = g.vertex_mask()
     comp_adj = [full & ~g.adj_bits[v] & ~(1 << v) for v in range(g.n)]
-    seen = 0
     parts = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        mask = 1 << v
-        frontier = mask
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= comp_adj[u]
-            frontier = nxt & ~mask
-            mask |= nxt
+    for mask in components(comp_adj, full):
         members = tuple(bits(mask))
         for a, b in itertools.combinations(members, 2):
             if g.has_edge(a, b):
                 return None  # complement component is not a clique
         parts.append(members)
-        seen |= mask
     if len(parts) < 2:
         return None
     return tuple(sorted(parts, key=lambda p: (len(p), p)))

@@ -59,19 +59,7 @@ class Graph:
 
     def is_connected_subset(self, mask: int) -> bool:
         """Whether the induced subgraph on ``mask`` is connected (empty set: True)."""
-        if mask == 0:
-            return True
-        start = mask & -mask
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj_bits[v]
-            nxt &= mask & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == mask
+        return mask == 0 or components(self.adj_bits, mask)[0] == mask
 
     def is_connected(self) -> bool:
         return self.n == 0 or self.is_connected_subset(self.vertex_mask())
@@ -173,50 +161,86 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n=g.n, rows=tuple(rows), ecc=ecc, rad=min(ecc), diam=max(ecc))
 
 
+def components(adj: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the subgraph induced by ``mask``, as masks.
+
+    ``adj`` holds one neighbour bitmask per vertex.  Components come in the
+    order of their lowest vertex.
+    """
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        mask &= ~comp
+        comps.append(comp)
+    return comps
+
+
+def blocks(adj: Sequence[int]) -> list[int]:
+    """Vertex masks of the biconnected blocks that have at least one edge.
+
+    ``adj`` holds one neighbour bitmask per vertex.  The blocks come from an
+    iterative lowpoint depth-first search with an edge stack.
+    """
+    n = len(adj)
+    disc = [0] * n  # discovery time; 0 while unvisited
+    low = [0] * n
+    found = []
+    clock = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        # Frames are (vertex, DFS parent, neighbours not yet scanned).
+        frames = [(root, -1, adj[root])]
+        edges: list[tuple[int, int]] = []
+        while frames:
+            v, parent, todo = frames[-1]
+            if todo:
+                w = (todo & -todo).bit_length() - 1
+                frames[-1] = (v, parent, todo & (todo - 1))
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    edges.append((v, w))
+                    frames.append((w, v, adj[w]))
+                elif w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+                continue
+            frames.pop()
+            if not frames:
+                break
+            u = frames[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                # No back edge from v's subtree climbs above u: the edges
+                # stacked since the tree edge (u, v) form one block.
+                block = 0
+                while True:
+                    a, b = edges.pop()
+                    block |= 1 << a | 1 << b
+                    if a == u and b == v:
+                        break
+                found.append(block)
+    return found
+
+
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points of a connected graph (iterative lowpoint DFS)."""
+    """Articulation points of a connected graph: the vertices in two or more blocks."""
     if not g.is_connected():
         raise NotConnected("cut vertices are defined here for connected graphs")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cut: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.neighbors[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(g.neighbors[w])))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                p = parent[v]
-                if p != -1:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if p != root and low[v] >= disc[p]:
-                        cut.add(p)
-        if root_children >= 2:
-            cut.add(root)
-    return frozenset(cut)
+    seen = cut = 0
+    for block in blocks(g.adj_bits):
+        cut |= seen & block
+        seen |= block
+    return frozenset(bits(cut))
 
 
 @dataclass(frozen=True)

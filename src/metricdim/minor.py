@@ -1,17 +1,8 @@
-"""Desk-scale K5/K3,3 minor detection and the planarity check built on it.
+"""Desk-scale K5/K3,3 minor detection and an exact planarity test.
 
-The input is first shrunk by reductions that preserve presence of any
-3-connected minor: vertices of degree at most one are deleted and degree-two
-vertices are suppressed (merged into a neighbor).  Each kernel vertex keeps a
-"bag" of original vertices so a model found in the kernel expands to branch
-sets of the original graph.  A planar kernel has neither target minor, so an
-exact planarity test dispatches the negative case quickly; otherwise an
-exhaustive seeded branch-set search either finds a model or proves absence.
-
-The planarity test works on the kernel's adjacency bitmasks.  A graph is
-planar exactly when each of its biconnected blocks is, and the blocks come
-from a lowpoint depth-first search with an edge stack.  A block with more
-than 3n - 6 edges is nonplanar by Euler's formula; any other block is
+The planarity test works on adjacency bitmasks.  A graph is planar exactly
+when each of its biconnected blocks is (``graph.blocks``).  A block with
+more than 3n - 6 edges is nonplanar by Euler's formula; any other block is
 embedded by the path-addition algorithm of Demoucron, Malgrange and
 Pertuiset (1964).  It embeds one cycle, then repeatedly looks at the
 fragments: each unembedded edge between embedded vertices, and each
@@ -21,7 +12,17 @@ boundary holds every attachment.  If some fragment has no admissible face
 the block is nonplanar.  Otherwise a fragment with exactly one admissible
 face, or else any fragment, gets a path between two of its attachments drawn
 through that face, which splits the face in two.  For a 2-connected graph
-this succeeds exactly when the graph is planar.
+this succeeds exactly when the graph is planar.  ``is_planar_desk`` answers
+from this test alone.
+
+For a minor, the input is first shrunk by reductions that preserve presence
+of any 3-connected minor: vertices of degree at most one are deleted and
+degree-two vertices are suppressed (merged into a neighbor).  Each kernel
+vertex keeps a "bag" of original vertices so a model found in the kernel
+expands to branch sets of the original graph.  A planar kernel has neither
+target minor, so the planarity test dispatches the negative case quickly;
+otherwise an exhaustive seeded branch-set search either finds a model or
+proves absence.
 
 The search grows one branch of the first unmet pair at a time, depth first,
 into free vertices (those in no branch).  A state is dead when some unmet
@@ -39,7 +40,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidOption, InvalidSpec, TooLarge
-from .graph import Graph, bits
+from .graph import Graph, bits, blocks, components
 
 MINOR_CAP = 20
 
@@ -85,24 +86,6 @@ def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
     return adj, bags
 
 
-def _component_count(adj: dict[int, set[int]]) -> int:
-    seen: set[int] = set()
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return count
-
-
 def _seed_sets(target: str, kn: int) -> Iterator[tuple[int, ...]]:
     if target == "K5":
         yield from itertools.combinations(range(kn), 5)
@@ -112,69 +95,6 @@ def _seed_sets(target: str, kn: int) -> Iterator[tuple[int, ...]]:
             for side_b in itertools.combinations(rest, 3):
                 if side_a[0] < side_b[0]:  # side swap is an automorphism
                     yield side_a + side_b
-
-
-def _free_components(adjm: Sequence[int], free: int) -> list[int]:
-    """Connected components of the subgraph induced by ``free``, as masks."""
-    comps = []
-    while free:
-        comp = frontier = free & -free
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= adjm[v]
-            frontier = reach & free & ~comp
-            comp |= frontier
-        free &= ~comp
-        comps.append(comp)
-    return comps
-
-
-def _blocks(adjm: Sequence[int]) -> list[int]:
-    """Vertex masks of the biconnected blocks that have at least one edge."""
-    n = len(adjm)
-    disc = [0] * n  # discovery time; 0 while unvisited
-    low = [0] * n
-    blocks = []
-    clock = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        clock += 1
-        disc[root] = low[root] = clock
-        # Frames are (vertex, DFS parent, neighbours not yet scanned).
-        frames = [(root, -1, adjm[root])]
-        edges: list[tuple[int, int]] = []
-        while frames:
-            v, parent, todo = frames[-1]
-            if todo:
-                w = (todo & -todo).bit_length() - 1
-                frames[-1] = (v, parent, todo & (todo - 1))
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    edges.append((v, w))
-                    frames.append((w, v, adjm[w]))
-                elif w != parent and disc[w] < disc[v]:
-                    edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
-                continue
-            frames.pop()
-            if not frames:
-                break
-            u = frames[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                # No back edge from v's subtree climbs above u: the edges
-                # stacked since the tree edge (u, v) form one block.
-                block = 0
-                while True:
-                    a, b = edges.pop()
-                    block |= 1 << a | 1 << b
-                    if a == u and b == v:
-                        break
-                blocks.append(block)
-    return blocks
 
 
 def _path(adj: Sequence[int], a: int, b: int, inner: int) -> list[int]:
@@ -231,7 +151,7 @@ def _block_is_planar(adjm: Sequence[int], block: int) -> bool:
             for v in bits(adj[u] & placed & ~drawn[u])
             if u < v
         ]
-        for comp in _free_components(adj, block & ~placed):
+        for comp in components(adj, block & ~placed):
             reach = 0
             for v in bits(comp):
                 reach |= adj[v]
@@ -265,7 +185,7 @@ def _block_is_planar(adjm: Sequence[int], block: int) -> bool:
 
 def _is_planar(adjm: Sequence[int]) -> bool:
     """Exact planarity of the graph with adjacency bitmasks ``adjm``."""
-    return all(_block_is_planar(adjm, block) for block in _blocks(adjm))
+    return all(_block_is_planar(adjm, block) for block in blocks(adjm))
 
 
 def _search_from_seed(
@@ -288,7 +208,7 @@ def _search_from_seed(
             return branches
         # Branches grow only into free vertices, so an unmet pair can still be
         # joined only through one free component touching both branches.
-        comps = _free_components(adjm, full & ~used)
+        comps = components(adjm, full & ~used)
         touch = [0] * len(branches)
         for k, nb in enumerate(nbhd):
             for comp in comps:
@@ -307,33 +227,37 @@ def _search_from_seed(
     return None
 
 
+def _check_cap(cap: Optional[int], n: int = 0) -> None:
+    """Reject a cap below 1, and an order ``n`` past the cap (MINOR_CAP if None)."""
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"cap must be at least 1, got {cap}")
+    effective_cap = MINOR_CAP if cap is None else cap
+    if n > effective_cap:
+        raise TooLarge(
+            f"n={n} exceeds the minor-search cap {effective_cap}; pass cap={n} to override"
+        )
+
+
 def has_minor(
     g: Graph, target: str, *, cap: Optional[int] = None
 ) -> tuple[bool, Optional[Witness]]:
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
-    if cap is not None and cap < 1:
-        raise InvalidOption(f"cap must be at least 1, got {cap}")
-    effective_cap = MINOR_CAP if cap is None else cap
-    if g.n > effective_cap:
-        raise TooLarge(
-            f"n={g.n} exceeds the minor-search cap {effective_cap}; pass cap={g.n} to override"
-        )
+    _check_cap(cap, g.n)
     adj, bags = _kernelize(g)
     kn = len(adj)
-    km = sum(len(nbs) for nbs in adj.values()) // 2
-    needed_edges = len(pairs)
-    # Cycle rank (first Betti number) is minor-monotone.
-    components = _component_count(adj)
-    rank = km - kn + components
-    if kn < h or km < needed_edges or rank < needed_edges - h + 1:
-        return False, None
     kernel_ids = sorted(adj)
     index = {v: i for i, v in enumerate(kernel_ids)}
     adjm = [0] * kn
     for u in adj:
         for v in adj[u]:
             adjm[index[u]] |= 1 << index[v]
+    km = sum(len(nbs) for nbs in adj.values()) // 2
+    needed_edges = len(pairs)
+    # Cycle rank (first Betti number) is minor-monotone.
+    rank = km - kn + len(components(adjm, (1 << kn) - 1))
+    if kn < h or km < needed_edges or rank < needed_edges - h + 1:
+        return False, None
     if _is_planar(adjm):
         return False, None  # planar graphs contain neither obstruction
     for seed in _seed_sets(target, kn):
@@ -380,11 +304,15 @@ def verify_minor_witness(g: Graph, target: str, witness: Witness) -> bool:
 
 
 def is_planar_desk(g: Graph, *, cap: Optional[int] = None) -> bool:
-    """Planarity by obstruction minors, for desk-scale inputs only."""
-    if cap is not None and cap < 1:
-        raise InvalidOption(f"cap must be at least 1, got {cap}")
-    if g.n < 3:
-        return True
-    if g.m > 3 * g.n - 6:
-        return False
-    return not has_minor(g, "K5", cap=cap)[0] and not has_minor(g, "K33", cap=cap)[0]
+    """Exact planarity, with the minor search's order cap, for desk-scale inputs.
+
+    Graphs on fewer than 3 vertices are planar and graphs with more than
+    3n - 6 edges are not, whatever their order; any other graph past the cap
+    raises TooLarge.  By Kuratowski and Wagner the answer is the same as
+    having neither a K5 nor a K3,3 minor.
+    """
+    if g.n < 3 or g.m > 3 * g.n - 6:
+        _check_cap(cap)
+        return g.n < 3
+    _check_cap(cap, g.n)
+    return _is_planar(g.adj_bits)

@@ -4,8 +4,10 @@ This is the library's earlier search, kept unchanged: from each seed it pops
 states depth first and rebuilds every branch's neighbourhood from scratch,
 and it expands every state that does not yet form a model, so nothing here
 depends on the free-component reachability prune of ``metricdim.minor``.
-The kernelization, the floors, the seed order and the planarity prefilter
-are shared with the library.
+The kernelization and the seed order are shared with the library.  The
+component count of the cycle-rank floor is the library's earlier one, on
+dicts of sets, and the planarity prefilter is ``networkx``, so neither
+depends on the bitmask walks of ``metricdim.graph``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,25 @@ from typing import Optional, Sequence
 
 from metricdim import Graph, InvalidSpec, TooLarge
 from metricdim.graph import bits
-from metricdim.minor import MINOR_CAP, Witness, _TARGETS, _component_count, _kernelize, _seed_sets
+from metricdim.minor import MINOR_CAP, Witness, _TARGETS, _kernelize, _seed_sets
+
+
+def _component_count(adj: dict[int, set[int]]) -> int:
+    seen: set[int] = set()
+    count = 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
 
 
 def _search_from_seed(

@@ -36,6 +36,16 @@ def test_parse_edgelist_integer_edges_without_header():
     assert labels == ("1", "2", "3", "4")
 
 
+def test_parse_edgelist_non_decimal_digit_is_a_label(tmp_path):
+    text = "² 1\n1 a\n"
+    g, labels = parse_graph_file(io.StringIO(text))
+    assert g.n == 3 and g.m == 2 and labels == ("²", "1", "a")
+    path = tmp_path / "superscript.el"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["dim", str(path), "--json"])
+    assert code == 0 and err == "" and json.loads(out)["value"] == 1
+
+
 def test_parse_edgelist_header_mismatch():
     with pytest.raises(HeaderMismatch):
         parse_graph_file(io.StringIO("5 2\na b\nb c\n"))
@@ -198,6 +208,11 @@ def test_cap_exceeded_exits_one():
     assert code == 1 and "cap" in err
     code, out, _ = run_cli(["cdim", "--family", "grid:5x5", "--cap", "25", "--json"])
     assert code == 0 and json.loads(out)["value"] == 5
+
+
+def test_family_spec_with_extra_fields_exits_one():
+    code, out, err = run_cli(["dim", "--family", "wheel:9:5"])
+    assert code == 1 and out == "" and "malformed family spec 'wheel:9:5'" in err
 
 
 def test_unknown_label_error():

@@ -1,13 +1,18 @@
 """Every public solver against the reference searches of ``reference_solver``,
 ``has_minor`` against the unpruned branch-set search of ``reference_minor``,
-and the minor module's bitmask planarity test against ``networkx``.
+``is_planar_desk`` against having neither minor, the minor module's bitmask
+planarity test against ``networkx``, and the bitmask walks of
+``metricdim.graph`` against removal and ``networkx`` oracles.
 
 Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
-minor search also runs on the benchmark's two nonplanar kernels.  Values and
-witnesses, every profile field and whole enumerations must be equal.  The
-planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
-planar graphs with one edge added or moved, and nonplanar minor kernels.
+minor search also runs on the benchmark's two nonplanar kernels and on the
+subdivided K3,3.  Values and witnesses, every profile field and whole
+enumerations must be equal.  The planarity test sees every atlas graph,
+seeded G(n, p) graphs, edge-maximal planar graphs with one edge added or
+moved, and nonplanar minor kernels.  Cut vertices, components of seeded
+vertex subsets and complete multipartite recognition are checked on the
+whole atlas.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from hypothesis import given, settings
 import metricdim as md
 import reference_minor as ref_minor
 import reference_solver as ref
+from metricdim.formulas import _recognize_multipartite
+from metricdim.graph import bits, components
 from metricdim.minor import _is_planar, _kernelize
 
-from conftest import connected_graphs, graph_from_nx, moebius_ladder
+from conftest import connected_graphs, graph_from_nx, moebius_ladder, naive_cut_vertices
 
 
 @functools.cache
@@ -77,13 +84,15 @@ def test_random_graphs_match_reference(g):
     assert_matches_reference(g, list(itertools.combinations(range(g.n), 2)), "random graph")
 
 
-def minors_matching_reference(g: md.Graph, where: str) -> int:
-    """How many of K5 and K33 ``g`` has; asserts both answers equal the reference."""
+def minors_matching_reference(g: md.Graph, where: str, cap=None) -> int:
+    """How many of K5 and K33 ``g`` has; asserts both answers equal the reference
+    and that ``is_planar_desk`` holds exactly when neither minor is found."""
     found = 0
     for target in ("K5", "K33"):
-        got = md.has_minor(g, target)
-        assert got == ref_minor.has_minor(g, target), (where, target)
+        got = md.has_minor(g, target, cap=cap)
+        assert got == ref_minor.has_minor(g, target, cap=cap), (where, target)
         found += got[0]
+    assert md.is_planar_desk(g, cap=cap) == (found == 0), where
     return found
 
 
@@ -99,8 +108,48 @@ def test_random_graph_minors_match_reference(g):
 
 
 def test_nonplanar_kernels_match_reference():
-    assert minors_matching_reference(moebius_ladder(12), "moebius:12") == 2
-    assert minors_matching_reference(md.generate("rand:16:0.3:3")[0], "rand:16:0.3:3") == 2
+    for spec, found in [("moebius:12", 2), ("k33sub", 1), ("rand:16:0.3:3", 2)]:
+        g = moebius_ladder(12) if spec == "moebius:12" else md.generate(spec)[0]
+        assert minors_matching_reference(g, spec, cap=g.n) == found, spec
+
+
+def nx_graph(g: md.Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+def test_atlas_cut_vertices_match_removal_oracle():
+    assert sum(bool(md.cut_vertices(g)) for g in atlas()) > 100
+    for i, g in enumerate(atlas()):
+        assert md.cut_vertices(g) == naive_cut_vertices(g), i
+
+
+def test_atlas_components_match_networkx():
+    rng = random.Random(3)
+    split = 0
+    for i, g in enumerate(atlas()):
+        nxg = nx_graph(g)
+        for mask in [g.vertex_mask()] + [rng.getrandbits(g.n) for _ in range(4)]:
+            comps = sorted(nx.connected_components(nxg.subgraph(bits(mask))), key=min)
+            want = [sum(1 << v for v in comp) for comp in comps]
+            assert components(g.adj_bits, mask) == want, (i, mask)
+            assert g.is_connected_subset(mask) == (len(want) <= 1), (i, mask)
+            split += len(want) > 1
+    assert split > 1000
+
+
+def test_atlas_multipartite_recognition_matches_networkx():
+    recognized = 0
+    for i, g in enumerate(atlas()):
+        co = nx.complement(nx_graph(g))
+        parts = [tuple(sorted(c)) for c in nx.connected_components(co)]
+        cliques = all(co.subgraph(p).number_of_edges() == len(p) * (len(p) - 1) // 2 for p in parts)
+        want = tuple(sorted(parts, key=lambda p: (len(p), p))) if cliques and len(parts) >= 2 else None
+        assert _recognize_multipartite(g) == want, i
+        recognized += want is not None
+    assert recognized > 20
 
 
 def masks_of(nxg: nx.Graph) -> list[int]:

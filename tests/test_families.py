@@ -204,6 +204,14 @@ def test_unknown_spec_rejected():
         generate(FamilySpec("hypercube", (3,)))
 
 
+@pytest.mark.parametrize("spec", ["petersen:3", "wheel:9:5", "grid:3x3:2", "paddle:5,3:1",
+                                  "sun:8:1,0,3,1,0,2,0,0:1", "fr:3:11:2", "randtree:9:1:4",
+                                  "rand:8:0.3:1:9"])
+def test_extra_spec_fields_rejected(spec):
+    with pytest.raises(InvalidSpec, match="malformed family spec"):
+        parse_spec(spec, default_seed=1)
+
+
 def test_seedless_random_spec_requires_default_seed():
     with pytest.raises(InvalidSpec):
         parse_spec("randtree:8")

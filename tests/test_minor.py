@@ -87,6 +87,13 @@ def test_planarity_examples():
     assert is_planar_desk(k2)
 
 
+def test_planarity_cap_applies_after_the_trivial_answers():
+    assert not is_planar_desk(generate("complete:21")[0])  # 210 > 3*21-6 edges
+    assert is_planar_desk(build_graph(2, [(0, 1)]), cap=1)
+    with pytest.raises(TooLarge, match="n=28 exceeds the minor-search cap 20; pass cap=28 to override"):
+        is_planar_desk(generate("grid:7x4")[0])
+
+
 def test_fr_members_are_planar():
     for seed in range(5):
         g, _ = generate(f"fr:5:{seed}")
