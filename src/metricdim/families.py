@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import GenerationFailed, InvalidSpec, RuleViolation
-from .graph import Graph, build_graph
+from .errors import GenerationFailed, InvalidSpec, RuleViolation, TooLarge
+from .graph import MAX_ORDER, Graph, build_graph
 
 Labeled = tuple[Graph, tuple[str, ...]]
 
@@ -312,6 +312,9 @@ def fr_sample(r: int, seed: int) -> Labeled:
             here = {"x": x, "y": y, "z": z}
             if here[pair[0]] and here[pair[1]] and rng.random() < 0.4:
                 intra.add(pair)
+        if not (x or y or z):
+            # Nothing can stand on an empty level, so every later one is empty too.
+            break
         level = FrLevel(x=x, y=y, z=z, y_attach=attach, intra=frozenset(intra))
         levels.append(level)
         prev = level
@@ -479,6 +482,9 @@ def random_connected(n: int, p: float, seed: int) -> Labeled:
     (0 < p <= 1) or _fail("rand needs edge probability 0 < p ≤ 1")
     rng = random.Random(seed)
     draws = min(10_000, RAND_PAIR_BUDGET // (n * (n - 1) // 2))
+    if draws and n > MAX_ORDER:
+        # A draw would build an edge list that build_graph then refuses.
+        raise TooLarge(f"rand:{n}:{p}:{seed} has {n} vertices, past the library cap {MAX_ORDER}")
     for _ in range(draws):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
@@ -518,12 +524,45 @@ _GENERATORS = {
 }
 
 
+# Order of each family's instance as a function of its parameters.  An fr
+# sample's order is known only once it is drawn, and ``fr_sample`` stops at
+# its first empty level; ``random_connected`` checks its own order after its
+# pair budget.
+_ORDERS = {
+    "path": lambda p: p[0],
+    "cycle": lambda p: p[0],
+    "complete": lambda p: p[0],
+    "star": lambda p: p[0],
+    "multipartite": lambda p: sum(p[0]),
+    "wheel": lambda p: p[0] + 1,
+    "petersen": lambda p: 10,
+    "grid": lambda p: p[0] * p[1],
+    "bouquet": lambda p: 1 + sum(c - 1 for c in p[0]),
+    "paddle": lambda p: p[0] + p[1],
+    "fork": lambda p: p[1],
+    "sun": lambda p: p[0] + sum(p[1]),
+    "kite": lambda p: p[0] + 3,
+    "k33sub": lambda p: 10,
+    "thetatails": lambda p: 12,
+    "fantail": lambda p: p[0],
+    "vdel": lambda p: p[0] + 5,
+    "edel": lambda p: p[1] + 2 * p[0] - 2,
+    "randtree": lambda p: p[0],
+}
+
+
 def generate(spec: FamilySpec | str) -> Labeled:
-    """Instantiate a family spec (object or canonical text) deterministically."""
+    """Instantiate a family spec (object or canonical text) deterministically.
+
+    An instance past ``MAX_ORDER`` raises ``TooLarge`` before anything is built.
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if spec.kind not in _GENERATORS:
         raise InvalidSpec(f"unknown family kind {spec.kind!r}")
+    n = _ORDERS.get(spec.kind, lambda p: 0)(spec.params)
+    if n > MAX_ORDER:
+        raise TooLarge(f"{spec.text()} has {n} vertices, past the library cap {MAX_ORDER}")
     return _GENERATORS[spec.kind](spec.params)
 
 

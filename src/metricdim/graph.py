@@ -59,7 +59,7 @@ class Graph:
 
     def is_connected_subset(self, mask: int) -> bool:
         """Whether the induced subgraph on ``mask`` is connected (empty set: True)."""
-        return mask == 0 or components(self.adj_bits, mask)[0] == mask
+        return mask == 0 or next(components(self.adj_bits, mask)) == mask
 
     def is_connected(self) -> bool:
         return self.n == 0 or self.is_connected_subset(self.vertex_mask())
@@ -141,19 +141,24 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     adj = g.adj_bits
     for s in range(g.n):
         dist = [0] * g.n
-        seen = 1 << s
-        frontier = 1 << s
+        seen = frontier = 1 << s
         level = 0
+        # The set bits are walked inline: this loop runs once per solver call,
+        # and a ``bits`` generator costs about a third of it on small graphs.
         while frontier:
             level += 1
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= ~seen
-            for v in bits(nxt):
-                dist[v] = level
-            seen |= nxt
-            frontier = nxt
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & ~seen
+            seen |= frontier
+            nxt = frontier
+            while nxt:
+                b = nxt & -nxt
+                dist[b.bit_length() - 1] = level
+                nxt ^= b
         if seen != full:
             raise NotConnected("graph is not connected")
         rows.append(tuple(dist))
@@ -161,13 +166,12 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n=g.n, rows=tuple(rows), ecc=ecc, rad=min(ecc), diam=max(ecc))
 
 
-def components(adj: Sequence[int], mask: int) -> list[int]:
+def components(adj: Sequence[int], mask: int) -> Iterator[int]:
     """Connected components of the subgraph induced by ``mask``, as masks.
 
     ``adj`` holds one neighbour bitmask per vertex.  Components come in the
-    order of their lowest vertex.
+    order of their lowest vertex, each filled only when it is asked for.
     """
-    comps = []
     while mask:
         comp = frontier = mask & -mask
         while frontier:
@@ -177,8 +181,7 @@ def components(adj: Sequence[int], mask: int) -> list[int]:
             frontier = reach & mask & ~comp
             comp |= frontier
         mask &= ~comp
-        comps.append(comp)
-    return comps
+        yield comp
 
 
 def blocks(adj: Sequence[int]) -> list[int]:

@@ -208,7 +208,7 @@ def _search_from_seed(
             return branches
         # Branches grow only into free vertices, so an unmet pair can still be
         # joined only through one free component touching both branches.
-        comps = components(adjm, full & ~used)
+        comps = list(components(adjm, full & ~used))
         touch = [0] * len(branches)
         for k, nb in enumerate(nbhd):
             for comp in comps:
@@ -255,7 +255,7 @@ def has_minor(
     km = sum(len(nbs) for nbs in adj.values()) // 2
     needed_edges = len(pairs)
     # Cycle rank (first Betti number) is minor-monotone.
-    rank = km - kn + len(components(adjm, (1 << kn) - 1))
+    rank = km - kn + len(list(components(adjm, (1 << kn) - 1)))
     if kn < h or km < needed_edges or rank < needed_edges - h + 1:
         return False, None
     if _is_planar(adjm):

@@ -5,14 +5,22 @@ D(u, w) = {v : d(v, u) != d(v, w)} of every vertex pair, so each solver here
 searches for small hitting sets of those masks.  This is the set-cover view
 of Khuller, Raghavachari and Rosenfeld ("Landmarks in graphs", 1996) and the
 constraint matrix of the integer program of Chartrand, Eroh, Johnson and
-Oellermann (2000).  ``_prepare`` builds the deduplicated masks once per call,
-smallest first.  A mask of size two belongs to a twin pair, which gives the
-twin-class lower bound; the diameter floor is the other one.
+Oellermann (2000).  ``_prepare`` builds the masks once per call, smallest
+first, and drops every mask that contains another, since a set meeting the
+smaller one meets both (Weihe, "Covering trains by stations or the power of
+data reduction", 1998).  Only twin pairs have a mask of size two, and those
+masks give the twin classes and the twin-class lower bound; the diameter
+floor is the other one.
 
 For each cardinality k, ascending from that bound, the search carries the
-masks its partial set has not hit yet.  It cuts a branch as soon as an unhit
-mask has no vertex left that the branch could still add, and it fills the
-last slot from the intersection of the unhit masks.  Plain sets come from an
+masks its partial set has not hit yet, and fills the last slot from their
+intersection.  With r slots still open, it cuts a branch when an unhit mask
+has no vertex left that the branch could still add, or when ``_too_few``
+shows r cannot suffice: either the twin deficit, the twin-class vertices
+still missing from the partial set, exceeds r, or a greedy packing finds
+more than r unhit masks that are pairwise disjoint on the vertices the
+branch may still add.  Every cut drops only branches without a hit, so the
+order in which hits are met is unchanged.  Plain sets come from an
 include-first walk over the vertices in ascending order, which meets k-sets
 in lexicographic order, so its first hit is the lexicographically smallest
 witness.  Connected sets come from seeded growth with a per-branch ban set,
@@ -116,8 +124,8 @@ def _prepare(
     default_cap: int,
     workers: int = 1,
     what: str = "solver",
-) -> tuple[list[int], int]:
-    """Checked arguments to (distinguisher masks, lower bound on the answer)."""
+) -> tuple[list[int], tuple[int, ...], int]:
+    """Checked arguments to (inclusion-minimal masks, twin classes, lower bound on the answer)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
     if cap is not None and cap < 1:
@@ -130,26 +138,84 @@ def _prepare(
     if dm is None:
         dm = all_pairs_distances(g)
     masks = _pair_masks(dm.rows)
-    # Only twins have a mask of size two.  A twin class of size c has c - 1
-    # members above its smallest one, and a resolving set holds at least c - 1.
-    twins = len({m.bit_length() for m in masks if m.bit_count() == 2})
-    return masks, max(1, twins, dim_floor_from_diameter(g.n, dm.diam))
+    # Only twins have a mask of size two, and twinhood is an equivalence, so
+    # the size-two masks through a vertex together make up its twin class.
+    classes: dict[int, int] = {}
+    for m in masks:
+        if m.bit_count() > 2:
+            break
+        for b in (m & -m, m & (m - 1)):
+            classes[b] = classes.get(b, b) | m
+    twins = tuple(set(classes.values()))
+    # A resolving set holds all but one vertex of every twin class.
+    floor = len(classes) - len(twins)
+    return _minimal(masks), twins, max(1, floor, dim_floor_from_diameter(g.n, dm.diam))
 
 
-def _hitting_sets(masks: list[int], n: int, k: int) -> Iterator[int]:
-    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order."""
+def _minimal(masks: list[int]) -> list[int]:
+    """The masks, still smallest first, that contain no other one.
+
+    A set that meets a mask meets each of its supersets, so dropping them
+    changes no hitting set.  A subset of a mask comes before it in the order,
+    and a mask over a dropped one is also over a kept one.
+    """
+    kept: list[int] = []
+    for m in masks:
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _too_few(unhit: list[int], twins: tuple[int, ...], cur: int, free: int, r: int) -> bool:
+    """Whether a lower bound shows r more vertices from ``free`` cannot meet all ``unhit`` masks.
+
+    Two lower bounds on the vertices still needed are tried.  The twin
+    deficit: every twin class needs all but one of its vertices.  The
+    packing: unhit masks that stay pairwise disjoint on ``free`` each need a
+    vertex of their own, and a greedy pass over the masks, smallest first,
+    stops once it has more than r.  Neither bound exceeds ``len(unhit)``, so
+    a caller may skip the call when that is at most r.
+    """
+    need = 0
+    for c in twins:
+        gap = c.bit_count() - 1 - (c & cur).bit_count()
+        if gap > 0:
+            need += gap
+    if need > r:
+        return True
+    used = 0
+    for m in unhit:
+        m &= free
+        if not m & used:
+            used |= m
+            r -= 1
+            if r < 0:
+                return True
+    return False
+
+
+def _hitting_sets(masks: list[int], twins: tuple[int, ...], n: int, k: int) -> Iterator[int]:
+    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
+
+    ``twins`` are the twin class masks that ``_prepare`` derives from ``masks``.
+    """
     full = (1 << n) - 1
 
     def walk(cur: int, lo: int, r: int, unhit: list[int]) -> Iterator[int]:
         # Invariant: every unhit mask has a vertex at or above ``lo``.
+        free = full >> lo << lo
         if r == 1:
-            last = full >> lo << lo
             for m in unhit:
-                last &= m
-            while last:
-                b = last & -last
+                free &= m
+            while free:
+                b = free & -free
                 yield cur | b
-                last ^= b
+                free ^= b
+            return
+        if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
             return
         # The next vertex taken must not pass the lowest top vertex of an
         # unhit mask, and must leave room for the r - 1 after it.
@@ -175,6 +241,7 @@ def _roots(adj: Sequence[int], n: int, k: int) -> Iterator[_Start]:
 def _connected_hits(
     adj: Sequence[int],
     full: int,
+    twins: tuple[int, ...],
     unhit: list[int],
     cur: int,
     r: int,
@@ -186,8 +253,9 @@ def _connected_hits(
 
     Banning a candidate for the rest of its branch once its subtree is
     exhausted yields each extension exactly once.  A branch is cut when an
-    unhit mask misses every vertex it could still add, or when those vertices
-    and ``cur`` all lie in ``done[0]``, a mask the caller may grow between hits.
+    unhit mask misses every vertex it could still add, when ``_too_few`` shows
+    that r of those vertices cannot meet every unhit mask, or when they and
+    ``cur`` all lie in ``done[0]``, a mask the caller may grow between hits.
     """
     if r == 0:
         if not unhit:
@@ -208,6 +276,8 @@ def _connected_hits(
     for m in unhit:
         if not m & free:
             return
+    if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
+        return
     while ext:
         b = ext & -ext
         ext ^= b
@@ -215,6 +285,7 @@ def _connected_hits(
         yield from _connected_hits(
             adj,
             full,
+            twins,
             [m for m in unhit if not m & b],
             new_cur,
             r - 1,
@@ -233,9 +304,9 @@ def dim_exact(
     workers: int = 1,
 ) -> SolveResult:
     """Exact metric dimension with the lexicographically smallest witness."""
-    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     for k in range(floor, g.n):
-        for hit in _hitting_sets(masks, g.n, k):
+        for hit in _hitting_sets(masks, twins, g.n, k):
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
 
@@ -256,7 +327,7 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     adj = g.adj_bits
     full = g.vertex_mask()
     anchor_mask = 0
@@ -273,7 +344,8 @@ def cdim_at_set(
         best = 0
         for cur, banned, nb in starts:
             unhit = [m for m in masks if not m & cur]
-            for hit in _connected_hits(adj, full, unhit, cur, k - cur.bit_count(), banned, nb, [0]):
+            r = k - cur.bit_count()
+            for hit in _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, [0]):
                 if need_check and not g.is_connected_subset(hit):
                     continue
                 # hit precedes best when the smallest vertex they differ in is in hit.
@@ -314,7 +386,7 @@ def vertex_profile(
     k ascends yields the whole table without per-vertex searches.  Branches
     that can only mark marked vertices are cut.
     """
-    masks, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     adj = g.adj_bits
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
@@ -327,7 +399,7 @@ def vertex_profile(
         before = marked[0]
         for cur, banned, nb in _roots(adj, g.n, k):
             unhit = [m for m in masks if not m & cur]
-            for hit in _connected_hits(adj, full, unhit, cur, k - 1, banned, nb, marked):
+            for hit in _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, marked):
                 marked[0] |= hit
         for v in bits(marked[0] & ~before):
             values[v] = k
@@ -346,9 +418,9 @@ def enumerate_min_resolving_sets(
     cap: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, in lexicographic order."""
-    masks, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
+    masks, twins, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
     for k in range(floor, g.n):
-        sets = [tuple(bits(hit)) for hit in _hitting_sets(masks, g.n, k)]
+        sets = [tuple(bits(hit)) for hit in _hitting_sets(masks, twins, g.n, k)]
         if sets:
             return sets
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

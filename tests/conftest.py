@@ -1,11 +1,13 @@
 """Shared test oracles, all implemented independently of the library's
 algorithms: plain dict/queue BFS, DFS connectivity, and exhaustive
 subset searches over itertools combinations; plus the hypothesis strategy
-for random connected graphs, the Moebius ladders of the minor tests, and a
-fresh interpreter for probes of what an import loads."""
+for random connected graphs, the connected graphs of the networkx atlas,
+the Moebius ladders of the minor tests, and a fresh interpreter for probes
+of what an import loads."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import subprocess
@@ -121,6 +123,18 @@ def graph_from_nx(nxg) -> Graph:
     mapping = {node: i for i, node in enumerate(sorted(nxg.nodes()))}
     edges = [(mapping[u], mapping[v]) for u, v in nxg.edges()]
     return build_graph(nxg.number_of_nodes(), edges)
+
+
+@functools.cache
+def atlas() -> tuple[Graph, ...]:
+    """All 995 connected graphs on 2-7 vertices, from the networkx graph atlas."""
+    import networkx as nx
+
+    return tuple(
+        graph_from_nx(nxg)
+        for nxg in nx.graph_atlas_g()
+        if nxg.number_of_nodes() >= 2 and nx.is_connected(nxg)
+    )
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

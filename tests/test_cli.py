@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -213,6 +214,15 @@ def test_cap_exceeded_exits_one():
 def test_family_spec_with_extra_fields_exits_one():
     code, out, err = run_cli(["dim", "--family", "wheel:9:5"])
     assert code == 1 and out == "" and "malformed family spec 'wheel:9:5'" in err
+
+
+@pytest.mark.parametrize("spec", ["path:99999999999999999999", "grid:3000x3000", "complete:100000"])
+def test_family_past_the_order_cap_exits_one_at_once(spec):
+    started = time.perf_counter()
+    code, out, err = run_cli(["dim", "--family", spec])
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {spec} has ") and "past the library cap 4096" in err
 
 
 def test_unknown_label_error():

@@ -5,13 +5,15 @@ from metricdim import (
     GenerationFailed,
     InvalidSpec,
     RuleViolation,
+    TooLarge,
     all_pairs_distances,
     check_resolving,
     generate,
     parse_spec,
     twin_partition,
 )
-from metricdim.families import FamilySpec, edel_pair, fr_graph, fr_sample, vdel_pair
+from metricdim.families import _ORDERS, FamilySpec, edel_pair, fr_graph, fr_sample, vdel_pair
+from metricdim.graph import MAX_ORDER
 
 ALL_SPECS = [
     "path:5", "cycle:7", "complete:4", "star:6", "multipartite:1,2,3",
@@ -216,3 +218,29 @@ def test_seedless_random_spec_requires_default_seed():
     with pytest.raises(InvalidSpec):
         parse_spec("randtree:8")
     assert parse_spec("randtree:8", default_seed=5) == FamilySpec("randtree", (8, 5))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    "wheel:4", "grid:3x5", "multipartite:2,2,5", "bouquet:4,4,6", "paddle:4,2", "fork:2,9",
+    "sun:5:0,2,0,1,3", "kite:5", "vdel:9", "edel:5,7"])
+def test_order_from_parameters_matches_the_built_graph(spec):
+    parsed = parse_spec(spec)
+    if parsed.kind in ("fr", "rand"):
+        assert parsed.kind not in _ORDERS
+    else:
+        assert _ORDERS[parsed.kind](parsed.params) == generate(parsed)[0].n
+
+
+@pytest.mark.parametrize("spec", ["path:99999999999999999999", "grid:3000x3000", "complete:100000",
+                                  "multipartite:2000000,1", f"path:{MAX_ORDER + 1}",
+                                  "rand:4400:1.0:1"])
+def test_orders_past_the_cap_raise_before_building(spec):
+    with pytest.raises(TooLarge, match=f"past the library cap {MAX_ORDER}"):
+        generate(spec)
+
+
+def test_fr_sample_stops_at_its_first_empty_level():
+    for seed in range(20):
+        small, labels = fr_sample(40, seed)
+        huge, huge_labels = fr_sample(10**20, seed)
+        assert huge_labels == labels and huge.adj_bits == small.adj_bits
