@@ -24,8 +24,10 @@ from typing import Optional, Sequence, TextIO
 # Only these modules load with the command line; the commands that need
 # families, formulas or minor import them where they run.
 from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError
-from .graph import Graph, all_pairs_distances, build_graph
+from .graph import MAX_ORDER, Graph, all_pairs_distances, build_graph, check_cap
 from .solver import (
+    DIM_CAP,
+    ENUM_CAP,
     cdim_at_set,
     cdim_exact,
     dim_exact,
@@ -220,11 +222,25 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
 # Command driver
 
 
+# Commands whose solver refuses a family past its cap before the family is built.
+_FAMILY_CAPS = {
+    "dim": (DIM_CAP, "solver"),
+    "cdim": (DIM_CAP, "solver"),
+    "cdim-at": (DIM_CAP, "solver"),
+    "profile": (DIM_CAP, "solver"),
+    "enumerate-min": (ENUM_CAP, "enumeration"),
+}
+
+
 def _load_input(args) -> tuple[Graph, tuple[str, ...], str]:
     if getattr(args, "family", None):
         from . import families
 
         spec = families.parse_spec(args.family, default_seed=args.seed)
+        n = families.order(spec)
+        # Past MAX_ORDER, generate reports the library cap instead.
+        if args.command in _FAMILY_CAPS and n is not None and n <= MAX_ORDER:
+            check_cap(n, args.cap, *_FAMILY_CAPS[args.command])
         g, labels = families.generate(spec)
         return g, labels, spec.text()
     if not getattr(args, "input", None):

@@ -5,13 +5,18 @@ figure-style name of vertex ``i``, so tests and reports can speak in names
 like ``u0`` or ``w3`` instead of indices.  All generators keep the property
 that every vertex beyond the first has a lower-indexed neighbor, which lets
 the CLI write edge lists whose parse round-trips to the identical indexing.
+
+Each kind is one row of ``_KINDS``: the shapes of its ``:``-separated fields,
+its builder, and its order as a function of its parameters.  The spec
+parser, the canonical text, ``order`` and ``generate`` all read that row, so
+a new kind is one table row plus its builder.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GenerationFailed, InvalidSpec, RuleViolation, TooLarge
 from .graph import MAX_ORDER, Graph, build_graph
@@ -31,26 +36,11 @@ class FamilySpec:
     params: tuple = ()
 
     def text(self) -> str:
-        k, p = self.kind, self.params
-        if k in ("petersen", "k33sub", "thetatails"):
-            return k
-        if k in ("path", "cycle", "complete", "star", "wheel", "fantail", "kite", "vdel"):
-            return f"{k}:{p[0]}"
-        if k in ("multipartite", "bouquet"):
-            return f"{k}:" + ",".join(str(x) for x in p[0])
-        if k == "grid":
-            return f"grid:{p[0]}x{p[1]}"
-        if k in ("paddle", "fork", "edel"):
-            return f"{k}:{p[0]},{p[1]}"
-        if k == "sun":
-            return f"sun:{p[0]}:" + ",".join(str(x) for x in p[1])
-        if k == "fr":
-            return f"fr:{p[0]}:{p[1]}"
-        if k == "randtree":
-            return f"randtree:{p[0]}:{p[1]}"
-        if k == "rand":
-            return f"rand:{p[0]}:{p[1]}:{p[2]}"
-        raise InvalidSpec(f"unknown family kind {k!r}")
+        parts, at = [self.kind], 0
+        for f in _kind(self.kind).fields:
+            parts.append(f.show(*self.params[at : at + f.width]))
+            at += f.width
+        return ":".join(parts)
 
 
 def _fail(msg: str) -> None:
@@ -499,56 +489,96 @@ def random_connected(n: int, p: float, seed: int) -> Labeled:
     )
 
 
-_GENERATORS = {
-    "path": lambda p: path(p[0]),
-    "cycle": lambda p: cycle(p[0]),
-    "complete": lambda p: complete(p[0]),
-    "star": lambda p: star(p[0]),
-    "multipartite": lambda p: complete_multipartite(p[0]),
-    "wheel": lambda p: wheel(p[0]),
-    "petersen": lambda p: petersen(),
-    "grid": lambda p: grid(p[0], p[1]),
-    "bouquet": lambda p: bouquet(p[0]),
-    "paddle": lambda p: paddle(p[0], p[1]),
-    "fork": lambda p: fork(p[0], p[1]),
-    "sun": lambda p: generalized_sun(p[0], p[1]),
-    "fr": lambda p: fr_sample(p[0], p[1]),
-    "kite": lambda p: kite(p[0]),
-    "k33sub": lambda p: subdivided_k33(),
-    "thetatails": lambda p: theta_tails(),
-    "fantail": lambda p: fan_tail(p[0]),
-    "vdel": lambda p: vdel(p[0]),
-    "edel": lambda p: edel(p[0], p[1]),
-    "randtree": lambda p: random_tree(p[0], p[1]),
-    "rand": lambda p: random_connected(p[0], p[1], p[2]),
+class _Field(NamedTuple):
+    """One ':'-separated spec field: ``read(field, spec)`` gives the ``width``
+    params it fills, and ``show(*params)`` prints them back."""
+
+    width: int
+    read: Callable[[str, str], tuple]
+    show: Callable[..., str]
+
+
+def _int(s: str, text: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise InvalidSpec(f"bad integer {s!r} in {text!r}") from exc
+
+
+def _ints(s: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in s.split(","))
+    except ValueError as exc:
+        raise InvalidSpec(f"bad integer list {s!r} in {text!r}") from exc
+
+
+def _pair(s: str, text: str) -> tuple[int, int]:
+    a, b = _ints(s, text)
+    return a, b
+
+
+def _sxt(s: str, text: str) -> tuple[int, int]:
+    a, b = s.split("x")
+    return _int(a, text), _int(b, text)
+
+
+INT = _Field(1, lambda s, text: (_int(s, text),), str)
+INTS = _Field(1, lambda s, text: (_ints(s, text),), lambda xs: ",".join(map(str, xs)))
+PAIR = _Field(2, _pair, "{},{}".format)
+SXT = _Field(2, _sxt, "{}x{}".format)
+FLOAT = _Field(1, lambda s, text: (float(s),), str)
+# The only field that may be empty or missing; parse_spec then uses default_seed.
+SEED = _Field(1, lambda s, text: (_int(s, text),), str)
+
+
+class _Kind(NamedTuple):
+    fields: tuple[_Field, ...]
+    build: Callable[..., Labeled]
+    # Order of the instance from its params; None when it is known only once
+    # drawn: ``fr_sample`` stops at its first empty level, and
+    # ``random_connected`` checks its own order after its pair budget.
+    order: Optional[Callable[..., int]]
+
+
+def _first(n: int, *_: int) -> int:
+    return n
+
+
+_KINDS = {
+    "path": _Kind((INT,), path, _first),
+    "cycle": _Kind((INT,), cycle, _first),
+    "complete": _Kind((INT,), complete, _first),
+    "star": _Kind((INT,), star, _first),
+    "multipartite": _Kind((INTS,), complete_multipartite, sum),
+    "wheel": _Kind((INT,), wheel, lambda n: n + 1),
+    "petersen": _Kind((), petersen, lambda: 10),
+    "grid": _Kind((SXT,), grid, lambda s, t: s * t),
+    "bouquet": _Kind((INTS,), bouquet, lambda cs: 1 + sum(c - 1 for c in cs)),
+    "paddle": _Kind((PAIR,), paddle, lambda a, b: a + b),
+    "fork": _Kind((PAIR,), fork, lambda r, n: n),
+    "sun": _Kind((INT, INTS), generalized_sun, lambda m, legs: m + sum(legs)),
+    "fr": _Kind((INT, SEED), fr_sample, None),
+    "kite": _Kind((INT,), kite, lambda k: k + 3),
+    "k33sub": _Kind((), subdivided_k33, lambda: 10),
+    "thetatails": _Kind((), theta_tails, lambda: 12),
+    "fantail": _Kind((INT,), fan_tail, _first),
+    "vdel": _Kind((INT,), vdel, lambda k: k + 5),
+    "edel": _Kind((PAIR,), edel, lambda k, a: a + 2 * k - 2),
+    "randtree": _Kind((INT, SEED), random_tree, _first),
+    "rand": _Kind((INT, FLOAT, SEED), random_connected, None),
 }
 
 
-# Order of each family's instance as a function of its parameters.  An fr
-# sample's order is known only once it is drawn, and ``fr_sample`` stops at
-# its first empty level; ``random_connected`` checks its own order after its
-# pair budget.
-_ORDERS = {
-    "path": lambda p: p[0],
-    "cycle": lambda p: p[0],
-    "complete": lambda p: p[0],
-    "star": lambda p: p[0],
-    "multipartite": lambda p: sum(p[0]),
-    "wheel": lambda p: p[0] + 1,
-    "petersen": lambda p: 10,
-    "grid": lambda p: p[0] * p[1],
-    "bouquet": lambda p: 1 + sum(c - 1 for c in p[0]),
-    "paddle": lambda p: p[0] + p[1],
-    "fork": lambda p: p[1],
-    "sun": lambda p: p[0] + sum(p[1]),
-    "kite": lambda p: p[0] + 3,
-    "k33sub": lambda p: 10,
-    "thetatails": lambda p: 12,
-    "fantail": lambda p: p[0],
-    "vdel": lambda p: p[0] + 5,
-    "edel": lambda p: p[1] + 2 * p[0] - 2,
-    "randtree": lambda p: p[0],
-}
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise InvalidSpec(f"unknown family kind {name!r}")
+    return _KINDS[name]
+
+
+def order(spec: FamilySpec) -> Optional[int]:
+    """Order of the instance, from its parameters alone; None for fr and rand."""
+    count = _kind(spec.kind).order
+    return None if count is None else count(*spec.params)
 
 
 def generate(spec: FamilySpec | str) -> Labeled:
@@ -558,77 +588,30 @@ def generate(spec: FamilySpec | str) -> Labeled:
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.kind not in _GENERATORS:
-        raise InvalidSpec(f"unknown family kind {spec.kind!r}")
-    n = _ORDERS.get(spec.kind, lambda p: 0)(spec.params)
-    if n > MAX_ORDER:
+    n = order(spec)
+    if n is not None and n > MAX_ORDER:
         raise TooLarge(f"{spec.text()} has {n} vertices, past the library cap {MAX_ORDER}")
-    return _GENERATORS[spec.kind](spec.params)
+    return _KINDS[spec.kind].build(*spec.params)
 
 
 def parse_spec(text: str, *, default_seed: Optional[int] = None) -> FamilySpec:
     """Parse the canonical text grammar, e.g. wheel:9, grid:7x4, sun:8:1,0,3,1,0,2,0,0."""
-    spec = _parse_fields(text, default_seed)
-    # Canonical text spells out every field its grammar allows, seeds included.
-    if text.count(":") > spec.text().count(":"):
-        raise InvalidSpec(f"malformed family spec {text!r}: too many ':' fields")
-    return spec
-
-
-def _parse_fields(text: str, default_seed: Optional[int]) -> FamilySpec:
-    parts = text.strip().split(":")
-    kind = parts[0]
-    args = parts[1:]
-
-    def ints(s: str) -> tuple[int, ...]:
-        try:
-            return tuple(int(tok) for tok in s.split(","))
-        except ValueError as exc:
-            raise InvalidSpec(f"bad integer list {s!r} in {text!r}") from exc
-
-    def one_int(s: str) -> int:
-        try:
-            return int(s)
-        except ValueError as exc:
-            raise InvalidSpec(f"bad integer {s!r} in {text!r}") from exc
-
-    def seed_of(s: Optional[str]) -> int:
-        if s is None or s == "":
+    kind, *args = text.strip().split(":")
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown family {kind!r}")
+    fields = _KINDS[kind].fields
+    params: list = []
+    for i, f in enumerate(fields):
+        if f is SEED and (i >= len(args) or not args[i]):
             if default_seed is None:
                 raise InvalidSpec(f"{text!r} needs a seed (or pass --seed)")
-            return default_seed
-        return one_int(s)
-
-    try:
-        if kind in ("petersen", "k33sub", "thetatails"):
-            return FamilySpec(kind)
-        if kind in ("path", "cycle", "complete", "star", "wheel", "fantail", "kite", "vdel"):
-            return FamilySpec(kind, (one_int(args[0]),))
-        if kind in ("multipartite", "bouquet"):
-            return FamilySpec(kind, (ints(args[0]),))
-        if kind == "grid":
-            s, t = args[0].split("x")
-            return FamilySpec(kind, (one_int(s), one_int(t)))
-        if kind in ("paddle", "fork", "edel"):
-            a, b = ints(args[0])
-            return FamilySpec(kind, (a, b))
-        if kind == "sun":
-            return FamilySpec(kind, (one_int(args[0]), ints(args[1])))
-        if kind == "fr":
-            return FamilySpec(kind, (one_int(args[0]), seed_of(args[1] if len(args) > 1 else None)))
-        if kind == "randtree":
-            return FamilySpec(
-                kind, (one_int(args[0]), seed_of(args[1] if len(args) > 1 else None))
-            )
-        if kind == "rand":
-            return FamilySpec(
-                kind,
-                (
-                    one_int(args[0]),
-                    float(args[1]),
-                    seed_of(args[2] if len(args) > 2 else None),
-                ),
-            )
-    except (IndexError, ValueError) as exc:
-        raise InvalidSpec(f"malformed family spec {text!r}") from exc
-    raise InvalidSpec(f"unknown family {kind!r}")
+            params.append(default_seed)
+            continue
+        try:
+            params.extend(f.read(args[i], text))
+        except (IndexError, ValueError) as exc:
+            raise InvalidSpec(f"malformed family spec {text!r}") from exc
+    # Canonical text spells out every field its grammar allows, seeds included.
+    if len(args) > len(fields):
+        raise InvalidSpec(f"malformed family spec {text!r}: too many ':' fields")
+    return FamilySpec(kind, tuple(params))

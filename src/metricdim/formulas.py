@@ -1,9 +1,10 @@
 """Structural analyzers and closed-form evaluation of dimension formulas.
 
-Each evaluator accepts either a FamilySpec (trusted parameters) or a raw
-Graph, which is first matched by a structural recognizer.  Every value
-returned here is independently checkable against the exact solvers; the test
-suite does exactly that.
+Each evaluator accepts a FamilySpec, its canonical text, or a raw Graph.  A
+spec is generated first; either way the graph is then matched by a
+structural recognizer, and the closed form is read off the recognized
+structure.  Every value returned here is independently checkable against
+the exact solvers; the test suite does exactly that.
 """
 
 from __future__ import annotations
@@ -428,7 +429,10 @@ def dim_formula(x: FormulaInput) -> FormulaResult:
 
 
 def cdim_formula(x: FormulaInput) -> FormulaResult:
-    rec, g = _resolve(x)
+    return _cdim(*_resolve(x))
+
+
+def _cdim(rec: Recognized, g: Graph) -> FormulaResult:
     kind = rec.kind
     n = g.n
     if kind == "path":
@@ -502,14 +506,13 @@ def cdim_at_vertex_formula(x: FormulaInput, v: int) -> FormulaResult:
             if v == hub:
                 return FormulaResult(3, "hub", "wheel-cdim-at")
             return FormulaResult(2, "rim", "wheel-cdim-at")
-        whole = cdim_formula(x)
-        return FormulaResult(whole.value, "vertex-uniform", "wheel-cdim-at")
+        return FormulaResult(_cdim(rec, g).value, "vertex-uniform", "wheel-cdim-at")
     if kind == "bouquet":
         w = rec.data["w"]
         cycles = rec.data["cycles"]
         m = len(cycles)
         b = sum(1 for c in cycles if len(c) + 1 == 3)
-        base = cdim_formula(x).value
+        base = _cdim(rec, g).value
         if v == w or g.has_edge(v, w):
             return FormulaResult(base, "near-cut-vertex", "bouquet-cdim-at")
         chain = next(c for c in cycles if v in c)
@@ -523,7 +526,7 @@ def cdim_at_vertex_formula(x: FormulaInput, v: int) -> FormulaResult:
     if kind == "multipartite":
         parts = rec.data["parts"]
         n_, k, s = _multipartite_counts(parts)
-        base = cdim_formula(x).value
+        base = _cdim(rec, g).value
         if s == 1 and k >= 3 and v in parts[0]:
             return FormulaResult(base + 1, "singleton-part", "multipartite-cdim-at")
         return FormulaResult(base, "general", "multipartite-cdim-at")

@@ -7,14 +7,25 @@ latter being the workhorse of the subset-search solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidEdge, NotConnected, TooLarge, TooSmall
+from .errors import InvalidEdge, InvalidOption, NotConnected, TooLarge, TooSmall
 
 # Hard cap on library graph order: distances fit 16 bits with huge headroom,
 # and every exact solver saturates far below this anyway.
 MAX_ORDER = 4096
+
+
+def check_cap(n: int, cap: Optional[int], default_cap: int, what: str) -> None:
+    """Reject a cap below 1, and an order ``n`` past the cap (``default_cap`` if None)."""
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"cap must be at least 1, got {cap}")
+    effective_cap = default_cap if cap is None else cap
+    if n > effective_cap:
+        raise TooLarge(
+            f"n={n} exceeds the {what} cap {effective_cap}; pass cap={n} to override"
+        )
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -257,7 +268,6 @@ class TwinPartition:
     """
 
     classes: tuple[tuple[int, ...], ...]
-    class_masks: tuple[int, ...] = field(repr=False, default=())
 
     def lower_bound(self) -> int:
         return sum(len(c) - 1 for c in self.classes)
@@ -302,5 +312,4 @@ def twin_partition(g: Graph) -> TwinPartition:
     for v in range(g.n):
         by_root.setdefault(find(v), []).append(v)
     classes = tuple(tuple(sorted(c)) for _, c in sorted(by_root.items()))
-    masks = tuple(sum(1 << v for v in c) for c in classes)
-    return TwinPartition(classes=classes, class_masks=masks)
+    return TwinPartition(classes=classes)

@@ -39,8 +39,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidOption, InvalidSpec, TooLarge
-from .graph import Graph, bits, blocks, components
+from .errors import InvalidSpec
+from .graph import Graph, bits, blocks, check_cap, components
 
 MINOR_CAP = 20
 
@@ -227,23 +227,12 @@ def _search_from_seed(
     return None
 
 
-def _check_cap(cap: Optional[int], n: int = 0) -> None:
-    """Reject a cap below 1, and an order ``n`` past the cap (MINOR_CAP if None)."""
-    if cap is not None and cap < 1:
-        raise InvalidOption(f"cap must be at least 1, got {cap}")
-    effective_cap = MINOR_CAP if cap is None else cap
-    if n > effective_cap:
-        raise TooLarge(
-            f"n={n} exceeds the minor-search cap {effective_cap}; pass cap={n} to override"
-        )
-
-
 def has_minor(
     g: Graph, target: str, *, cap: Optional[int] = None
 ) -> tuple[bool, Optional[Witness]]:
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
-    _check_cap(cap, g.n)
+    check_cap(g.n, cap, MINOR_CAP, "minor-search")
     adj, bags = _kernelize(g)
     kn = len(adj)
     kernel_ids = sorted(adj)
@@ -312,7 +301,7 @@ def is_planar_desk(g: Graph, *, cap: Optional[int] = None) -> bool:
     having neither a K5 nor a K3,3 minor.
     """
     if g.n < 3 or g.m > 3 * g.n - 6:
-        _check_cap(cap)
+        check_cap(0, cap, MINOR_CAP, "minor-search")
         return g.n < 3
-    _check_cap(cap, g.n)
+    check_cap(g.n, cap, MINOR_CAP, "minor-search")
     return _is_planar(g.adj_bits)

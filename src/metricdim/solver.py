@@ -34,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import EmptySet, InvalidAnchor, InvalidOption, TooLarge
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
+from .errors import EmptySet, InvalidAnchor, InvalidOption
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, check_cap
 
 DIM_CAP = 24
 ENUM_CAP = 16
@@ -128,13 +128,7 @@ def _prepare(
     """Checked arguments to (inclusion-minimal masks, twin classes, lower bound on the answer)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
-    if cap is not None and cap < 1:
-        raise InvalidOption(f"cap must be at least 1, got {cap}")
-    effective_cap = default_cap if cap is None else cap
-    if g.n > effective_cap:
-        raise TooLarge(
-            f"n={g.n} exceeds the {what} cap {effective_cap}; pass cap={g.n} to override"
-        )
+    check_cap(g.n, cap, default_cap, what)
     if dm is None:
         dm = all_pairs_distances(g)
     masks = _pair_masks(dm.rows)

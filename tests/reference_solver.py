@@ -111,7 +111,7 @@ def _scan_states(
 def _twin_reqs(g: Graph) -> tuple[tuple[int, int], ...]:
     tp = twin_partition(g)
     return tuple(
-        (mask, len(cls) - 1) for cls, mask in zip(tp.classes, tp.class_masks) if len(cls) >= 2
+        (sum(1 << v for v in cls), len(cls) - 1) for cls in tp.classes if len(cls) >= 2
     )
 
 

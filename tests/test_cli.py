@@ -225,6 +225,58 @@ def test_family_past_the_order_cap_exits_one_at_once(spec):
     assert err.startswith(f"error: {spec} has ") and "past the library cap 4096" in err
 
 
+def _refuse_to_generate(monkeypatch):
+    from metricdim import families
+
+    def never(spec):
+        raise AssertionError(f"generate called on {spec}")
+
+    monkeypatch.setattr(families, "generate", never)
+
+
+def test_family_past_the_solver_cap_is_refused_before_it_is_built(monkeypatch):
+    _refuse_to_generate(monkeypatch)
+    code, out, err = run_cli(["dim", "--family", "complete:3000"])
+    assert code == 1 and out == ""
+    assert err == "error: n=3000 exceeds the solver cap 24; pass cap=3000 to override\n"
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("dim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("cdim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("cdim-at", ["--vertex", "u1"], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("profile", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("enumerate-min", [], "n=25 exceeds the enumeration cap 16; pass cap=25 to override"),
+    ("dim", ["--cap", "20"], "n=25 exceeds the solver cap 20; pass cap=25 to override"),
+])
+def test_every_solver_command_checks_its_cap_before_building(monkeypatch, command, extra, message):
+    _refuse_to_generate(monkeypatch)
+    code, out, err = run_cli([command, "--family", "complete:25", *extra])
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_a_raised_cap_still_reaches_the_solver(monkeypatch):
+    from metricdim import families
+
+    built = []
+
+    def small_stand_in(spec):
+        built.append(spec.text())
+        return families.complete(4)
+
+    monkeypatch.setattr(families, "generate", small_stand_in)
+    code, out, _ = run_cli(["dim", "--family", "complete:3000", "--cap", "3000", "--json"])
+    assert code == 0 and built == ["complete:3000"]
+    assert json.loads(out)["value"] == 3
+
+
+def test_uncapped_commands_still_build_families_past_the_solver_cap():
+    code, out, _ = run_cli(["formula", "--theorem", "dim", "--family", "complete:30", "--json"])
+    assert code == 0 and json.loads(out)["value"] == 29
+    code, out, _ = run_cli(["classify", "--family", "complete:30", "--json"])
+    assert code == 0 and json.loads(out)["input"]["n"] == 30
+
+
 def test_unknown_label_error():
     code, _, err = run_cli(["cdim-at", "--family", "petersen", "--vertex", "zz"])
     assert code == 1 and "zz" in err

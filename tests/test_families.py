@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from metricdim import (
@@ -12,7 +15,15 @@ from metricdim import (
     parse_spec,
     twin_partition,
 )
-from metricdim.families import _ORDERS, FamilySpec, edel_pair, fr_graph, fr_sample, vdel_pair
+from metricdim.families import (
+    _KINDS,
+    FamilySpec,
+    edel_pair,
+    fr_graph,
+    fr_sample,
+    order,
+    vdel_pair,
+)
 from metricdim.graph import MAX_ORDER
 
 ALL_SPECS = [
@@ -200,10 +211,13 @@ def test_out_of_domain_parameters_rejected():
 
 
 def test_unknown_spec_rejected():
-    with pytest.raises(InvalidSpec):
-        parse_spec("moebius:5")
-    with pytest.raises(InvalidSpec):
-        generate(FamilySpec("hypercube", (3,)))
+    with pytest.raises(InvalidSpec, match="unknown family 'moebius'"):
+        parse_spec("moebius:5", default_seed=7)
+    with pytest.raises(InvalidSpec, match="unknown family ''"):
+        parse_spec("")
+    for call in (generate, order, FamilySpec.text):
+        with pytest.raises(InvalidSpec, match="unknown family kind 'hypercube'"):
+            call(FamilySpec("hypercube", (3,)))
 
 
 @pytest.mark.parametrize("spec", ["petersen:3", "wheel:9:5", "grid:3x3:2", "paddle:5,3:1",
@@ -220,15 +234,53 @@ def test_seedless_random_spec_requires_default_seed():
     assert parse_spec("randtree:8", default_seed=5) == FamilySpec("randtree", (8, 5))
 
 
+@pytest.mark.parametrize("text, params", [
+    ("randtree:8", (8,)), ("randtree:8:", (8,)), ("fr:3", (3,)), ("fr:3:", (3,)),
+    ("rand:8:0.5", (8, 0.5)), ("rand:8:0.5:", (8, 0.5)),
+])
+def test_omitted_or_empty_seed_takes_the_default_seed(text, params):
+    with pytest.raises(InvalidSpec, match="needs a seed"):
+        parse_spec(text)
+    spec = parse_spec(text, default_seed=7)
+    assert spec.params == params + (7,)
+    assert spec.text() == text.rstrip(":") + ":7"
+
+
+def test_a_given_seed_wins_over_the_default():
+    assert parse_spec("randtree:8:3", default_seed=7) == FamilySpec("randtree", (8, 3))
+    assert parse_spec("rand:8:0.5:0").params == (8, 0.5, 0)
+
+
+@pytest.mark.parametrize("text", ["path:", "path", "fr::5", "fr", "sun:5:", "rand:8::1", "grid:"])
+def test_only_a_seed_field_may_be_empty_or_missing(text):
+    with pytest.raises(InvalidSpec):
+        parse_spec(text, default_seed=7)
+
+
+@pytest.mark.parametrize("text", ["grid:3x", "grid:3x3x3", "grid:3,3", "paddle:1,2,3",
+                                  "paddle:4", "rand:8:x:1", "multipartite:2,,3", "wheel:9.0"])
+def test_malformed_fields_rejected(text):
+    with pytest.raises(InvalidSpec):
+        parse_spec(text, default_seed=7)
+
+
+def test_readme_grammar_names_exactly_the_table_kinds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Family spec grammar\n\n```\n(.*?)```", readme, re.S).group(1)
+    kinds = [token.split(":")[0] for token in block.split()]
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == set(_KINDS)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS + [
     "wheel:4", "grid:3x5", "multipartite:2,2,5", "bouquet:4,4,6", "paddle:4,2", "fork:2,9",
     "sun:5:0,2,0,1,3", "kite:5", "vdel:9", "edel:5,7"])
 def test_order_from_parameters_matches_the_built_graph(spec):
     parsed = parse_spec(spec)
     if parsed.kind in ("fr", "rand"):
-        assert parsed.kind not in _ORDERS
+        assert order(parsed) is None
     else:
-        assert _ORDERS[parsed.kind](parsed.params) == generate(parsed)[0].n
+        assert order(parsed) == generate(parsed)[0].n
 
 
 @pytest.mark.parametrize("spec", ["path:99999999999999999999", "grid:3000x3000", "complete:100000",

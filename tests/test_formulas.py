@@ -16,12 +16,14 @@ from metricdim import (
     enumerate_min_resolving_sets,
     fr_membership,
     generate,
+    parse_spec,
     recognize,
     tree_min_resolving_sets,
     tree_skeleton,
     unicyclic_cdim_eq_dim,
     vertex_profile,
 )
+from metricdim import formulas
 from metricdim.families import vdel_pair
 
 from conftest import brute_min_resolving_sets
@@ -339,3 +341,19 @@ def test_tree_min_sets_rejects_paths():
 def test_tree_min_sets_equal_enumeration():
     spider = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     assert sorted(tree_min_resolving_sets(spider)) == enumerate_min_resolving_sets(spider)
+
+
+@pytest.mark.parametrize("spec, v", [("wheel:9", 0), ("bouquet:3,5,4", 3), ("multipartite:1,2,3", 0)])
+def test_cdim_at_vertex_formula_resolves_its_input_once(monkeypatch, spec, v):
+    calls = []
+    real = formulas.recognize
+
+    def counted(g, dm=None):
+        calls.append(g.n)
+        return real(g, dm)
+
+    monkeypatch.setattr(formulas, "recognize", counted)
+    for x in (spec, parse_spec(spec), generate(spec)[0]):
+        calls.clear()
+        cdim_at_vertex_formula(x, v)
+        assert len(calls) == 1

@@ -2,14 +2,21 @@ import pytest
 
 from metricdim import (
     InvalidEdge,
+    InvalidOption,
     NotConnected,
+    TooLarge,
     TooSmall,
     all_pairs_distances,
     build_graph,
     cut_vertices,
+    dim_exact,
+    enumerate_min_resolving_sets,
     generate,
+    has_minor,
+    is_planar_desk,
     twin_partition,
 )
+from metricdim.graph import check_cap
 
 from conftest import naive_all_pairs, naive_cut_vertices
 
@@ -122,3 +129,20 @@ def test_twins_classes_partition_vertices():
         tp = twin_partition(g)
         seen = sorted(v for c in tp.classes for v in c)
         assert seen == list(range(g.n))
+
+
+def test_every_library_cap_reports_the_same_way():
+    g, _ = generate("wheel:24")
+    for call, message in (
+        (lambda: dim_exact(g), "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+        (lambda: enumerate_min_resolving_sets(g, cap=20),
+         "n=25 exceeds the enumeration cap 20; pass cap=25 to override"),
+        (lambda: has_minor(g, "K5"), "n=25 exceeds the minor-search cap 20; pass cap=25 to override"),
+        (lambda: is_planar_desk(g), "n=25 exceeds the minor-search cap 20; pass cap=25 to override"),
+    ):
+        with pytest.raises(TooLarge) as info:
+            call()
+        assert str(info.value) == message
+    check_cap(25, 25, 1, "solver")
+    with pytest.raises(InvalidOption, match="^cap must be at least 1, got 0$"):
+        check_cap(2, 0, 24, "solver")
