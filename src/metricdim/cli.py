@@ -23,7 +23,7 @@ from typing import Optional, Sequence, TextIO
 
 # Only these modules load with the command line; the commands that need
 # families, formulas or minor import them where they run.
-from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError
+from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError, TooLarge
 from .graph import MAX_ORDER, Graph, all_pairs_distances, build_graph, check_cap
 from .solver import (
     DIM_CAP,
@@ -229,6 +229,7 @@ _FAMILY_CAPS = {
     "cdim-at": (DIM_CAP, "solver"),
     "profile": (DIM_CAP, "solver"),
     "enumerate-min": (ENUM_CAP, "enumeration"),
+    "verify": (DIM_CAP, "solver"),
 }
 
 
@@ -240,7 +241,13 @@ def _load_input(args) -> tuple[Graph, tuple[str, ...], str]:
         n = families.order(spec)
         # Past MAX_ORDER, generate reports the library cap instead.
         if args.command in _FAMILY_CAPS and n is not None and n <= MAX_ORDER:
-            check_cap(n, args.cap, *_FAMILY_CAPS[args.command])
+            try:
+                check_cap(n, args.cap, *_FAMILY_CAPS[args.command])
+            except TooLarge as exc:
+                # Every check of verify needs an exact solver value.
+                if args.command == "verify":
+                    raise MetricDimError(f"verify compared nothing: {exc}") from None
+                raise
         g, labels = families.generate(spec)
         return g, labels, spec.text()
     if not getattr(args, "input", None):

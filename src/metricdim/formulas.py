@@ -10,8 +10,9 @@ the exact solvers; the test suite does exactly that.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     IsAPath,
@@ -849,7 +850,7 @@ def tree_min_resolving_sets(t: Graph) -> list[tuple[int, ...]]:
     for major in sk.exterior_major():
         chains = sk.legs[major]
         total *= sum(
-            _product(len(c) for j2, c in enumerate(chains) if j2 != j)
+            math.prod(len(c) for j2, c in enumerate(chains) if j2 != j)
             for j in range(len(chains))
         )
         if total > TREE_ENUM_CAP:
@@ -867,10 +868,3 @@ def tree_min_resolving_sets(t: Graph) -> list[tuple[int, ...]]:
     for combo in itertools.product(*per_major):
         out.add(tuple(sorted(v for grp in combo for v in grp)))
     return sorted(out)
-
-
-def _product(xs: Iterable[int]) -> int:
-    p = 1
-    for x in xs:
-        p *= x
-    return p

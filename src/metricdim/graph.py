@@ -272,12 +272,6 @@ class TwinPartition:
     def lower_bound(self) -> int:
         return sum(len(c) - 1 for c in self.classes)
 
-    def class_of(self, v: int) -> tuple[int, ...]:
-        for c in self.classes:
-            if v in c:
-                return c
-        raise KeyError(v)
-
 
 def twin_partition(g: Graph) -> TwinPartition:
     parent = list(range(g.n))

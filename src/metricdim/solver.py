@@ -12,26 +12,29 @@ data reduction", 1998).  Only twin pairs have a mask of size two, and those
 masks give the twin classes and the twin-class lower bound; the diameter
 floor is the other one.
 
-For each cardinality k, ascending from that bound, the search carries the
-masks its partial set has not hit yet, and fills the last slot from their
-intersection.  With r slots still open, it cuts a branch when an unhit mask
-has no vertex left that the branch could still add, or when ``_too_few``
-shows r cannot suffice: either the twin deficit, the twin-class vertices
-still missing from the partial set, exceeds r, or a greedy packing finds
-more than r unhit masks that are pairwise disjoint on the vertices the
-branch may still add.  Every cut drops only branches without a hit, so the
-order in which hits are met is unchanged.  Plain sets come from an
-include-first walk over the vertices in ascending order, which meets k-sets
-in lexicographic order, so its first hit is the lexicographically smallest
-witness.  Connected sets come from seeded growth with a per-branch ban set,
-which meets each connected k-set exactly once; the smallest hit is kept.
-The search is sequential: ``workers`` is checked but never changes the work
-done.  Exceeding a cap is an error, never a silent approximation.
+Every solver runs one walker, ``_connected_hits``, for each cardinality k
+ascending from that bound: seeded growth with a per-branch ban set, which
+meets each connected k-set exactly once.  Plain resolving sets are the
+connected sets of the complete graph, where growth from the ascending roots
+tries vertices in ascending order, so it meets k-sets in lexicographic order
+and its first hit is the lexicographically smallest witness; for connected
+sets the smallest hit is kept.  The walker carries the masks its partial set
+has not hit yet, and fills the last slot from their intersection.  With r
+slots still open, it tries candidates only up to the lowest top vertex of an
+unhit mask whose addable vertices are all candidates, and it cuts a branch
+when ``_too_few`` shows r cannot suffice: either the twin deficit, the
+twin-class vertices still missing from the partial set, exceeds r, or a
+greedy packing finds more than r unhit masks that are pairwise disjoint on
+the vertices the branch may still add.  Every cut drops only branches
+without a hit, so the order in which hits are met is unchanged.  The search
+is sequential: ``workers`` is checked but never changes the work done.
+Exceeding a cap is an error, never a silent approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EmptySet, InvalidAnchor, InvalidOption
@@ -191,43 +194,18 @@ def _too_few(unhit: list[int], twins: tuple[int, ...], cur: int, free: int, r: i
     return False
 
 
-def _hitting_sets(masks: list[int], twins: tuple[int, ...], n: int, k: int) -> Iterator[int]:
-    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
-
-    ``twins`` are the twin class masks that ``_prepare`` derives from ``masks``.
-    """
-    full = (1 << n) - 1
-
-    def walk(cur: int, lo: int, r: int, unhit: list[int]) -> Iterator[int]:
-        # Invariant: every unhit mask has a vertex at or above ``lo``.
-        free = full >> lo << lo
-        if r == 1:
-            for m in unhit:
-                free &= m
-            while free:
-                b = free & -free
-                yield cur | b
-                free ^= b
-            return
-        if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
-            return
-        # The next vertex taken must not pass the lowest top vertex of an
-        # unhit mask, and must leave room for the r - 1 after it.
-        hi = min(n - r, min(map(int.bit_length, unhit), default=n) - 1)
-        for v in range(lo, hi + 1):
-            b = 1 << v
-            yield from walk(cur | b, v + 1, r - 1, [m for m in unhit if not m & b])
-
-    return walk(0, 0, k, masks)
-
-
 # A growth start: (current mask, banned mask, neighborhood mask).
 _Start = tuple[int, int, int]
 
 
-def _roots(adj: Sequence[int], n: int, k: int) -> Iterator[_Start]:
-    """Starts for anchor-free growth of k-sets: one per root, root = subset minimum."""
-    for root in range(n - k + 1):
+def _roots(adj: Sequence[int], masks: list[int], k: int) -> Iterator[_Start]:
+    """Starts for anchor-free growth of k-sets: one per root, root = subset minimum.
+
+    A set whose minimum lies past the top vertex of a mask cannot meet it.
+    """
+    n = len(adj)
+    last = min(n - k + 1, min(map(int.bit_length, masks), default=n))
+    for root in range(last):
         banned = (1 << root) - 1
         yield 1 << root, banned, adj[root] & ~banned
 
@@ -241,15 +219,18 @@ def _connected_hits(
     r: int,
     banned: int,
     nb: int,
-    done: list[int],
+    done: Sequence[int],
 ) -> Iterator[int]:
     """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
 
     Banning a candidate for the rest of its branch once its subtree is
-    exhausted yields each extension exactly once.  A branch is cut when an
-    unhit mask misses every vertex it could still add, when ``_too_few`` shows
-    that r of those vertices cannot meet every unhit mask, or when they and
-    ``cur`` all lie in ``done[0]``, a mask the caller may grow between hits.
+    exhausted yields each extension exactly once.  Candidates stop at the
+    lowest top vertex of an unhit mask whose addable vertices are all
+    candidates, since once it is banned no later sibling can meet that mask;
+    so no branch is entered with an unhit mask it can no longer meet.  A
+    branch is cut when ``_too_few`` shows that r of the vertices it may add
+    cannot meet every unhit mask, or when they and ``cur`` all lie in
+    ``done[0]``, a mask the caller may grow between hits.
     """
     if r == 0:
         if not unhit:
@@ -267,27 +248,55 @@ def _connected_hits(
     free = full & ~(banned | cur)
     if not (cur | free) & ~done[0]:
         return
+    # The lowest top vertex of an unhit mask whose addable vertices are all
+    # candidates; a smaller mask has no higher top vertex.
+    beyond = free & ~ext
+    low = ext
     for m in unhit:
-        if not m & free:
-            return
+        if m & free < low and not m & beyond:
+            low = m & free
     if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
         return
+    ext &= (1 << low.bit_length()) - 1
     while ext:
         b = ext & -ext
         ext ^= b
         new_cur = cur | b
         yield from _connected_hits(
-            adj,
-            full,
-            twins,
-            [m for m in unhit if not m & b],
-            new_cur,
-            r - 1,
-            banned,
-            (nb | adj[b.bit_length() - 1]) & ~new_cur,
-            done,
+            adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
+            (nb | adj[b.bit_length() - 1]) & ~new_cur, done,
         )
         banned |= b
+
+
+def _searches(
+    adj: Sequence[int],
+    masks: list[int],
+    twins: tuple[int, ...],
+    k: int,
+    starts: Optional[Iterable[_Start]] = None,
+    done: Sequence[int] = (0,),
+) -> Iterator[Iterator[int]]:
+    """The connected k-sets meeting every mask, as one hit stream per growth start.
+
+    The starts are the roots in ascending order unless given.
+    """
+    full = (1 << len(adj)) - 1
+    for cur, banned, nb in starts or _roots(adj, masks, k):
+        unhit = [m for m in masks if not m & cur]
+        r = k - cur.bit_count()
+        yield _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, done)
+
+
+def _plain_hits(masks: list[int], twins: tuple[int, ...], n: int, k: int) -> Iterator[int]:
+    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
+
+    These are the connected k-sets of the complete graph, where growth tries
+    vertices in ascending order.
+    """
+    full = (1 << n) - 1
+    adj = [full ^ 1 << v for v in range(n)]
+    return chain.from_iterable(_searches(adj, masks, twins, k))
 
 
 def dim_exact(
@@ -300,7 +309,7 @@ def dim_exact(
     """Exact metric dimension with the lexicographically smallest witness."""
     masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     for k in range(floor, g.n):
-        for hit in _hitting_sets(masks, twins, g.n, k):
+        for hit in _plain_hits(masks, twins, g.n, k):
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
 
@@ -322,24 +331,15 @@ def cdim_at_set(
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
     masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
-    adj = g.adj_bits
-    full = g.vertex_mask()
-    anchor_mask = 0
-    for v in anchor_set:
-        anchor_mask |= 1 << v
+    anchor_mask = sum(1 << v for v in anchor_set)
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
+    starts = [(anchor_mask, 0, g.neighborhood_of_set(anchor_mask))] if anchor_mask else None
 
     for k in range(max(floor, len(anchor_set)), g.n + 1):
-        if anchor_mask:
-            starts: Iterable[_Start] = [(anchor_mask, 0, g.neighborhood_of_set(anchor_mask))]
-        else:
-            starts = _roots(adj, g.n, k)
         best = 0
-        for cur, banned, nb in starts:
-            unhit = [m for m in masks if not m & cur]
-            r = k - cur.bit_count()
-            for hit in _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, [0]):
+        for hits in _searches(g.adj_bits, masks, twins, k, starts):
+            for hit in hits:
                 if need_check and not g.is_connected_subset(hit):
                     continue
                 # hit precedes best when the smallest vertex they differ in is in hit.
@@ -381,7 +381,6 @@ def vertex_profile(
     that can only mark marked vertices are cut.
     """
     masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
-    adj = g.adj_bits
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
     # every vertex is marked by k = n-1 at the latest.
@@ -391,9 +390,8 @@ def vertex_profile(
         if marked[0] == full:
             break
         before = marked[0]
-        for cur, banned, nb in _roots(adj, g.n, k):
-            unhit = [m for m in masks if not m & cur]
-            for hit in _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, marked):
+        for hits in _searches(g.adj_bits, masks, twins, k, done=marked):
+            for hit in hits:
                 marked[0] |= hit
         for v in bits(marked[0] & ~before):
             values[v] = k
@@ -414,7 +412,7 @@ def enumerate_min_resolving_sets(
     """All minimum resolving sets, in lexicographic order."""
     masks, twins, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
     for k in range(floor, g.n):
-        sets = [tuple(bits(hit)) for hit in _hitting_sets(masks, twins, g.n, k)]
+        sets = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k)]
         if sets:
             return sets
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

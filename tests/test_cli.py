@@ -241,6 +241,14 @@ def test_family_past_the_solver_cap_is_refused_before_it_is_built(monkeypatch):
     assert err == "error: n=3000 exceeds the solver cap 24; pass cap=3000 to override\n"
 
 
+def test_verify_past_the_solver_cap_is_refused_before_it_is_built(monkeypatch):
+    _refuse_to_generate(monkeypatch)
+    code, out, err = run_cli(["verify", "--family", "complete:3000"])
+    assert code == 1 and out == ""
+    assert err == ("error: verify compared nothing: n=3000 exceeds the solver cap 24; "
+                   "pass cap=3000 to override\n")
+
+
 @pytest.mark.parametrize("command, extra, message", [
     ("dim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
     ("cdim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),

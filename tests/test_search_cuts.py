@@ -1,13 +1,16 @@
 """The solver's hitting-set search against exhaustive subset searches.
 
-``_prepare`` drops every distinguisher mask that contains another, and the
-search cuts a branch when its open slots cannot cover the twin deficit or a
-packing of disjoint unhit masks.  Each cut may only remove branches without
-a hit, so for every k from the lower bound to one past the answer, the walk
-must yield exactly the resolving k-sets in lexicographic order, and growth
-from ``_roots`` exactly the connected ones, each once.  Inputs are all 995
-connected atlas graphs and four small family graphs; larger graphs pin the
-values and witnesses the solvers returned before the cuts.
+``_prepare`` drops every distinguisher mask that contains another.  The
+growth search tries candidates only up to the lowest top vertex of an unhit
+mask they cover, starts no root past the lowest top vertex of a mask, and
+cuts a branch when its open slots cannot cover the twin deficit or a packing
+of disjoint unhit masks.  Each cut may only remove branches without a hit,
+so for every k from the lower bound to one past the connected answer, growth
+on the complete graph must yield exactly the resolving k-sets in
+lexicographic order, and growth from ``_roots`` exactly the connected ones,
+each once.  Inputs are all 995 connected atlas graphs and four small family
+graphs; larger graphs pin the values, witnesses, profiles and enumerations
+the solvers returned before these cuts.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 
 import metricdim as md
 from metricdim.graph import bits
-from metricdim.solver import _connected_hits, _hitting_sets, _prepare, _roots
+from metricdim.solver import _connected_hits, _plain_hits, _prepare, _roots
 
 from conftest import atlas, naive_all_pairs, naive_resolves, subset_connected
 
@@ -55,17 +58,13 @@ def test_cuts_keep_every_hit_and_its_order():
         dists = naive_all_pairs(g)
         masks, twins, floor = _prepare(g, None, g.n, g.n)
         adj, full = g.adj_bits, g.vertex_mask()
-        dim, cdim = md.dim_exact(g).value, md.cdim_exact(g).value
-        for k in range(floor, cdim + 2):
-            if k > g.n:
-                break
+        for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
                          if naive_resolves(dists, c, g.n)]
-            if k <= dim + 1:
-                got = [tuple(bits(hit)) for hit in _hitting_sets(masks, twins, g.n, k)]
-                assert got == resolving, (where, k)
+            got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k)]
+            assert got == resolving, (where, k)
             grown = []
-            for cur, banned, nb in _roots(adj, g.n, k):
+            for cur, banned, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
                 hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, [0])
                 grown.extend(tuple(bits(hit)) for hit in hits)
@@ -90,3 +89,29 @@ def test_witness_pins(op, spec, value, witness):
     g, _ = md.generate(spec)
     solve = md.dim_exact if op == "dim" else md.cdim_exact
     assert solve(g, cap=g.n) == (value, witness)
+
+
+# Profiles and minimum resolving sets of the solvers before growth replaced
+# the include-first walk; the candidate bound removes most of their nodes.
+PROFILE_PINS = [("wheel:22", 10), ("multipartite:4,4,4,4,4,4", 18)]
+
+ENUM_PINS = [
+    ("wheel:17", 289, (0, 1, 3, 6, 8, 11, 13), (3, 5, 8, 10, 13, 15, 16)),
+    ("multipartite:3,3,3,3,3,3", 729, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16),
+     (1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17)),
+]
+
+
+@pytest.mark.parametrize("spec, value", PROFILE_PINS)
+def test_profile_pins(spec, value):
+    g, _ = md.generate(spec)
+    everyone = tuple(range(g.n))
+    assert md.vertex_profile(g, cap=g.n) == md.VertexProfile(
+        per_vertex=(value,) * g.n, rrad=value, rdiam=value, rc=everyone, rp=everyone)
+
+
+@pytest.mark.parametrize("spec, count, first, last", ENUM_PINS)
+def test_enumeration_pins(spec, count, first, last):
+    g, _ = md.generate(spec)
+    sets = md.enumerate_min_resolving_sets(g, cap=g.n)
+    assert (len(sets), sets[0], sets[-1]) == (count, first, last)
