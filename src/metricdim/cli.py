@@ -115,6 +115,8 @@ def _parse_dimacs(fh: TextIO) -> tuple[Graph, tuple[str, ...]]:
             continue
         toks = line.split()
         if toks[0] == "p":
+            if n is not None:
+                raise ParseError(line_no, f"second problem line {line!r}")
             if len(toks) != 4:
                 raise ParseError(line_no, f"bad problem line {line!r}")
             try:

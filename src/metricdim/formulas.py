@@ -23,7 +23,7 @@ from .errors import (
     Unsupported,
 )
 from .families import FamilySpec, generate, parse_spec
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, components
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
 from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
@@ -203,8 +203,10 @@ def _is_cycle(g: Graph) -> bool:
     )
 
 
-def _is_petersen(g: Graph, dm: DistanceMatrix) -> bool:
-    if g.n != 10 or g.m != 15 or dm.diam != 2:
+def _is_petersen(g: Graph, dm: Optional[DistanceMatrix]) -> bool:
+    if g.n != 10 or g.m != 15:
+        return False
+    if (dm or all_pairs_distances(g)).diam != 2:
         return False
     if any(g.degree(v) != 3 for v in range(10)):
         return False
@@ -267,26 +269,26 @@ def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], .
 
 
 def _recognize_multipartite(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The parts, when non-adjacency is an equivalence relation with two or more classes.
+
+    Then the closed non-neighbourhoods, each vertex with the vertices it
+    misses, partition V and are the parts.  Distinct ones that share no
+    vertex and fill V do partition it, since each holds its own vertex.
+    """
     full = g.vertex_mask()
-    comp_adj = [full & ~g.adj_bits[v] & ~(1 << v) for v in range(g.n)]
-    parts = []
-    for mask in components(comp_adj, full):
-        members = tuple(bits(mask))
-        for a, b in itertools.combinations(members, 2):
-            if g.has_edge(a, b):
-                return None  # complement component is not a clique
-        parts.append(members)
-    if len(parts) < 2:
+    classes = {full & ~row for row in g.adj_bits}
+    if len(classes) < 2 or sum(map(int.bit_count, classes)) != g.n:
         return None
-    return tuple(sorted(parts, key=lambda p: (len(p), p)))
+    return tuple(sorted((tuple(bits(c)) for c in classes), key=lambda p: (len(p), p)))
 
 
 def _recognize_grid(
-    g: Graph, dm: DistanceMatrix
+    g: Graph, dm: Optional[DistanceMatrix]
 ) -> Optional[tuple[int, int, tuple[tuple[int, int], ...]]]:
     corners = [v for v in range(g.n) if g.degree(v) == 2]
     if len(corners) != 4:
         return None
+    dm = dm or all_pairs_distances(g)
     c = corners[0]
     others = sorted(corners[1:], key=lambda v: dm.d(c, v))
     d1, d2, d3 = (dm.d(c, v) for v in others)
@@ -338,8 +340,8 @@ def recognize(g: Graph, dm: Optional[DistanceMatrix] = None) -> Optional[Recogni
         return Recognized("tree", {})
     if not g.is_connected():
         return None
-    if dm is None:
-        dm = all_pairs_distances(g)
+    # Only the Petersen and grid recognizers read distances, and each
+    # computes them itself, only for a graph that passes its cheaper tests.
     if _is_petersen(g, dm):
         return Recognized("petersen", {})
     hub = _recognize_wheel(g)

@@ -145,36 +145,50 @@ class DistanceMatrix:
         return self.rows[u][v]
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex. Raises NotConnected on disconnected input."""
-    full = g.vertex_mask()
-    rows: list[tuple[int, ...]] = []
-    adj = g.adj_bits
-    for s in range(g.n):
-        dist = [0] * g.n
+def distance_levels(adj: Sequence[int]) -> list[list[int]]:
+    """BFS from every vertex: per source, the masks of the vertices at distance 1, 2, ...
+
+    ``adj`` holds one neighbour bitmask per vertex.  A source's eccentricity
+    is the length of its list.  Raises NotConnected on disconnected input.
+    """
+    full = (1 << len(adj)) - 1
+    out = []
+    for s in range(len(adj)):
         seen = frontier = 1 << s
-        level = 0
-        # The set bits are walked inline: this loop runs once per solver call,
-        # and a ``bits`` generator costs about a third of it on small graphs.
+        levels = []
+        # The set bits are walked inline: every solver call runs this BFS and
+        # builds its distinguisher masks from the level sets it keeps, and a
+        # ``bits`` generator costs about a third of it on small graphs.
         while frontier:
-            level += 1
             reach = 0
             while frontier:
                 b = frontier & -frontier
                 reach |= adj[b.bit_length() - 1]
                 frontier ^= b
             frontier = reach & ~seen
-            seen |= frontier
-            nxt = frontier
-            while nxt:
-                b = nxt & -nxt
-                dist[b.bit_length() - 1] = level
-                nxt ^= b
+            if frontier:
+                seen |= frontier
+                levels.append(frontier)
         if seen != full:
             raise NotConnected("graph is not connected")
+        out.append(levels)
+    return out
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """Hop distances read off ``distance_levels``. Raises NotConnected on disconnected input."""
+    rows: list[tuple[int, ...]] = []
+    ecc = []
+    for levels in distance_levels(g.adj_bits):
+        dist = [0] * g.n
+        for d, level in enumerate(levels, 1):
+            while level:
+                b = level & -level
+                dist[b.bit_length() - 1] = d
+                level ^= b
         rows.append(tuple(dist))
-    ecc = tuple(max(r) for r in rows)
-    return DistanceMatrix(n=g.n, rows=tuple(rows), ecc=ecc, rad=min(ecc), diam=max(ecc))
+        ecc.append(len(levels))
+    return DistanceMatrix(n=g.n, rows=tuple(rows), ecc=tuple(ecc), rad=min(ecc), diam=max(ecc))
 
 
 def components(adj: Sequence[int], mask: int) -> Iterator[int]:

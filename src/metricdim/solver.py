@@ -5,12 +5,14 @@ D(u, w) = {v : d(v, u) != d(v, w)} of every vertex pair, so each solver here
 searches for small hitting sets of those masks.  This is the set-cover view
 of Khuller, Raghavachari and Rosenfeld ("Landmarks in graphs", 1996) and the
 constraint matrix of the integer program of Chartrand, Eroh, Johnson and
-Oellermann (2000).  ``_prepare`` builds the masks once per call, smallest
-first, and drops every mask that contains another, since a set meeting the
-smaller one meets both (Weihe, "Covering trains by stations or the power of
-data reduction", 1998).  Only twin pairs have a mask of size two, and those
-masks give the twin classes and the twin-class lower bound; the diameter
-floor is the other one.
+Oellermann (2000).  ``_prepare`` builds the masks once per call from BFS
+level sets: a vertex is outside D(u, w) exactly when it lies in the same
+level from u as from w, so a mask costs one AND per level, not one
+comparison per vertex.  It sorts them smallest first and drops every mask
+that contains another, since a set meeting the smaller one meets both
+(Weihe, "Covering trains by stations or the power of data reduction", 1998).
+Only twin pairs have a mask of size two, and those masks give the twin
+classes and the twin-class lower bound; the diameter floor is the other one.
 
 Every solver runs one walker, ``_connected_hits``, for each cardinality k
 ascending from that bound: seeded growth with a per-branch ban set, which
@@ -34,11 +36,13 @@ Exceeding a cap is an error, never a silent approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EmptySet, InvalidAnchor, InvalidOption
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, check_cap
+from .graph import DistanceMatrix, Graph, bits, check_cap, distance_levels
 
 DIM_CAP = 24
 ENUM_CAP = 16
@@ -101,23 +105,27 @@ def check_resolving(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> Resolving
     )
 
 
-def _pair_masks(rows: Sequence[Sequence[int]]) -> list[int]:
+def _pair_masks(levels: Sequence[Sequence[int]], full: int) -> list[int]:
     """Distinguisher masks of all vertex pairs, deduplicated, smallest first.
 
-    The distance matrix is symmetric, so D(u, w) is where rows u and w differ.
+    ``levels[u][i]`` is the mask of the vertices at distance i + 1 from u.  A
+    vertex fails to tell u and w apart when it lies at one distance from both,
+    so D(u, w) is ``full`` minus the level-wise intersections of u and w.
     """
-    n = len(rows)
-    masks = set()
-    for u in range(n):
-        ru = rows[u]
-        for w in range(u + 1, n):
-            rw = rows[w]
-            mask = 0
-            for v in range(n):
-                if ru[v] != rw[v]:
-                    mask |= 1 << v
-            masks.add(mask)
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    masks = {full ^ reduce(or_, map(and_, lu, lw), 0)
+             for u, lu in enumerate(levels) for lw in levels[u + 1:]}
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
+    return ordered
+
+
+def _row_levels(row: Sequence[int]) -> list[int]:
+    """A distance row as the masks of the vertices at distance 1, 2, ..."""
+    levels = [0] * max(row)
+    for v, d in enumerate(row):
+        if d:
+            levels[d - 1] |= 1 << v
+    return levels
 
 
 def _prepare(
@@ -133,8 +141,10 @@ def _prepare(
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
     check_cap(g.n, cap, default_cap, what)
     if dm is None:
-        dm = all_pairs_distances(g)
-    masks = _pair_masks(dm.rows)
+        levels = distance_levels(g.adj_bits)
+    else:
+        levels = [_row_levels(row) for row in dm.rows]
+    masks = _pair_masks(levels, g.vertex_mask())
     # Only twins have a mask of size two, and twinhood is an equivalence, so
     # the size-two masks through a vertex together make up its twin class.
     classes: dict[int, int] = {}
@@ -146,7 +156,8 @@ def _prepare(
     twins = tuple(set(classes.values()))
     # A resolving set holds all but one vertex of every twin class.
     floor = len(classes) - len(twins)
-    return _minimal(masks), twins, max(1, floor, dim_floor_from_diameter(g.n, dm.diam))
+    diam = max(map(len, levels))
+    return _minimal(masks), twins, max(1, floor, dim_floor_from_diameter(g.n, diam))
 
 
 def _minimal(masks: list[int]) -> list[int]:

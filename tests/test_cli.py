@@ -79,6 +79,18 @@ def test_parse_dimacs_errors():
         parse_graph_file(io.StringIO("p edge 3 1\ne 1 9\n"), fmt="dimacs")
 
 
+def test_second_dimacs_problem_line_is_a_parse_error(tmp_path):
+    text = "p edge 3 2\ne 1 2\ne 2 3\np edge 4 2\n"
+    with pytest.raises(ParseError) as exc:
+        parse_graph_file(io.StringIO(text), fmt="dimacs")
+    assert exc.value.line_no == 4
+    path = tmp_path / "two.dimacs"
+    path.write_text(text)
+    code, out, err = run_cli(["planar-desk", str(path), "--format", "dimacs"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 4: second problem line")
+
+
 def test_cdim_command_json(tmp_path):
     path = tmp_path / "petersen.el"
     code, out, _ = run_cli(["generate", "--family", "petersen", "--out", str(path)])

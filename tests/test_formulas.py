@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from metricdim import (
@@ -26,7 +28,7 @@ from metricdim import (
 from metricdim import formulas
 from metricdim.families import vdel_pair
 
-from conftest import brute_min_resolving_sets
+from conftest import atlas, brute_min_resolving_sets
 
 
 def path_graph(n):
@@ -163,6 +165,45 @@ def test_recognizer_kinds():
         g, _ = generate(spec)
         rec = recognize(g)
         assert rec is not None and rec.kind == kind, spec
+
+
+# Every connected atlas graph, then these specs: recognize()'s kind and data
+# before it computed distances only where a recognizer reads them.
+RECOGNIZE_SPECS = (
+    "path:6", "cycle:7", "complete:5", "star:6", "multipartite:2,2,3", "multipartite:3,3,3",
+    "multipartite:1,1,4", "wheel:9", "petersen", "grid:4x3", "grid:5x5", "grid:2x2",
+    "bouquet:3,4,5", "paddle:5,3", "fork:3,7", "sun:4:1,0,2,0", "sun:8:1,0,3,1,0,2,0,0",
+    "fr:3:1", "kite:3", "k33sub", "thetatails", "fantail:7", "vdel:6", "edel:3,5",
+    "randtree:12:1", "rand:12:0.3:1",
+)
+RECOGNIZE_DIGEST = "47328e1535fec9b132010a6924d46811e54ed3bb971a02a01176420770d05b42"
+
+
+def test_recognize_pinned_on_atlas_and_families():
+    graphs = list(atlas()) + [generate(spec)[0] for spec in RECOGNIZE_SPECS]
+    found = []
+    for g in graphs:
+        rec = recognize(g)
+        found.append(None if rec is None else (rec.kind, sorted(rec.data.items())))
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == RECOGNIZE_DIGEST
+
+
+@pytest.mark.parametrize("spec, calls", [
+    ("wheel:9", 0), ("bouquet:3,4,5", 0), ("multipartite:2,2,3", 0), ("randtree:12:1", 0),
+    ("petersen", 1), ("grid:4x3", 1),
+])
+def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
+    count = [0]
+    real = formulas.all_pairs_distances
+
+    def counted(g):
+        count[0] += 1
+        return real(g)
+
+    monkeypatch.setattr(formulas, "all_pairs_distances", counted)
+    g, _ = generate(spec)
+    assert recognize(g) is not None
+    assert count[0] == calls
 
 
 def test_recognizer_handles_equivalent_families():

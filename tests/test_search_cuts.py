@@ -1,10 +1,11 @@
 """The solver's hitting-set search against exhaustive subset searches.
 
-``_prepare`` drops every distinguisher mask that contains another.  The
-growth search tries candidates only up to the lowest top vertex of an unhit
-mask they cover, starts no root past the lowest top vertex of a mask, and
-cuts a branch when its open slots cannot cover the twin deficit or a packing
-of disjoint unhit masks.  Each cut may only remove branches without a hit,
+``_prepare`` builds the distinguisher masks from BFS level sets, or from the
+rows of a given distance matrix, and drops every mask that contains another.
+The growth search tries candidates only up to the lowest top vertex of an
+unhit mask they cover, starts no root past the lowest top vertex of a mask,
+and cuts a branch when its open slots cannot cover the twin deficit or a
+packing of disjoint unhit masks.  Each cut may only remove branches without a hit,
 so for every k from the lower bound to one past the connected answer, growth
 on the complete graph must yield exactly the resolving k-sets in
 lexicographic order, and growth from ``_roots`` exactly the connected ones,
@@ -15,15 +16,18 @@ the solvers returned before these cuts.
 
 from __future__ import annotations
 
+import io
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 import metricdim as md
-from metricdim.graph import bits
+from metricdim.cli import parse_graph_file
+from metricdim.graph import bits, distance_levels
 from metricdim.solver import _connected_hits, _plain_hits, _prepare, _roots
 
-from conftest import atlas, naive_all_pairs, naive_resolves, subset_connected
+from conftest import atlas, connected_graphs, naive_all_pairs, naive_resolves, subset_connected
 
 FAMILY_GRAPHS = ("wheel:9", "petersen", "multipartite:3,3,3", "randtree:12:1")
 
@@ -40,17 +44,68 @@ def naive_masks(dists: list[dict[int, int]], n: int) -> set[int]:
     }
 
 
+def naive_levels(g) -> list[list[int]]:
+    levels = []
+    for dist in naive_all_pairs(g):
+        row = [0] * max(dist.values())
+        for v, d in dist.items():
+            if d:
+                row[d - 1] |= 1 << v
+        levels.append(row)
+    return levels
+
+
+def check_levels(where, g):
+    assert distance_levels(g.adj_bits) == naive_levels(g), where
+
+
+def check_prepare(where, g):
+    dm = md.all_pairs_distances(g)
+    every = naive_masks(naive_all_pairs(g), g.n)
+    minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
+    masks, twins, floor = prepared = _prepare(g, None, g.n, g.n)
+    assert _prepare(g, dm, g.n, g.n) == prepared, where
+    assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
+    tp = md.twin_partition(g)
+    classes = [c for c in tp.classes if len(c) > 1]
+    assert sorted(twins) == sorted(sum(1 << v for v in c) for c in classes), where
+    assert floor == max(1, tp.lower_bound(), md.dim_floor_from_diameter(g.n, dm.diam)), where
+
+
+def test_distance_levels_match_a_plain_bfs():
+    for where, g in graphs():
+        check_levels(where, g)
+
+
 def test_prepare_keeps_exactly_the_inclusion_minimal_masks():
     for where, g in graphs():
-        dm = md.all_pairs_distances(g)
-        every = naive_masks(naive_all_pairs(g), g.n)
-        minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
-        masks, twins, floor = _prepare(g, dm, g.n, g.n)
-        assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
-        tp = md.twin_partition(g)
-        classes = [c for c in tp.classes if len(c) > 1]
-        assert sorted(twins) == sorted(sum(1 << v for v in c) for c in classes), where
-        assert floor == max(1, tp.lower_bound(), md.dim_floor_from_diameter(g.n, dm.diam)), where
+        check_prepare(where, g)
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_levels_and_masks_on_random_graphs(g):
+    check_levels("hypothesis graph", g)
+    check_prepare("hypothesis graph", g)
+
+
+SOLVERS = {
+    "dim": md.dim_exact,
+    "cdim": md.cdim_exact,
+    "cdim_at": lambda g: md.cdim_at_set(g, (0,)),
+    "profile": md.vertex_profile,
+    "enum": md.enumerate_min_resolving_sets,
+    "apsp": md.all_pairs_distances,
+    "levels": lambda g: distance_levels(g.adj_bits),
+}
+
+
+@pytest.mark.parametrize("text", ["1 2\n3 4\n", "a b\nb c\nd e\n"])
+@pytest.mark.parametrize("name", SOLVERS)
+def test_disconnected_input_raises_not_connected(name, text):
+    g, _ = parse_graph_file(io.StringIO(text))
+    with pytest.raises(md.NotConnected, match="^graph is not connected$"):
+        SOLVERS[name](g)
 
 
 def test_cuts_keep_every_hit_and_its_order():
