@@ -37,6 +37,28 @@ class FormulaResult:
 
 
 # ---------------------------------------------------------------------------
+# Degree-two chains
+
+
+def _walk_chain(g: Graph, start: int, first: int) -> tuple[list[int], int]:
+    """Step from ``start`` into its neighbour ``first``, then on through degree-two vertices.
+
+    Returns the degree-two vertices passed, in order, and the first vertex
+    of another degree, where the walk stops.  Every caller starts at a leaf
+    or at a vertex of degree other than two, so the walk cannot circle a
+    cycle of degree-two vertices: it could only close at ``start``, and it
+    stops there.
+    """
+    chain = []
+    prev, cur = start, first
+    while g.degree(cur) == 2:
+        chain.append(cur)
+        a, b = g.neighbors[cur]
+        prev, cur = cur, b if a == prev else a
+    return chain, cur
+
+
+# ---------------------------------------------------------------------------
 # Tree skeleton
 
 
@@ -50,7 +72,8 @@ class TreeSkeleton:
     of a vertex drives the per-vertex dimension formula: vertices of gamma
     (closed neighborhoods of the ter>=2 majors inside their own subtrees, the
     ter==1 majors, and dset) sit in some minimum connected resolving set;
-    the rest pay for their distance to the nearest major vertex.
+    the rest lie on a terminal path and pay for their distance to its major,
+    which is the nearest major vertex: the vertex's position in its chain.
     """
 
     n: int
@@ -64,8 +87,6 @@ class TreeSkeleton:
     dset: frozenset[int]
     gamma: frozenset[int]
     zone: tuple[str, ...]
-    nearest_major: tuple[Optional[int], ...]
-    nearest_major_dist: tuple[int, ...]
 
     def exterior_major(self) -> tuple[int, ...]:
         return tuple(sorted(self.terminal_degree))
@@ -93,27 +114,18 @@ def tree_skeleton(t: Graph) -> TreeSkeleton:
             dset=frozenset(),
             gamma=frozenset(),
             zone=zone,
-            nearest_major=tuple(None for _ in range(t.n)),
-            nearest_major_dist=tuple(0 for _ in range(t.n)),
         )
 
     ter: dict[int, int] = {}
     legs: dict[int, list[tuple[int, ...]]] = {}
-    on_leg: dict[int, tuple[int, int]] = {}  # vertex -> (its major, distance to it)
+    on_leg: dict[int, int] = {}  # vertex -> the major of its terminal path
     for leaf in leaves:
-        chain = [leaf]
-        prev, cur = -1, leaf
-        while deg[cur] < 3:
-            nxt = next(u for u in t.neighbors[cur] if u != prev)
-            prev, cur = cur, nxt
-            if deg[cur] < 3:
-                chain.append(cur)
-        major = cur
+        passed, major = _walk_chain(t, leaf, t.neighbors[leaf][0])
         ter[major] = ter.get(major, 0) + 1
-        chain.reverse()  # now runs from the major's neighbor out to the leaf
+        chain = [leaf, *passed][::-1]  # from the major's neighbor out to the leaf
         legs.setdefault(major, []).append(tuple(chain))
-        for dist, v in enumerate(chain, start=1):
-            on_leg[v] = (major, dist)
+        for v in chain:
+            on_leg[v] = major
 
     m1 = frozenset(v for v, k in ter.items() if k == 1)
     m2 = frozenset(v for v, k in ter.items() if k >= 2)
@@ -129,31 +141,12 @@ def tree_skeleton(t: Graph) -> TreeSkeleton:
             gamma.add(chain[0])
     gamma = frozenset(gamma)
 
-    # Distance to the nearest major vertex, for the off-gamma formula cases.
-    nearest: list[Optional[int]] = [None] * t.n
-    ndist = [0] * t.n
-    frontier = list(majors)
-    for v in majors:
-        nearest[v] = v
-    level = 0
-    while frontier:
-        level += 1
-        nxt_frontier = []
-        for v in frontier:
-            for u in t.neighbors[v]:
-                if nearest[u] is None:
-                    nearest[u] = nearest[v]
-                    ndist[u] = level
-                    nxt_frontier.append(u)
-        frontier = nxt_frontier
-
     zone = []
     for v in range(t.n):
         if v in gamma:
             zone.append("D" if v in dset else "gamma")
         else:
-            major, _ = on_leg[v]
-            zone.append("t1-gamma" if major in m1 else "t2-gamma")
+            zone.append("t1-gamma" if on_leg[v] in m1 else "t2-gamma")
     ordered_legs = {v: tuple(sorted(chains)) for v, chains in legs.items()}
     return TreeSkeleton(
         n=t.n,
@@ -167,8 +160,6 @@ def tree_skeleton(t: Graph) -> TreeSkeleton:
         dset=dset,
         gamma=gamma,
         zone=tuple(zone),
-        nearest_major=tuple(nearest),
-        nearest_major_dist=tuple(ndist),
     )
 
 
@@ -203,10 +194,10 @@ def _is_cycle(g: Graph) -> bool:
     )
 
 
-def _is_petersen(g: Graph, dm: Optional[DistanceMatrix]) -> bool:
+def _is_petersen(g: Graph) -> bool:
+    """A cubic graph on 10 vertices with no triangle and no four-cycle has
+    girth 5, and the Petersen graph is the only such graph."""
     if g.n != 10 or g.m != 15:
-        return False
-    if (dm or all_pairs_distances(g)).diam != 2:
         return False
     if any(g.degree(v) != 3 for v in range(10)):
         return False
@@ -228,11 +219,11 @@ def _recognize_wheel(g: Graph) -> Optional[int]:
     if len(hubs) != 1 or g.n < 5:
         return None
     hub = hubs[0]
-    rim = [v for v in range(g.n) if v != hub]
-    if all(g.degree(v) == 3 for v in rim):
-        sub = g.induced(rim)
-        if _is_cycle(sub):
-            return hub
+    rim = g.vertex_mask() & ~(1 << hub)
+    # Every rim vertex of degree 3 has two rim neighbours, so the rim is
+    # one cycle exactly when it is connected.
+    if all(g.degree(v) == 3 for v in bits(rim)) and g.is_connected_subset(rim):
+        return hub
     return None
 
 
@@ -249,16 +240,8 @@ def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], .
     cycles = []
     while unvisited:
         start = min(v for v in g.neighbors[w] if v in unvisited)
-        chain = [start]
-        prev, cur = w, start
-        while True:
-            nxts = [u for u in g.neighbors[cur] if u != prev]
-            if len(nxts) != 1:
-                return None
-            prev, cur = cur, nxts[0]
-            if cur == w:
-                break
-            chain.append(cur)
+        # Every other vertex has degree two, so the walk closes back at w.
+        chain, _ = _walk_chain(g, w, start)
         if len(chain) < 2 or not all(v in unvisited for v in chain):
             return None
         unvisited -= set(chain)
@@ -288,14 +271,17 @@ def _recognize_grid(
     corners = [v for v in range(g.n) if g.degree(v) == 2]
     if len(corners) != 4:
         return None
+    # An s x t grid has s + t = 2n - m and s * t = n, so n and m fix s >= t
+    # before any distance is computed.
+    total = 2 * g.n - g.m
+    root = math.isqrt(max(total * total - 4 * g.n, 0))
+    s, t = (total + root) // 2, (total - root) // 2
+    if t < 2 or s + t != total or s * t != g.n:
+        return None
     dm = dm or all_pairs_distances(g)
     c = corners[0]
     others = sorted(corners[1:], key=lambda v: dm.d(c, v))
-    d1, d2, d3 = (dm.d(c, v) for v in others)
-    if d3 != d1 + d2:
-        return None
-    t, s = d1 + 1, d2 + 1
-    if s * t != g.n or g.m != 2 * s * t - s - t:
+    if tuple(dm.d(c, v) for v in others) != (t - 1, s - 1, s + t - 2):
         return None
     for a in others:
         for b in others:
@@ -342,7 +328,7 @@ def recognize(g: Graph, dm: Optional[DistanceMatrix] = None) -> Optional[Recogni
         return None
     # Only the Petersen and grid recognizers read distances, and each
     # computes them itself, only for a graph that passes its cheaper tests.
-    if _is_petersen(g, dm):
+    if _is_petersen(g):
         return Recognized("petersen", {})
     hub = _recognize_wheel(g)
     if hub is not None:
@@ -390,8 +376,8 @@ def _wheel_dim(rim: int) -> FormulaResult:
     return FormulaResult((2 * rim + 2) // 5, "general-rim", "wheel-dim")
 
 
-def _multipartite_counts(parts: Sequence[Sequence[int] | int]) -> tuple[int, int, int]:
-    sizes = [len(p) if not isinstance(p, int) else p for p in parts]
+def _multipartite_counts(parts: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    sizes = [len(p) for p in parts]
     n = sum(sizes)
     k = len(sizes)
     s = sum(1 for a in sizes if a == 1)
@@ -496,7 +482,8 @@ def cdim_at_vertex_formula(x: FormulaInput, v: int) -> FormulaResult:
         zone = sk.zone[v]
         if zone in ("gamma", "D"):
             return FormulaResult(base, zone, "tree-cdim-at")
-        d = sk.nearest_major_dist[v]
+        # Off gamma, v lies on a terminal path of the nearest major vertex.
+        d = next(c.index(v) + 1 for cs in sk.legs.values() for c in cs if v in c)
         if zone == "t1-gamma":
             return FormulaResult(base + d, zone, "tree-cdim-at")
         return FormulaResult(base + d - 1, zone, "tree-cdim-at")
@@ -582,18 +569,8 @@ def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
     resolving set at v."""
     if g.degree(v) != 1:
         return None
-    path = [v]
-    prev, cur = -1, v
-    while True:
-        nxts = [u for u in g.neighbors[cur] if u != prev]
-        if len(nxts) != 1:
-            break
-        prev, cur = cur, nxts[0]
-        if g.degree(cur) == 2:
-            path.append(cur)
-            continue
-        break
-    q = cur
+    passed, q = _walk_chain(g, v, g.neighbors[v][0])
+    path = [v, *passed]
     if g.degree(q) < 3:
         return None
     tail = set(path)
@@ -798,14 +775,11 @@ def _sun_legs(g: Graph, cyc: tuple[int, ...]) -> Optional[list[int]]:
         if len(outside) > 1:
             return None
         length = 0
-        prev, cur = u, outside[0] if outside else None
-        while cur is not None:
-            length += 1
-            visited += 1
-            nxts = [x for x in g.neighbors[cur] if x != prev]
-            if len(nxts) > 1:
-                return None
-            prev, cur = cur, nxts[0] if nxts else None
+        if outside:
+            # A leg that branches leaves vertices uncounted: the count below refuses it.
+            chain, _ = _walk_chain(g, u, outside[0])
+            length = len(chain) + 1
+        visited += length
         legs.append(length)
     if visited != g.n:
         return None

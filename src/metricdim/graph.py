@@ -288,36 +288,16 @@ class TwinPartition:
 
 
 def twin_partition(g: Graph) -> TwinPartition:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     # Non-adjacent twins share an open neighborhood, adjacent twins a closed
-    # one; grouping by both keys covers every twin pair.
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v in range(g.n):
-        row = g.adj_bits[v]
-        if row in open_groups:
-            union(open_groups[row], v)
-        else:
-            open_groups[row] = v
-        closed = row | (1 << v)
-        if closed in closed_groups:
-            union(closed_groups[closed], v)
-        else:
-            closed_groups[closed] = v
-    by_root: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_root.setdefault(find(v), []).append(v)
-    classes = tuple(tuple(sorted(c)) for _, c in sorted(by_root.items()))
-    return TwinPartition(classes=classes)
+    # one.  No vertex has both kinds: N(v) = N(a) and N[v] = N[b] give b ~ v,
+    # so b ~ a, so a ~ v, though a is not in N(a).  So the groups of two or
+    # more under either key never overlap, and every other vertex is alone.
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for v, row in enumerate(g.adj_bits):
+        by_open.setdefault(row, []).append(v)
+        by_closed.setdefault(row | 1 << v, []).append(v)
+    classes = [c for c in (*by_open.values(), *by_closed.values()) if len(c) > 1]
+    paired = {v for c in classes for v in c}
+    classes += [[v] for v in range(g.n) if v not in paired]
+    return TwinPartition(classes=tuple(sorted(map(tuple, classes))))

@@ -28,7 +28,7 @@ from metricdim import (
 from metricdim import formulas
 from metricdim.families import vdel_pair
 
-from conftest import atlas, brute_min_resolving_sets
+from conftest import atlas, brute_min_resolving_sets, moebius_ladder
 
 
 def path_graph(n):
@@ -188,9 +188,16 @@ def test_recognize_pinned_on_atlas_and_families():
     assert hashlib.sha256(repr(found).encode()).hexdigest() == RECOGNIZE_DIGEST
 
 
+# The sun has four degree-2 vertices, as a grid has; its n and m rule the grid out.
+DISTANCE_KINDS = {
+    "wheel:9": "wheel", "bouquet:3,4,5": "bouquet", "multipartite:2,2,3": "multipartite",
+    "randtree:12:1": "tree", "petersen": "petersen", "grid:4x3": "grid", "sun:3:0,0,3": None,
+}
+
+
 @pytest.mark.parametrize("spec, calls", [
     ("wheel:9", 0), ("bouquet:3,4,5", 0), ("multipartite:2,2,3", 0), ("randtree:12:1", 0),
-    ("petersen", 1), ("grid:4x3", 1),
+    ("petersen", 0), ("grid:4x3", 1), ("sun:3:0,0,3", 0),
 ])
 def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
     count = [0]
@@ -202,8 +209,17 @@ def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
 
     monkeypatch.setattr(formulas, "all_pairs_distances", counted)
     g, _ = generate(spec)
-    assert recognize(g) is not None
+    rec = recognize(g)
+    assert (rec and rec.kind) == DISTANCE_KINDS[spec]
     assert count[0] == calls
+
+
+def test_petersen_recognizer_refuses_four_cycles():
+    # Cubic and triangle-free on 10 vertices, like the Petersen graph, but with four-cycles.
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    prism = build_graph(10, rim + [(u + 5, w + 5) for u, w in rim] + [(i, i + 5) for i in range(5)])
+    for g in (prism, moebius_ladder(10)):
+        assert recognize(g) is None
 
 
 def test_recognizer_handles_equivalent_families():
