@@ -24,7 +24,7 @@ from typing import Optional, Sequence, TextIO
 # Only these modules load with the command line; the commands that need
 # families, formulas or minor import them where they run.
 from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError, TooLarge
-from .graph import MAX_ORDER, Graph, all_pairs_distances, build_graph, check_cap
+from .graph import MAX_ORDER, Graph, build_graph, check_cap
 from .solver import (
     DIM_CAP,
     ENUM_CAP,
@@ -461,7 +461,6 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
     from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
 
     checks: list[dict] = []
-    dm = all_pairs_distances(g)
 
     def compared(query: str, formula: int, exact: int) -> None:
         checks.append({"query": query, "formula": formula, "exact": exact, "match": formula == exact})
@@ -472,7 +471,7 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
 
     for query, formula, exact in (("dim", dim_formula, dim_exact), ("cdim", cdim_formula, cdim_exact)):
         try:
-            compared(query, formula(g).value, exact(g, dm, cap=cap).value)
+            compared(query, formula(g).value, exact(g, cap=cap).value)
         except MetricDimError as exc:
             skipped(query, exc)
     prof = None
@@ -484,7 +483,7 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
             continue
         if prof is None:
             try:
-                prof = vertex_profile(g, dm, cap=cap)
+                prof = vertex_profile(g, cap=cap)
             except MetricDimError as exc:
                 skipped("cdim-at", exc)
                 break

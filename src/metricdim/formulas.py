@@ -228,26 +228,28 @@ def _recognize_wheel(g: Graph) -> Optional[int]:
 
 
 def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """The centre w and its cycles, when w is the only vertex of degree other than two.
+
+    ``recognize`` calls this only on connected graphs.  By the handshake
+    lemma deg(w) is then even, so at least 4.  Each walk from w through an
+    unvisited neighbour closes back at w, and it holds at least two vertices
+    because the graph is simple.  It meets no earlier cycle, whose vertices
+    have both their neighbours on that cycle or at w.  So the cycles number
+    deg(w) / 2 >= 2.
+    """
     big = [v for v in range(g.n) if g.degree(v) >= 3]
     if len(big) != 1:
         return None
     w = big[0]
-    if g.degree(w) % 2 or g.degree(w) < 4:
-        return None
     if any(g.degree(v) != 2 for v in range(g.n) if v != w):
         return None
     unvisited = set(range(g.n)) - {w}
     cycles = []
     while unvisited:
         start = min(v for v in g.neighbors[w] if v in unvisited)
-        # Every other vertex has degree two, so the walk closes back at w.
         chain, _ = _walk_chain(g, w, start)
-        if len(chain) < 2 or not all(v in unvisited for v in chain):
-            return None
         unvisited -= set(chain)
         cycles.append(tuple(chain))
-    if len(cycles) < 2:
-        return None
     return w, tuple(cycles)
 
 
@@ -265,9 +267,7 @@ def _recognize_multipartite(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
     return tuple(sorted((tuple(bits(c)) for c in classes), key=lambda p: (len(p), p)))
 
 
-def _recognize_grid(
-    g: Graph, dm: Optional[DistanceMatrix]
-) -> Optional[tuple[int, int, tuple[tuple[int, int], ...]]]:
+def _recognize_grid(g: Graph) -> Optional[tuple[int, int, tuple[tuple[int, int], ...]]]:
     corners = [v for v in range(g.n) if g.degree(v) == 2]
     if len(corners) != 4:
         return None
@@ -278,42 +278,36 @@ def _recognize_grid(
     s, t = (total + root) // 2, (total - root) // 2
     if t < 2 or s + t != total or s * t != g.n:
         return None
-    dm = dm or all_pairs_distances(g)
+    dm = all_pairs_distances(g)
     c = corners[0]
     others = sorted(corners[1:], key=lambda v: dm.d(c, v))
     if tuple(dm.d(c, v) for v in others) != (t - 1, s - 1, s + t - 2):
         return None
-    for a in others:
-        for b in others:
-            if a == b:
-                continue
-            if dm.d(c, a) != s - 1 or dm.d(c, b) != t - 1:
-                continue
-            coords = []
-            ok = True
-            for v in range(g.n):
-                di = dm.d(c, v) - dm.d(a, v) + s + 1
-                dj = dm.d(c, v) - dm.d(b, v) + t + 1
-                if di % 2 or dj % 2:
-                    ok = False
-                    break
-                i, j = di // 2, dj // 2
-                if not (1 <= i <= s and 1 <= j <= t):
-                    ok = False
-                    break
-                coords.append((i, j))
-            if not ok or len(set(coords)) != g.n:
-                continue
-            good = all(
-                abs(coords[u][0] - coords[v][0]) + abs(coords[u][1] - coords[v][1]) == 1
-                for u, v in g.edges()
-            )
-            if good:
-                return s, t, tuple(coords)
-    return None
+    # a is the corner s - 1 from c and b the corner t - 1 from c.  When s = t
+    # the other choice gives the transpose, which fails exactly when this does.
+    if s > t:
+        b, a = others[:2]
+    else:
+        a, b = others[:2]
+    coords = []
+    for v in range(g.n):
+        di = dm.d(c, v) - dm.d(a, v) + s + 1
+        dj = dm.d(c, v) - dm.d(b, v) + t + 1
+        if di % 2 or dj % 2:
+            return None
+        i, j = di // 2, dj // 2
+        if not (1 <= i <= s and 1 <= j <= t):
+            return None
+        coords.append((i, j))
+    if len(set(coords)) != g.n or any(
+        abs(coords[u][0] - coords[v][0]) + abs(coords[u][1] - coords[v][1]) != 1
+        for u, v in g.edges()
+    ):
+        return None
+    return s, t, tuple(coords)
 
 
-def recognize(g: Graph, dm: Optional[DistanceMatrix] = None) -> Optional[Recognized]:
+def recognize(g: Graph) -> Optional[Recognized]:
     """Match a graph against the families with known closed forms."""
     ends = _path_ends(g)
     if ends is not None:
@@ -339,7 +333,7 @@ def recognize(g: Graph, dm: Optional[DistanceMatrix] = None) -> Optional[Recogni
     parts = _recognize_multipartite(g)
     if parts is not None:
         return Recognized("multipartite", {"parts": parts})
-    gr = _recognize_grid(g, dm)
+    gr = _recognize_grid(g)
     if gr is not None:
         return Recognized("grid", {"s": gr[0], "t": gr[1], "coords": gr[2]})
     return None

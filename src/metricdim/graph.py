@@ -75,36 +75,20 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n == 0 or self.is_connected_subset(self.vertex_mask())
 
-    def induced(self, keep: Sequence[int]) -> "Graph":
-        """Induced subgraph on ``keep``; vertices are re-indexed in the given order."""
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u in keep
-            for v in self.neighbors[u]
-            if u < v and v in index
-        ]
-        return build_graph(len(keep), edges, _allow_small=True)
-
     def without_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise InvalidEdge(f"no edge {u}-{v} to delete")
         edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
-        return build_graph(self.n, edges, _allow_small=True)
+        return build_graph(self.n, edges)
 
 
-def build_graph(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    *,
-    _allow_small: bool = False,
-) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple undirected graph; duplicate edges collapse with a warning flag.
 
     Raises InvalidEdge for self-loops or out-of-range endpoints, TooSmall for
     n < 2 (the solvers assume order at least two) and TooLarge beyond MAX_ORDER.
     """
-    if n < 2 and not _allow_small:
+    if n < 2:
         raise TooSmall(f"need at least 2 vertices, got {n}")
     if n > MAX_ORDER:
         raise TooLarge(f"n={n} exceeds the library cap {MAX_ORDER}")

@@ -17,12 +17,15 @@ from this test alone.
 
 For a minor, the input is first shrunk by reductions that preserve presence
 of any 3-connected minor: vertices of degree at most one are deleted and
-degree-two vertices are suppressed (merged into a neighbor).  Each kernel
-vertex keeps a "bag" of original vertices so a model found in the kernel
-expands to branch sets of the original graph.  A planar kernel has neither
-target minor, so the planarity test dispatches the negative case quickly;
-otherwise an exhaustive seeded branch-set search either finds a model or
-proves absence.
+degree-two vertices are suppressed (merged into the lower neighbour, and
+the two neighbours joined).  Each kernel vertex keeps a "bag" of original
+vertices so a model found in the kernel expands to branch sets of the
+original graph.  The kernel keeps the input's vertex indices: its adjacency
+masks are the input's, reduced (a removed vertex's mask is 0), and the bags
+are masks, so the search, its seeds and the witness need no re-indexing.
+A planar kernel has neither target minor, so the planarity test dispatches
+the negative case quickly; otherwise an exhaustive seeded branch-set search
+either finds a model or proves absence.
 
 The search grows one branch of the first unmet pair at a time, depth first,
 into free vertices (those in no branch).  A state is dead when some unmet
@@ -59,39 +62,43 @@ def _target(target: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     return _TARGETS[target]
 
 
-def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
-    bags: dict[int, set[int]] = {v: {v} for v in range(g.n)}
+def _kernelize(adj_bits: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """The kernel on the input's own vertex indices: adjacency masks (0 once a
+    vertex is removed), the mask of kernel vertices, and each vertex's bag.
+
+    Passes scan the kernel vertices in ascending order until nothing changes.
+    """
+    adj = list(adj_bits)
+    bags = [1 << v for v in range(len(adj))]
+    alive = (1 << len(adj)) - 1
     changed = True
     while changed:
         changed = False
-        for v in list(adj):
-            deg = len(adj[v])
-            if deg <= 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v], bags[v]
-                changed = True
-            elif deg == 2:
-                a, b = sorted(adj[v])
-                adj[a].discard(v)
-                adj[b].discard(v)
-                del adj[v]
+        for v in bits(alive):
+            nb = adj[v]
+            deg = nb.bit_count()
+            if deg > 2:
+                continue
+            alive ^= 1 << v
+            adj[v] = 0
+            for u in bits(nb):
+                adj[u] ^= 1 << v
+            if deg == 2:
+                low = nb & -nb
+                a, b = low.bit_length() - 1, (nb ^ low).bit_length() - 1
                 bags[a] |= bags[v]
-                del bags[v]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                changed = True
-    return adj, bags
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            changed = True
+    return adj, alive, bags
 
 
-def _seed_sets(target: str, kn: int) -> Iterator[tuple[int, ...]]:
+def _seed_sets(target: str, vertices: Sequence[int]) -> Iterator[tuple[int, ...]]:
     if target == "K5":
-        yield from itertools.combinations(range(kn), 5)
+        yield from itertools.combinations(vertices, 5)
     else:
-        for side_a in itertools.combinations(range(kn), 3):
-            rest = [v for v in range(kn) if v not in side_a]
+        for side_a in itertools.combinations(vertices, 3):
+            rest = [v for v in vertices if v not in side_a]
             for side_b in itertools.combinations(rest, 3):
                 if side_a[0] < side_b[0]:  # side swap is an automorphism
                     yield side_a + side_b
@@ -190,10 +197,10 @@ def _is_planar(adjm: Sequence[int]) -> bool:
 
 def _search_from_seed(
     adjm: Sequence[int],
+    alive: int,
     seed: tuple[int, ...],
     pairs: tuple[tuple[int, int], ...],
 ) -> Optional[tuple[int, ...]]:
-    full = (1 << len(adjm)) - 1
     start = tuple(1 << v for v in seed)
     # Each entry carries its branch masks, their neighbourhoods and their union.
     stack = [(start, tuple(adjm[v] for v in seed), sum(start))]
@@ -208,7 +215,7 @@ def _search_from_seed(
             return branches
         # Branches grow only into free vertices, so an unmet pair can still be
         # joined only through one free component touching both branches.
-        comps = list(components(adjm, full & ~used))
+        comps = list(components(adjm, alive & ~used))
         touch = [0] * len(branches)
         for k, nb in enumerate(nbhd):
             for comp in comps:
@@ -233,36 +240,21 @@ def has_minor(
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
     check_cap(g.n, cap, MINOR_CAP, "minor-search")
-    adj, bags = _kernelize(g)
-    kn = len(adj)
-    kernel_ids = sorted(adj)
-    index = {v: i for i, v in enumerate(kernel_ids)}
-    adjm = [0] * kn
-    for u in adj:
-        for v in adj[u]:
-            adjm[index[u]] |= 1 << index[v]
-    km = sum(len(nbs) for nbs in adj.values()) // 2
+    adj, alive, bags = _kernelize(g.adj_bits)
+    kn = alive.bit_count()
+    km = sum(nb.bit_count() for nb in adj) // 2
     needed_edges = len(pairs)
     # Cycle rank (first Betti number) is minor-monotone.
-    rank = km - kn + len(list(components(adjm, (1 << kn) - 1)))
+    rank = km - kn + len(list(components(adj, alive)))
     if kn < h or km < needed_edges or rank < needed_edges - h + 1:
         return False, None
-    if _is_planar(adjm):
+    if _is_planar(adj):
         return False, None  # planar graphs contain neither obstruction
-    for seed in _seed_sets(target, kn):
-        model = _search_from_seed(adjm, seed, pairs)
+    for seed in _seed_sets(target, list(bits(alive))):
+        model = _search_from_seed(adj, alive, seed, pairs)
         if model is not None:
-            witness = tuple(
-                tuple(
-                    sorted(
-                        orig
-                        for kv in bits(bm)
-                        for orig in bags[kernel_ids[kv]]
-                    )
-                )
-                for bm in model
-            )
-            return True, witness
+            # Bags are disjoint, so their sum is their union.
+            return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)
     return False, None
 
 

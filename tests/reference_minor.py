@@ -4,19 +4,60 @@ This is the library's earlier search, kept unchanged: from each seed it pops
 states depth first and rebuilds every branch's neighbourhood from scratch,
 and it expands every state that does not yet form a model, so nothing here
 depends on the free-component reachability prune of ``metricdim.minor``.
-The kernelization and the seed order are shared with the library.  The
-component count of the cycle-rank floor is the library's earlier one, on
-dicts of sets, and the planarity prefilter is ``networkx``, so neither
-depends on the bitmask walks of ``metricdim.graph``.
+The kernelization and the seed order are the library's earlier ones, kept
+here unchanged: the kernel is a dict of sets, and its vertices are re-indexed
+0..kn-1 in ascending order before the search, so nothing here shares the
+library's bitmask kernel.  The component count of the cycle-rank floor is
+the library's earlier one, on dicts of sets, and the planarity prefilter is
+``networkx``, so neither depends on the bitmask walks of ``metricdim.graph``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from typing import Iterator, Optional, Sequence
 
 from metricdim import Graph, InvalidSpec, TooLarge
 from metricdim.graph import bits
-from metricdim.minor import MINOR_CAP, Witness, _TARGETS, _kernelize, _seed_sets
+from metricdim.minor import MINOR_CAP, Witness, _TARGETS
+
+
+def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
+    bags: dict[int, set[int]] = {v: {v} for v in range(g.n)}
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            deg = len(adj[v])
+            if deg <= 1:
+                for u in adj[v]:
+                    adj[u].discard(v)
+                del adj[v], bags[v]
+                changed = True
+            elif deg == 2:
+                a, b = sorted(adj[v])
+                adj[a].discard(v)
+                adj[b].discard(v)
+                del adj[v]
+                bags[a] |= bags[v]
+                del bags[v]
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                changed = True
+    return adj, bags
+
+
+def _seed_sets(target: str, kn: int) -> Iterator[tuple[int, ...]]:
+    if target == "K5":
+        yield from itertools.combinations(range(kn), 5)
+    else:
+        for side_a in itertools.combinations(range(kn), 3):
+            rest = [v for v in range(kn) if v not in side_a]
+            for side_b in itertools.combinations(rest, 3):
+                if side_a[0] < side_b[0]:  # side swap is an automorphism
+                    yield side_a + side_b
 
 
 def _component_count(adj: dict[int, set[int]]) -> int:

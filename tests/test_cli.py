@@ -177,7 +177,7 @@ def test_verify_skips_are_visible(monkeypatch):
     code, out, _ = run_cli(["verify", "--family", "wheel:9"])
     assert "cdim-at:0: skipped: no closed form at vertex 0\n" in out
 
-    def profile_too_large(g, dm, cap=None):
+    def profile_too_large(g, dm=None, cap=None):
         raise TooLarge("profile cap")
 
     monkeypatch.setattr(formulas, "cdim_at_vertex_formula", real)

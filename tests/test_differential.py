@@ -1,5 +1,6 @@
 """Every public solver against the reference searches of ``reference_solver``,
 ``has_minor`` against the unpruned branch-set search of ``reference_minor``,
+the minor module's bitmask kernel against that module's dict-of-sets one,
 ``is_planar_desk`` against having neither minor, the minor module's bitmask
 planarity test against ``networkx``, and the bitmask walks of
 ``metricdim.graph`` against removal and ``networkx`` oracles.
@@ -10,9 +11,10 @@ minor search also runs on the benchmark's two nonplanar kernels and on the
 subdivided K3,3.  Values and witnesses, every profile field and whole
 enumerations must be equal.  The planarity test sees every atlas graph,
 seeded G(n, p) graphs, edge-maximal planar graphs with one edge added or
-moved, and nonplanar minor kernels.  Cut vertices, components of seeded
-vertex subsets and complete multipartite recognition are checked on the
-whole atlas.
+moved, and nonplanar minor kernels.  The kernel sees every atlas graph,
+disconnected ones included, and seeded random graphs.  Cut vertices,
+components of seeded vertex subsets and complete multipartite recognition
+are checked on the whole atlas.
 """
 
 from __future__ import annotations
@@ -213,9 +215,44 @@ def test_planarity_matches_networkx_on_edge_maximal_planar_graphs():
 def test_planarity_matches_networkx_on_minor_kernels(spec):
     n = int(spec.split(":")[1])
     g = moebius_ladder(n) if spec.startswith("moebius") else md.generate(spec)[0]
-    adj, _ = _kernelize(g)
+    adj, alive, _ = _kernelize(g.adj_bits)
     kernel = nx.Graph()
-    kernel.add_nodes_from(sorted(adj))
-    kernel.add_edges_from((u, v) for u in adj for v in adj[u] if u < v)
+    kernel.add_nodes_from(bits(alive))
+    kernel.add_edges_from((u, v) for u in bits(alive) for v in bits(adj[u]) if u < v)
     assert kernel.number_of_nodes() >= 5
-    planarity_matching_networkx([kernel])
+    planar = planarity_matching_networkx([kernel])[0]
+    # has_minor tests the kernel on the input's indices, removed vertices as zero masks.
+    assert _is_planar(adj) == planar
+
+
+def kernel_matching_reference(g: md.Graph) -> int:
+    """The kernel's order; asserts the bitmask kernel equals the reference's dict-of-sets one."""
+    adj, alive, bags = _kernelize(g.adj_bits)
+    want_adj, want_bags = ref_minor._kernelize(g)
+    assert list(bits(alive)) == sorted(want_adj)
+    assert {v: set(bits(adj[v])) for v in bits(alive)} == want_adj
+    assert {v: set(bits(bags[v])) for v in bits(alive)} == want_bags
+    assert all(adj[v] == 0 for v in range(g.n) if not alive >> v & 1)
+    return len(want_adj)
+
+
+def test_kernel_matches_reference_on_the_whole_atlas():
+    graphs = nx.graph_atlas_g()
+    orders = []
+    for nxg in graphs:
+        rows = tuple(masks_of(nxg))
+        g = md.Graph(n=len(rows), neighbors=tuple(tuple(bits(r)) for r in rows), adj_bits=rows,
+                     m=nxg.number_of_edges())
+        orders.append(kernel_matching_reference(g))
+    assert len(orders) == 1253
+    assert sum(k > 0 for k in orders) > 700 and sum(k == 0 for k in orders) > 400
+
+
+def test_kernel_matches_reference_on_random_graphs():
+    rng = random.Random(11)
+    orders = []
+    for seed in range(200):
+        n = rng.randint(4, 16)
+        g, _ = md.generate(f"rand:{n}:{rng.uniform(0.1, 0.5):.2f}:{seed}")
+        orders.append(kernel_matching_reference(g))
+    assert sum(k >= 5 for k in orders) > 80 and sum(k == 0 for k in orders) > 80

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -214,6 +215,22 @@ def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
     assert count[0] == calls
 
 
+@pytest.mark.parametrize("s, t", [(3, 3), (4, 4), (5, 3), (4, 3), (6, 2)])
+def test_grid_recognizer_on_relabelled_grids(s, t):
+    rng = random.Random(s * 10 + t)
+    g, _ = generate(f"grid:{s}x{t}")
+    for _ in range(10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        rec = recognize(h)
+        assert rec.kind == "grid" and (rec.data["s"], rec.data["t"]) == (s, t)
+        coords = rec.data["coords"]
+        assert sorted(coords) == [(i, j) for i in range(1, s + 1) for j in range(1, t + 1)]
+        for u, v in h.edges():
+            assert abs(coords[u][0] - coords[v][0]) + abs(coords[u][1] - coords[v][1]) == 1
+
+
 def test_petersen_recognizer_refuses_four_cycles():
     # Cubic and triangle-free on 10 vertices, like the Petersen graph, but with four-cycles.
     rim = [(i, (i + 1) % 5) for i in range(5)]
@@ -405,9 +422,9 @@ def test_cdim_at_vertex_formula_resolves_its_input_once(monkeypatch, spec, v):
     calls = []
     real = formulas.recognize
 
-    def counted(g, dm=None):
+    def counted(g):
         calls.append(g.n)
-        return real(g, dm)
+        return real(g)
 
     monkeypatch.setattr(formulas, "recognize", counted)
     for x in (spec, parse_spec(spec), generate(spec)[0]):

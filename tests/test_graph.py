@@ -54,6 +54,13 @@ def test_build_rejects_self_loop_and_small_order():
         build_graph(1, [])
 
 
+def test_without_edge_keeps_the_order():
+    g = path_graph(2).without_edge(1, 0)
+    assert (g.n, g.m) == (2, 0)
+    with pytest.raises(InvalidEdge, match="no edge 0-1 to delete"):
+        g.without_edge(0, 1)
+
+
 def test_distances_path():
     dm = all_pairs_distances(path_graph(4))
     assert dm.d(0, 3) == 3
