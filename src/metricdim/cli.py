@@ -413,23 +413,17 @@ def _dispatch(args, out: TextIO) -> int:
         report["query"] = "planar-desk"
         report["value"] = is_planar_desk(g, cap=cap)
     elif args.command == "formula":
-        from . import families
         from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
 
-        spec_or_graph = (
-            families.parse_spec(args.family, default_seed=args.seed)
-            if getattr(args, "family", None)
-            else g
-        )
         if args.theorem == "dim":
-            res = dim_formula(spec_or_graph)
+            res = dim_formula(g)
         elif args.theorem == "cdim":
-            res = cdim_formula(spec_or_graph)
+            res = cdim_formula(g)
         else:
             if not args.vertex:
                 raise MetricDimError("formula --theorem cdim-at needs --vertex")
             v = _to_indices(labels, [args.vertex])[0]
-            res = cdim_at_vertex_formula(spec_or_graph, v)
+            res = cdim_at_vertex_formula(g, v)
         report["query"] = f"formula:{args.theorem}"
         report["value"] = res.value
         report["case"] = f"{res.theorem_id}:{res.case_label}"

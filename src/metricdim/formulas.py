@@ -1,10 +1,10 @@
 """Structural analyzers and closed-form evaluation of dimension formulas.
 
-Each evaluator accepts a FamilySpec, its canonical text, or a raw Graph.  A
-spec is generated first; either way the graph is then matched by a
-structural recognizer, and the closed form is read off the recognized
-structure.  Every value returned here is independently checkable against
-the exact solvers; the test suite does exactly that.
+Each evaluator takes a Graph.  The graph is matched by a structural
+recognizer, and one dispatch on the recognized family, ``_forms``, reads
+its dim, cdim and cdim-at-v closed forms off the recognized structure.
+Every value returned here is independently checkable against the exact
+solvers; the test suite does exactly that.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .errors import (
     IsAPath,
@@ -22,7 +22,6 @@ from .errors import (
     TooMany,
     Unsupported,
 )
-from .families import FamilySpec, generate, parse_spec
 from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
 from .solver import check_resolving
 
@@ -178,20 +177,19 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _path_ends(g: Graph) -> Optional[tuple[int, int]]:
-    if g.m != g.n - 1 or not g.is_connected():
+    """The two ends, when g is a path.
+
+    A walk from one leaf through degree-two vertices passes all n - 2 other
+    vertices exactly when g is one connected path, so this needs no
+    separate connectivity test.
+    """
+    if g.m != g.n - 1:
         return None
     ends = [v for v in range(g.n) if g.degree(v) == 1]
-    if g.n == 2:
-        return (0, 1)
-    if len(ends) == 2 and all(g.degree(v) <= 2 for v in range(g.n)):
-        return (ends[0], ends[1])
-    return None
-
-
-def _is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.m == g.n and g.is_connected() and all(
-        g.degree(v) == 2 for v in range(g.n)
-    )
+    if len(ends) != 2:
+        return None
+    passed, _ = _walk_chain(g, ends[0], g.neighbors[ends[0]][0])
+    return (ends[0], ends[1]) if len(passed) == g.n - 2 else None
 
 
 def _is_petersen(g: Graph) -> bool:
@@ -308,18 +306,19 @@ def _recognize_grid(g: Graph) -> Optional[tuple[int, int, tuple[tuple[int, int],
 
 
 def recognize(g: Graph) -> Optional[Recognized]:
-    """Match a graph against the families with known closed forms."""
+    """Match a graph against the families with known closed forms; None if it is disconnected."""
+    if not g.is_connected():
+        return None
     ends = _path_ends(g)
     if ends is not None:
         return Recognized("path", {"ends": ends})
     if _is_complete(g):
         return Recognized("complete", {})
-    if _is_cycle(g):
+    # Connected with every degree two is a cycle; connected with n - 1 edges is a tree.
+    if g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
         return Recognized("cycle", {})
-    if g.m == g.n - 1 and g.is_connected():
+    if g.m == g.n - 1:
         return Recognized("tree", {})
-    if not g.is_connected():
-        return None
     # Only the Petersen and grid recognizers read distances, and each
     # computes them itself, only for a graph that passes its cheaper tests.
     if _is_petersen(g):
@@ -339,196 +338,128 @@ def recognize(g: Graph) -> Optional[Recognized]:
     return None
 
 
-FormulaInput = Union[Graph, FamilySpec, str]
-
-
-def _resolve(x: FormulaInput) -> tuple[Recognized, Graph]:
-    if isinstance(x, str):
-        x = parse_spec(x)
-    if isinstance(x, FamilySpec):
-        # Small instances may legitimately match an earlier, equivalent family
-        # (wheel:3 is complete, multipartite:2,2 is a cycle), so spec inputs
-        # also route through the structural recognizer.
-        g, _ = generate(x)
-        rec = recognize(g)
-        if rec is None:
-            raise Unsupported(f"no closed form covers family {x.kind!r}")
-        return rec, g
-    rec = recognize(x)
+def _resolve(g: Graph) -> Recognized:
+    rec = recognize(g)
     if rec is None:
         raise Unsupported("graph matches no family with a known closed form")
-    return rec, x
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # Formula evaluators
 
 
-def _wheel_dim(rim: int) -> FormulaResult:
-    if rim in (3, 6):
-        return FormulaResult(3, f"rim={rim}", "wheel-dim")
-    return FormulaResult((2 * rim + 2) // 5, "general-rim", "wheel-dim")
+def _forms(rec: Recognized, g: Graph, v: Optional[int] = None) -> tuple[FormulaResult, ...]:
+    """dim, cdim and, when v is given, cdim at v of a recognized graph, in that order.
 
-
-def _multipartite_counts(parts: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    sizes = [len(p) for p in parts]
-    n = sum(sizes)
-    k = len(sizes)
-    s = sum(1 for a in sizes if a == 1)
-    return n, k, s
-
-
-def dim_formula(x: FormulaInput) -> FormulaResult:
-    rec, g = _resolve(x)
-    kind = rec.kind
+    Each block covers only what ``recognize`` can hand it: a wheel has rim
+    >= 4 (rim 3 is complete), and a multipartite graph with one singleton
+    part has three or more parts (with two it is a star, a tree).
+    """
+    R = FormulaResult
+    kind, data, n = rec.kind, rec.data, g.n
     if kind == "path":
-        return FormulaResult(1, "path", "dim-extremes")
+        if v in data["ends"]:
+            at = R(1, "path-end", "cdim-at-extremes")
+        else:
+            at = R(2, "path-interior", "cdim-at-extremes")
+        return R(1, "path", "dim-extremes"), R(1, "path", "cdim-extremes"), at
     if kind == "complete":
-        return FormulaResult(g.n - 1, "complete", "dim-extremes")
+        return (R(n - 1, "complete", "dim-extremes"), R(n - 1, "complete", "cdim-extremes"),
+                R(n - 1, "complete", "cdim-at-extremes"))
     if kind == "cycle":
-        return FormulaResult(2, "cycle", "dim-cycle")
-    if kind == "tree":
-        sk = tree_skeleton(g)
-        return FormulaResult(sk.sigma - sk.ex, "tree", "tree-dim")
+        return R(2, "cycle", "dim-cycle"), R(2, "cycle", "cdim-cycle"), R(2, "cycle", "cdim-at-cycle")
     if kind == "petersen":
-        return FormulaResult(3, "petersen", "petersen-dim")
-    if kind == "wheel":
-        return _wheel_dim(rec.data["rim"])
-    if kind == "bouquet":
-        cycles = rec.data["cycles"]
-        m = len(cycles)
-        x_even = sum(1 for c in cycles if (len(c) + 1) % 2 == 0)
-        if x_even == 0:
-            return FormulaResult(m, "all-odd", "bouquet-dim")
-        return FormulaResult(m + x_even - 1, f"{x_even}-even", "bouquet-dim")
-    if kind == "multipartite":
-        n, k, s = _multipartite_counts(rec.data["parts"])
-        if s == 0:
-            return FormulaResult(n - k, "no-singletons", "multipartite-dim")
-        return FormulaResult(n + s - k - 1, f"{s}-singletons", "multipartite-dim")
-    if kind == "grid":
-        return FormulaResult(2, "grid", "grid-dim")
-    raise Unsupported(f"no dimension formula for {kind!r}")
-
-
-def cdim_formula(x: FormulaInput) -> FormulaResult:
-    return _cdim(*_resolve(x))
-
-
-def _cdim(rec: Recognized, g: Graph) -> FormulaResult:
-    kind = rec.kind
-    n = g.n
-    if kind == "path":
-        return FormulaResult(1, "path", "cdim-extremes")
-    if kind == "complete":
-        return FormulaResult(n - 1, "complete", "cdim-extremes")
-    if kind == "cycle":
-        return FormulaResult(2, "cycle", "cdim-cycle")
-    if kind == "tree":
-        sk = tree_skeleton(g)
-        return FormulaResult(len(sk.dset) + sk.sigma, "tree", "tree-cdim")
-    if kind == "petersen":
-        return FormulaResult(4, "petersen", "petersen-cdim")
-    if kind == "wheel":
-        rim = rec.data["rim"]
-        if rim == 3:
-            return FormulaResult(3, "rim=3", "wheel-cdim")
-        if rim in (4, 5):
-            return FormulaResult(2, "small-rim", "wheel-cdim")
-        return FormulaResult((2 * rim + 2) // 5 + 1, "general-rim", "wheel-cdim")
-    if kind == "bouquet":
-        cycles = rec.data["cycles"]
-        m = len(cycles)
-        b = sum(1 for c in cycles if len(c) + 1 == 3)
-        if b == m:
-            return FormulaResult(m + 1, "all-triangles", "bouquet-cdim")
-        return FormulaResult(2 * m - b, f"{b}-triangles", "bouquet-cdim")
-    if kind == "multipartite":
-        n_, k, s = _multipartite_counts(rec.data["parts"])
-        if s == 1 and k == 2:
-            return FormulaResult(n_ - 1, "s=1,k=2", "multipartite-cdim")
-        if s == 0:
-            return FormulaResult(n_ - k, "no-singletons", "multipartite-cdim")
-        return FormulaResult(n_ + s - k - 1, f"{s}-singletons", "multipartite-cdim")
-    if kind == "grid":
-        s, t = rec.data["s"], rec.data["t"]
-        return FormulaResult(min(s, t), "grid", "grid-cdim")
-    raise Unsupported(f"no connected-dimension formula for {kind!r}")
-
-
-def cdim_at_vertex_formula(x: FormulaInput, v: int) -> FormulaResult:
-    rec, g = _resolve(x)
-    if not (0 <= v < g.n):
-        raise MetricDimError(f"vertex {v} out of range")
-    kind = rec.kind
-    if kind == "path":
-        ends = rec.data["ends"]
-        if v in ends:
-            return FormulaResult(1, "path-end", "cdim-at-extremes")
-        return FormulaResult(2, "path-interior", "cdim-at-extremes")
-    if kind == "complete":
-        return FormulaResult(g.n - 1, "complete", "cdim-at-extremes")
-    if kind == "cycle":
-        return FormulaResult(2, "cycle", "cdim-at-cycle")
+        return (R(3, "petersen", "petersen-dim"), R(4, "petersen", "petersen-cdim"),
+                R(4, "petersen", "petersen-cdim"))
     if kind == "tree":
         sk = tree_skeleton(g)
         base = len(sk.dset) + sk.sigma
+        forms = R(sk.sigma - sk.ex, "tree", "tree-dim"), R(base, "tree", "tree-cdim")
+        if v is None:
+            return forms
         zone = sk.zone[v]
         if zone in ("gamma", "D"):
-            return FormulaResult(base, zone, "tree-cdim-at")
+            return *forms, R(base, zone, "tree-cdim-at")
         # Off gamma, v lies on a terminal path of the nearest major vertex.
         d = next(c.index(v) + 1 for cs in sk.legs.values() for c in cs if v in c)
-        if zone == "t1-gamma":
-            return FormulaResult(base + d, zone, "tree-cdim-at")
-        return FormulaResult(base + d - 1, zone, "tree-cdim-at")
-    if kind == "petersen":
-        return FormulaResult(4, "petersen", "petersen-cdim")
+        return *forms, R(base + d if zone == "t1-gamma" else base + d - 1, zone, "tree-cdim-at")
     if kind == "wheel":
-        rim = rec.data["rim"]
-        hub = rec.data["hub"]
+        rim = data["rim"]
+        if rim == 6:
+            dim = R(3, "rim=6", "wheel-dim")
+        else:
+            dim = R((2 * rim + 2) // 5, "general-rim", "wheel-dim")
         if rim in (4, 5):
-            if v == hub:
-                return FormulaResult(3, "hub", "wheel-cdim-at")
-            return FormulaResult(2, "rim", "wheel-cdim-at")
-        return FormulaResult(_cdim(rec, g).value, "vertex-uniform", "wheel-cdim-at")
+            cdim = R(2, "small-rim", "wheel-cdim")
+            at = R(3, "hub", "wheel-cdim-at") if v == data["hub"] else R(2, "rim", "wheel-cdim-at")
+        else:
+            cdim = R((2 * rim + 2) // 5 + 1, "general-rim", "wheel-cdim")
+            at = R(cdim.value, "vertex-uniform", "wheel-cdim-at")
+        return dim, cdim, at
     if kind == "bouquet":
-        w = rec.data["w"]
-        cycles = rec.data["cycles"]
+        w, cycles = data["w"], data["cycles"]
         m = len(cycles)
-        b = sum(1 for c in cycles if len(c) + 1 == 3)
-        base = _cdim(rec, g).value
+        lengths = [len(c) + 1 for c in cycles]
+        evens = sum(1 for c in lengths if c % 2 == 0)
+        b = lengths.count(3)
+        if evens == 0:
+            dim = R(m, "all-odd", "bouquet-dim")
+        else:
+            dim = R(m + evens - 1, f"{evens}-even", "bouquet-dim")
+        if b == m:
+            cdim = R(m + 1, "all-triangles", "bouquet-cdim")
+        else:
+            cdim = R(2 * m - b, f"{b}-triangles", "bouquet-cdim")
+        if v is None:
+            return dim, cdim
         if v == w or g.has_edge(v, w):
-            return FormulaResult(base, "near-cut-vertex", "bouquet-cdim-at")
+            return dim, cdim, R(cdim.value, "near-cut-vertex", "bouquet-cdim-at")
         chain = next(c for c in cycles if v in c)
         clen = len(chain) + 1
         pos = chain.index(v) + 1
         d = min(pos, clen - pos)
-        antipodal = d == clen // 2
-        if b == m - 1 or not antipodal:
-            return FormulaResult(base + d - 1, "off-cut", "bouquet-cdim-at")
-        return FormulaResult(base + d - 2, "antipodal", "bouquet-cdim-at")
+        if b == m - 1 or d != clen // 2:
+            return dim, cdim, R(cdim.value + d - 1, "off-cut", "bouquet-cdim-at")
+        return dim, cdim, R(cdim.value + d - 2, "antipodal", "bouquet-cdim-at")
     if kind == "multipartite":
-        parts = rec.data["parts"]
-        n_, k, s = _multipartite_counts(parts)
-        base = _cdim(rec, g).value
-        if s == 1 and k >= 3 and v in parts[0]:
-            return FormulaResult(base + 1, "singleton-part", "multipartite-cdim-at")
-        return FormulaResult(base, "general", "multipartite-cdim-at")
-    if kind == "grid":
-        s, t, coords = rec.data["s"], rec.data["t"], rec.data["coords"]
-        if s < t:
-            s, t = t, s
-            coords = tuple((j, i) for i, j in coords)
-        i, _ = coords[v]
-        if s == t:
-            low_degree = g.degree(v) <= 3
-            if low_degree:
-                return FormulaResult(t, "boundary", "grid-cdim-at")
-            return FormulaResult(t + 1, "interior", "grid-cdim-at")
-        if i in (1, s):
-            return FormulaResult(t, "end-column", "grid-cdim-at")
-        return FormulaResult(t + 1, "off-end-column", "grid-cdim-at")
-    raise Unsupported(f"no per-vertex formula for {kind!r}")
+        parts = data["parts"]
+        k = len(parts)
+        s = sum(1 for p in parts if len(p) == 1)
+        value, label = (n - k, "no-singletons") if s == 0 else (n + s - k - 1, f"{s}-singletons")
+        # Parts are sorted by size, so a lone singleton part is parts[0].
+        if s == 1 and v in parts[0]:
+            at = R(value + 1, "singleton-part", "multipartite-cdim-at")
+        else:
+            at = R(value, "general", "multipartite-cdim-at")
+        return R(value, label, "multipartite-dim"), R(value, label, "multipartite-cdim"), at
+    # The grid: the recognizer gives s >= t, with coords[v][0] in 1..s.
+    s, t = data["s"], data["t"]
+    forms = R(2, "grid", "grid-dim"), R(t, "grid", "grid-cdim")
+    if v is None:
+        return forms
+    if s == t:
+        value, label = (t, "boundary") if g.degree(v) <= 3 else (t + 1, "interior")
+    elif data["coords"][v][0] in (1, s):
+        value, label = t, "end-column"
+    else:
+        value, label = t + 1, "off-end-column"
+    return *forms, R(value, label, "grid-cdim-at")
+
+
+def dim_formula(g: Graph) -> FormulaResult:
+    return _forms(_resolve(g), g)[0]
+
+
+def cdim_formula(g: Graph) -> FormulaResult:
+    return _forms(_resolve(g), g)[1]
+
+
+def cdim_at_vertex_formula(g: Graph, v: int) -> FormulaResult:
+    rec = _resolve(g)
+    if not (0 <= v < g.n):
+        raise MetricDimError(f"vertex {v} out of range")
+    return _forms(rec, g, v)[2]
 
 
 # ---------------------------------------------------------------------------

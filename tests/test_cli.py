@@ -216,6 +216,40 @@ def test_formula_command():
     assert report["value"] == 5 and report["case"].startswith("wheel-cdim")
 
 
+def test_formula_command_builds_the_family_once(monkeypatch):
+    import metricdim.families as families
+
+    calls = []
+    kind = families._KINDS["wheel"]
+
+    def counted(*params):
+        calls.append(params)
+        return kind.build(*params)
+
+    monkeypatch.setitem(families._KINDS, "wheel", kind._replace(build=counted))
+    code, _, _ = run_cli(["formula", "--family", "wheel:9", "--theorem", "cdim"])
+    assert code == 0 and calls == [(9,)]
+
+
+def test_formula_command_on_unrecognized_family_exits_one():
+    code, out, err = run_cli(["formula", "--family", "kite:3", "--theorem", "dim"])
+    assert code == 1 and out == ""
+    assert err == "error: graph matches no family with a known closed form\n"
+
+
+def test_formula_on_file_leaves_families_unloaded(tmp_path):
+    path = tmp_path / "petersen.el"
+    run_cli(["generate", "--family", "petersen", "--out", str(path)])
+    probe = (
+        "import io, json, sys\n"
+        "from metricdim.cli import run\n"
+        "out = io.StringIO()\n"
+        "code = run(['formula', sys.argv[1], '--theorem', 'dim', '--json'], out)\n"
+        "print(code, json.loads(out.getvalue())['value'], 'metricdim.families' in sys.modules)"
+    )
+    assert run_python(probe, str(path)).split() == ["0", "3", "False"]
+
+
 def test_cap_exceeded_exits_one():
     code, _, err = run_cli(["cdim", "--family", "grid:5x5"])
     assert code == 1 and "cap" in err

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from metricdim import (
+    Graph,
     IsAPath,
+    MetricDimError,
     NotATree,
     NotUnicyclic,
     Unsupported,
@@ -19,7 +21,6 @@ from metricdim import (
     enumerate_min_resolving_sets,
     fr_membership,
     generate,
-    parse_spec,
     recognize,
     tree_min_resolving_sets,
     tree_skeleton,
@@ -81,20 +82,24 @@ def test_skeleton_zones_partition():
 # closed forms
 
 
+def family(spec):
+    return generate(spec)[0]
+
+
 def test_dim_formula_examples():
-    assert dim_formula("wheel:6").value == 3
-    assert dim_formula("multipartite:1,2,2").value == 2
-    assert dim_formula("grid:7x4").value == 2
-    res = dim_formula("bouquet:3,4,4")
+    assert dim_formula(family("wheel:6")).value == 3
+    assert dim_formula(family("multipartite:1,2,2")).value == 2
+    assert dim_formula(family("grid:7x4")).value == 2
+    res = dim_formula(family("bouquet:3,4,4"))
     assert res.value == 3 + 2 - 1 and res.theorem_id == "bouquet-dim"
 
 
 def test_cdim_formula_examples():
     (_, _), (t, _) = vdel_pair(6)
     assert cdim_formula(t).value == 8
-    assert cdim_formula("bouquet:3,5").value == 3
-    assert cdim_formula("petersen").value == 4
-    assert cdim_formula("wheel:9").value == 5
+    assert cdim_formula(family("bouquet:3,5")).value == 3
+    assert cdim_formula(family("petersen")).value == 4
+    assert cdim_formula(family("wheel:9")).value == 5
 
 
 def test_cdim_at_formula_grid():
@@ -189,6 +194,40 @@ def test_recognize_pinned_on_atlas_and_families():
     assert hashlib.sha256(repr(found).encode()).hexdigest() == RECOGNIZE_DIGEST
 
 
+# Every connected atlas graph, then these specs: every closed-form answer, value, case label
+# and theorem id, or the error raised, including the out-of-range vertex n.
+FORMS_SPECS = (
+    *(f"wheel:{r}" for r in range(3, 20)),
+    *(f"grid:{s}x{t}" for s in range(2, 7) for t in range(2, 7)),
+    "bouquet:3,3", "bouquet:3,4", "bouquet:3,5", "bouquet:4,4", "bouquet:3,4,5", "bouquet:5,5,4",
+    "bouquet:3,3,3", "bouquet:3,3,6", "bouquet:4,6,8", "bouquet:5,7", "bouquet:3,4,4,5",
+    "multipartite:1,1", "multipartite:1,3", "multipartite:2,3", "multipartite:1,1,3",
+    "multipartite:1,2,3", "multipartite:2,2,2", "multipartite:1,1,1,2", "multipartite:3,3,3",
+    "multipartite:1,2,2,4", "multipartite:1,4",
+    "petersen",
+    *(f"randtree:{n}:{seed}" for n in range(3, 25) for seed in range(5)),
+)
+FORMS_DIGEST = "532c5af2491ef1d77c2d79ac97c0d17de168fb48d8df8c8d7cd251b6e38ee900"
+
+
+def _answer(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except MetricDimError as exc:  # the error is part of the pinned answer
+        return type(exc).__name__, str(exc)
+
+
+def test_closed_forms_pinned_on_atlas_and_families():
+    graphs = list(atlas()) + [generate(spec)[0] for spec in FORMS_SPECS]
+    found = [
+        (_answer(dim_formula, g), _answer(cdim_formula, g),
+         [_answer(cdim_at_vertex_formula, g, v) for v in range(g.n)],
+         _answer(cdim_at_vertex_formula, g, g.n))
+        for g in graphs
+    ]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == FORMS_DIGEST
+
+
 # The sun has four degree-2 vertices, as a grid has; its n and m rule the grid out.
 DISTANCE_KINDS = {
     "wheel:9": "wheel", "bouquet:3,4,5": "bouquet", "multipartite:2,2,3": "multipartite",
@@ -213,6 +252,28 @@ def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
     rec = recognize(g)
     assert (rec and rec.kind) == DISTANCE_KINDS[spec]
     assert count[0] == calls
+
+
+def _paw():
+    """The triangle with a pendant edge: unicyclic, no cycle, and no family recognizes it."""
+    return next(g for g in atlas() if g.n == 4 and g.m == 4 and max(map(len, g.neighbors)) == 3)
+
+
+@pytest.mark.parametrize("graph, kind", [(_paw, None), (lambda: generate("randtree:12:1")[0], "tree")],
+                         ids=["paw", "randtree:12:1"])
+def test_recognize_tests_connectivity_once(monkeypatch, graph, kind):
+    g = graph()
+    count = [0]
+    real = Graph.is_connected
+
+    def counted(self):
+        count[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    rec = recognize(g)
+    assert (rec and rec.kind) == kind
+    assert count[0] == 1
 
 
 @pytest.mark.parametrize("s, t", [(3, 3), (4, 4), (5, 3), (4, 3), (6, 2)])
@@ -258,6 +319,13 @@ def test_classify_path_end():
     assert cls.cdim_at_is_one and cls.vertex_case == "path-end"
     mid = classify_extremes(path_graph(5), 2)
     assert not mid.cdim_at_is_one and not mid.cdim_at_is_n_minus_one
+
+
+def test_classify_path_beside_a_cycle_is_not_a_path():
+    # n - 1 edges, two leaves and no degree above two, but disconnected.
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+    cls = classify_extremes(g, 0)
+    assert not cls.cdim_is_one and cls.graph_case is None and not cls.cdim_at_is_one
 
 
 def test_classify_star():
@@ -427,7 +495,5 @@ def test_cdim_at_vertex_formula_resolves_its_input_once(monkeypatch, spec, v):
         return real(g)
 
     monkeypatch.setattr(formulas, "recognize", counted)
-    for x in (spec, parse_spec(spec), generate(spec)[0]):
-        calls.clear()
-        cdim_at_vertex_formula(x, v)
-        assert len(calls) == 1
+    cdim_at_vertex_formula(family(spec), v)
+    assert len(calls) == 1
