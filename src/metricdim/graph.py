@@ -180,13 +180,17 @@ def components(adj: Sequence[int], mask: int) -> Iterator[int]:
 
     ``adj`` holds one neighbour bitmask per vertex.  Components come in the
     order of their lowest vertex, each filled only when it is asked for.
+    The set bits are walked inline, as in ``distance_levels``: the minor
+    search re-splits a free component on many of the states it pops.
     """
     while mask:
         comp = frontier = mask & -mask
         while frontier:
             reach = 0
-            for v in bits(frontier):
-                reach |= adj[v]
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
             frontier = reach & mask & ~comp
             comp |= frontier
         mask &= ~comp

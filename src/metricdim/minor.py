@@ -29,12 +29,19 @@ either finds a model or proves absence.
 
 The search grows one branch of the first unmet pair at a time, depth first,
 into free vertices (those in no branch).  A state is dead when some unmet
-pair (i, j) has no free component touching both branch i and branch j:
-branches grow only into free vertices, so they can become adjacent only
-through a path whose interior lies in one free component that touches both.
-Dead states are not expanded.  No model extends a dead state, so the
-live states are popped in the same order as without the prune, and the first
-model found is the same.
+pair has no free component touching both its branches: branches grow only
+into free vertices, so they can become adjacent only through a path whose
+interior lies in one free component.  Dead states are not expanded.  No model
+extends a dead state, so the live states are popped in the same order as
+without the prune, and the first model found is the same.  A stack entry
+also carries its parent's unmet pairs (a mask) and free components, and the
+branch that grew and the vertex v it grew by.  A pop re-tests only that
+branch's pairs.  The free set lost only v, so only the component that held v
+can split; what is left of it stays whole if v has at most one neighbour
+there.  Each component's signature, the branches whose neighbourhoods meet
+it, indexes a static table of the pairs it covers, and the state is dead
+when its unmet mask leaves a pair uncovered.  These are the values a search
+from scratch computes, so the pops and the first model are unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +58,16 @@ MINOR_CAP = 20
 _TARGETS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
     "K5": (5, tuple(itertools.combinations(range(5), 2))),
     "K33": (6, tuple((i, j) for i in range(3) for j in range(3, 6))),
+}
+
+# Target name -> (per branch, its pairs as (pair bit, other end); per mask of
+# branches, the mask of the pairs with both ends in it).  Bit p is pairs[p].
+_TABLES: dict[str, tuple[list[list[tuple[int, int]]], list[int]]] = {
+    name: (
+        [[(1 << p, i + j - k) for p, (i, j) in enumerate(pairs) if k in (i, j)] for k in range(h)],
+        [sum(1 << p for p, (i, j) in enumerate(pairs) if s >> i & s >> j & 1) for s in range(1 << h)],
+    )
+    for name, (h, pairs) in _TARGETS.items()
 }
 
 Witness = tuple[tuple[int, ...], ...]
@@ -98,10 +115,10 @@ def _seed_sets(target: str, vertices: Sequence[int]) -> Iterator[tuple[int, ...]
         yield from itertools.combinations(vertices, 5)
     else:
         for side_a in itertools.combinations(vertices, 3):
-            rest = [v for v in vertices if v not in side_a]
+            # Side swap is an automorphism: side b starts above side a (vertices ascend).
+            rest = [v for v in vertices if v > side_a[0] and v not in side_a]
             for side_b in itertools.combinations(rest, 3):
-                if side_a[0] < side_b[0]:  # side swap is an automorphism
-                    yield side_a + side_b
+                yield side_a + side_b
 
 
 def _path(adj: Sequence[int], a: int, b: int, inner: int) -> list[int]:
@@ -196,41 +213,49 @@ def _is_planar(adjm: Sequence[int]) -> bool:
 
 
 def _search_from_seed(
-    adjm: Sequence[int],
-    alive: int,
-    seed: tuple[int, ...],
-    pairs: tuple[tuple[int, int], ...],
+    adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str
 ) -> Optional[tuple[int, ...]]:
+    pairs, (ends, covered_by) = _TARGETS[target][1], _TABLES[target]
     start = tuple(1 << v for v in seed)
-    # Each entry carries its branch masks, their neighbourhoods and their union.
-    stack = [(start, tuple(adjm[v] for v in seed), sum(start))]
+    nbhd = tuple(adjm[v] for v in seed)
+    used = sum(start)
+    unmet = sum(1 << p for p, (i, j) in enumerate(pairs) if not nbhd[i] & start[j])
+    # The start "grows" branch 0 by its own seed vertex, which changes nothing.
+    stack = [(start, nbhd, used, unmet, list(components(adjm, alive & ~used)), 0, seed[0])]
     seen: set[tuple[int, ...]] = set()
     while stack:
-        branches, nbhd, used = stack.pop()
+        branches, nbhd, used, unmet, comps, grew, v = stack.pop()
         if branches in seen:
             continue
         seen.add(branches)
-        unmet = [(i, j) for i, j in pairs if not nbhd[i] & branches[j]]
+        for bit, k in ends[grew]:
+            if unmet & bit and nbhd[grew] & branches[k]:
+                unmet ^= bit
         if not unmet:
             return branches
-        # Branches grow only into free vertices, so an unmet pair can still be
-        # joined only through one free component touching both branches.
-        comps = list(components(adjm, alive & ~used))
-        touch = [0] * len(branches)
-        for k, nb in enumerate(nbhd):
-            for comp in comps:
-                if comp & nb:
-                    touch[k] |= comp
-        if any(not touch[i] & touch[j] for i, j in unmet):
+        comps = [comp for comp in comps if not comp >> v & 1]
+        held = alive & ~used & ~sum(comps)  # the component that held v, less v
+        if (adjm[v] & held).bit_count() > 1:
+            comps += components(adjm, held)
+        elif held:
+            comps.append(held)
+        covered = 0  # the pairs that some free component touches at both ends
+        for comp in comps:
+            sig = 0
+            for k, nb in enumerate(nbhd):
+                if nb & comp:
+                    sig |= 1 << k
+            covered |= covered_by[sig]
+        if unmet & ~covered:
             continue
-        i, j = unmet[0]
+        i, j = pairs[(unmet & -unmet).bit_length() - 1]
         for side in (i, j):
             for v in bits(nbhd[side] & ~used):
                 grown = list(branches)
                 grown[side] |= 1 << v
                 grown_nbhd = list(nbhd)
                 grown_nbhd[side] |= adjm[v]
-                stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v))
+                stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v, unmet, comps, side, v))
     return None
 
 
@@ -251,7 +276,7 @@ def has_minor(
     if _is_planar(adj):
         return False, None  # planar graphs contain neither obstruction
     for seed in _seed_sets(target, list(bits(alive))):
-        model = _search_from_seed(adj, alive, seed, pairs)
+        model = _search_from_seed(adj, alive, seed, target)
         if model is not None:
             # Bags are disjoint, so their sum is their union.
             return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)

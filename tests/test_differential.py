@@ -8,10 +8,11 @@ planarity test against ``networkx``, and the bitmask walks of
 Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
 minor search also runs on the benchmark's two nonplanar kernels and on the
-subdivided K3,3.  Values and witnesses, every profile field and whole
-enumerations must be equal.  The planarity test sees every atlas graph,
-seeded G(n, p) graphs, edge-maximal planar graphs with one edge added or
-moved, and nonplanar minor kernels.  The kernel sees every atlas graph,
+subdivided K3,3, and from every seed of the Petersen graph (K5 and K3,3) and
+of the 12-vertex Moebius ladder (K5).  Values and witnesses, every profile
+field and whole enumerations must be equal.  The planarity test sees every
+atlas graph, seeded G(n, p) graphs, edge-maximal planar graphs with one edge
+added or moved, and nonplanar minor kernels.  The kernel sees every atlas graph,
 disconnected ones included, and seeded random graphs.  Cut vertices,
 components of seeded vertex subsets and complete multipartite recognition
 are checked on the whole atlas.
@@ -32,7 +33,7 @@ import reference_minor as ref_minor
 import reference_solver as ref
 from metricdim.formulas import _recognize_multipartite
 from metricdim.graph import bits, components
-from metricdim.minor import _is_planar, _kernelize
+from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
 
 from conftest import atlas, connected_graphs, moebius_ladder, naive_cut_vertices
 
@@ -103,6 +104,23 @@ def test_nonplanar_kernels_match_reference():
     for spec, found in [("moebius:12", 2), ("k33sub", 1), ("rand:16:0.3:3", 2)]:
         g = moebius_ladder(12) if spec == "moebius:12" else md.generate(spec)[0]
         assert minors_matching_reference(g, spec, cap=g.n) == found, spec
+
+
+@pytest.mark.parametrize("spec, target", [("petersen", "K5"), ("petersen", "K33"), ("moebius:12", "K5")])
+def test_every_seed_search_matches_reference(spec, target):
+    """``has_minor`` stops at its first model, so here every seed is searched:
+    the pruned search must return the reference's model, or None, on each."""
+    g = moebius_ladder(12) if spec == "moebius:12" else md.generate(spec)[0]
+    adj, alive, _ = _kernelize(g.adj_bits)
+    assert alive == (1 << g.n) - 1  # cubic: the kernel is the graph, indices and all
+    pairs = _TARGETS[target][1]
+    seeds = list(_seed_sets(target, list(bits(alive))))
+    models = 0
+    for seed in seeds:
+        model = _search_from_seed(adj, alive, seed, target)
+        assert model == ref_minor._search_from_seed(adj, seed, pairs), (spec, target, seed)
+        models += model is not None
+    assert 0 < models < len(seeds)
 
 
 def nx_graph(g: md.Graph) -> nx.Graph:

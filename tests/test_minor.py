@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from metricdim import (
@@ -10,6 +12,8 @@ from metricdim import (
     is_planar_desk,
     verify_minor_witness,
 )
+from metricdim import minor
+from metricdim.minor import _seed_sets
 
 from conftest import moebius_ladder
 
@@ -100,6 +104,43 @@ def test_fr_members_are_planar():
         assert is_planar_desk(g, cap=max(20, g.n))
 
 
+def test_k33_seeds_skip_the_swapped_sides():
+    vertices = [0, 2, 3, 5, 6, 8, 11, 12, 15]
+    swapped_out = [
+        side_a + side_b
+        for side_a in itertools.combinations(vertices, 3)
+        for side_b in itertools.combinations([v for v in vertices if v not in side_a], 3)
+        if side_a[0] < side_b[0]
+    ]
+    assert list(_seed_sets("K33", vertices)) == swapped_out
+    assert len(swapped_out) == 84 * 20 // 2
+
+
+def test_search_work_pinned_on_moebius_ladder(monkeypatch):
+    """Seeds searched and states popped (each once, duplicates skipped) by
+    ``has_minor`` on the 12-vertex Moebius ladder.  A weaker dead test pops
+    more states and still finds the same first model, so only this count
+    shows it."""
+    popped = []
+
+    class CountingSet(set):
+        def add(self, state):
+            popped.append(state)
+            super().add(state)
+
+    # The search builds its ``seen`` set by name, so a module global shadows the builtin.
+    monkeypatch.setattr(minor, "set", CountingSet, raising=False)
+    search = minor._search_from_seed
+    seeds = []
+    monkeypatch.setattr(minor, "_search_from_seed", lambda *a: seeds.append(a[2]) or search(*a))
+    g = moebius_ladder(12)
+    for target, want in [("K5", (46, 1276)), ("K33", (928, 3493))]:
+        seeds.clear()
+        popped.clear()
+        assert has_minor(g, target)[0]
+        assert (len(seeds), len(popped)) == want, target
+
+
 def test_witness_verifier_rejects_bad_models():
     g, _ = generate("kite:3")
     found, witness = has_minor(g, "K5")
@@ -129,3 +170,20 @@ def test_witness_verifier_rejects_bad_models():
 def test_k33_witness_pinned(g, witness):
     assert has_minor(g, "K33", cap=g.n) == (True, witness)
     assert verify_minor_witness(g, "K33", witness)
+
+
+# K5 witnesses of tests/reference_minor.py on the same inputs.
+@pytest.mark.parametrize(
+    "g, witness",
+    [
+        (moebius_ladder(16), ((0, 12, 13, 14, 15), (1, 2), (3, 4), (5, 6, 7, 8, 9), (10, 11))),
+        (
+            generate("rand:17:0.3:2")[0],
+            ((0, 3, 7, 14), (1, 2, 4, 6), (5, 11, 12, 15), (8, 13), (9, 10)),
+        ),
+    ],
+    ids=["moebius:16", "rand:17:0.3:2"],
+)
+def test_k5_witness_pinned(g, witness):
+    assert has_minor(g, "K5", cap=g.n) == (True, witness)
+    assert verify_minor_witness(g, "K5", witness)
