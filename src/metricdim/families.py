@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GenerationFailed, InvalidSpec, RuleViolation, TooLarge
-from .graph import MAX_ORDER, Graph, build_graph
+from .graph import MAX_ORDER, Graph, bits, build_graph
 
 Labeled = tuple[Graph, tuple[str, ...]]
 
@@ -413,24 +413,19 @@ def edel(k: int, a: int) -> Labeled:
     return edel_pair(k, a)[0]
 
 
-def _bfs_relabel(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # Relabel by BFS from 0 so each vertex beyond the first has a smaller neighbor.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _bfs_relabel(g: Graph) -> Graph:
+    """A connected graph relabelled in BFS order from 0, so each vertex beyond the first
+    has a smaller neighbour.  A vertex's new neighbours are queued in ascending order."""
     order = [0]
-    seen = {0}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    new = {v: i for i, v in enumerate(order)}
-    return [(min(new[u], new[v]), max(new[u], new[v])) for u, v in edges]
+    seen = 1
+    for v in order:
+        fresh = g.adj_bits[v] & ~seen
+        seen |= fresh
+        order.extend(bits(fresh))
+    new = [0] * g.n
+    for i, v in enumerate(order):
+        new[v] = i
+    return build_graph(g.n, [(new[u], new[v]) for u, v in g.edges()])
 
 
 def random_tree(n: int, seed: int) -> Labeled:
@@ -457,8 +452,7 @@ def random_tree(n: int, seed: int) -> Labeled:
                 heapq.heappush(leaves, v)
         u, w = sorted(leaves)
         edges.append((u, w))
-    g = build_graph(n, _bfs_relabel(n, edges))
-    return g, tuple(f"v{i + 1}" for i in range(n))
+    return _bfs_relabel(build_graph(n, edges)), tuple(f"v{i + 1}" for i in range(n))
 
 
 def random_connected(n: int, p: float, seed: int) -> Labeled:
@@ -472,17 +466,13 @@ def random_connected(n: int, p: float, seed: int) -> Labeled:
     (0 < p <= 1) or _fail("rand needs edge probability 0 < p ≤ 1")
     rng = random.Random(seed)
     draws = min(10_000, RAND_PAIR_BUDGET // (n * (n - 1) // 2))
-    if draws and n > MAX_ORDER:
-        # A draw would build an edge list that build_graph then refuses.
-        raise TooLarge(f"rand:{n}:{p}:{seed} has {n} vertices, past the library cap {MAX_ORDER}")
     for _ in range(draws):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
         g = build_graph(n, edges)
         if g.is_connected():
-            g = build_graph(n, _bfs_relabel(n, edges))
-            return g, tuple(f"v{i + 1}" for i in range(n))
+            return _bfs_relabel(g), tuple(f"v{i + 1}" for i in range(n))
     raise GenerationFailed(
         f"no connected sample in {draws} draws (n={n}, p={p}; "
         f"the budget is {RAND_PAIR_BUDGET} vertex-pair trials)"
@@ -535,8 +525,7 @@ class _Kind(NamedTuple):
     fields: tuple[_Field, ...]
     build: Callable[..., Labeled]
     # Order of the instance from its params; None when it is known only once
-    # drawn: ``fr_sample`` stops at its first empty level, and
-    # ``random_connected`` checks its own order after its pair budget.
+    # drawn: ``fr_sample`` stops at its first empty level.
     order: Optional[Callable[..., int]]
 
 
@@ -565,7 +554,7 @@ _KINDS = {
     "vdel": _Kind((INT,), vdel, lambda k: k + 5),
     "edel": _Kind((PAIR,), edel, lambda k, a: a + 2 * k - 2),
     "randtree": _Kind((INT, SEED), random_tree, _first),
-    "rand": _Kind((INT, FLOAT, SEED), random_connected, None),
+    "rand": _Kind((INT, FLOAT, SEED), random_connected, _first),
 }
 
 
@@ -576,7 +565,7 @@ def _kind(name: str) -> _Kind:
 
 
 def order(spec: FamilySpec) -> Optional[int]:
-    """Order of the instance, from its parameters alone; None for fr and rand."""
+    """Order of the instance, from its parameters alone; None for fr."""
     count = _kind(spec.kind).order
     return None if count is None else count(*spec.params)
 

@@ -22,7 +22,7 @@ from .errors import (
     TooMany,
     Unsupported,
 )
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, blocks
 from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
@@ -52,8 +52,7 @@ def _walk_chain(g: Graph, start: int, first: int) -> tuple[list[int], int]:
     prev, cur = start, first
     while g.degree(cur) == 2:
         chain.append(cur)
-        a, b = g.neighbors[cur]
-        prev, cur = cur, b if a == prev else a
+        prev, cur = cur, (g.adj_bits[cur] ^ 1 << prev).bit_length() - 1
     return chain, cur
 
 
@@ -119,7 +118,7 @@ def tree_skeleton(t: Graph) -> TreeSkeleton:
     legs: dict[int, list[tuple[int, ...]]] = {}
     on_leg: dict[int, int] = {}  # vertex -> the major of its terminal path
     for leaf in leaves:
-        passed, major = _walk_chain(t, leaf, t.neighbors[leaf][0])
+        passed, major = _walk_chain(t, leaf, t.adj_bits[leaf].bit_length() - 1)
         ter[major] = ter.get(major, 0) + 1
         chain = [leaf, *passed][::-1]  # from the major's neighbor out to the leaf
         legs.setdefault(major, []).append(tuple(chain))
@@ -188,7 +187,7 @@ def _path_ends(g: Graph) -> Optional[tuple[int, int]]:
     ends = [v for v in range(g.n) if g.degree(v) == 1]
     if len(ends) != 2:
         return None
-    passed, _ = _walk_chain(g, ends[0], g.neighbors[ends[0]][0])
+    passed, _ = _walk_chain(g, ends[0], g.adj_bits[ends[0]].bit_length() - 1)
     return (ends[0], ends[1]) if len(passed) == g.n - 2 else None
 
 
@@ -199,10 +198,8 @@ def _is_petersen(g: Graph) -> bool:
         return False
     if any(g.degree(v) != 3 for v in range(10)):
         return False
-    for u in range(10):
-        for v in g.neighbors[u]:
-            if u < v and g.adj_bits[u] & g.adj_bits[v]:
-                return False  # triangle
+    if any(g.adj_bits[u] & g.adj_bits[v] for u, v in g.edges()):
+        return False  # triangle
     for u in range(10):
         for v in range(u + 1, 10):
             if not g.has_edge(u, v):
@@ -241,12 +238,11 @@ def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], .
     w = big[0]
     if any(g.degree(v) != 2 for v in range(g.n) if v != w):
         return None
-    unvisited = set(range(g.n)) - {w}
+    todo = g.adj_bits[w]  # each cycle takes two of w's neighbours, its ends
     cycles = []
-    while unvisited:
-        start = min(v for v in g.neighbors[w] if v in unvisited)
-        chain, _ = _walk_chain(g, w, start)
-        unvisited -= set(chain)
+    while todo:
+        chain, _ = _walk_chain(g, w, (todo & -todo).bit_length() - 1)
+        todo ^= 1 << chain[0] | 1 << chain[-1]
         cycles.append(tuple(chain))
     return w, tuple(cycles)
 
@@ -494,7 +490,7 @@ def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
     resolving set at v."""
     if g.degree(v) != 1:
         return None
-    passed, q = _walk_chain(g, v, g.neighbors[v][0])
+    passed, q = _walk_chain(g, v, g.adj_bits[v].bit_length() - 1)
     path = [v, *passed]
     if g.degree(q) < 3:
         return None
@@ -665,27 +661,18 @@ class UnicyclicClassification:
 
 
 def _find_cycle(g: Graph) -> tuple[int, ...]:
-    deg = [g.degree(v) for v in range(g.n)]
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    removed = [False] * g.n
-    while queue:
-        v = queue.pop()
-        removed[v] = True
-        for u in g.neighbors[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    queue.append(u)
-    members = [v for v in range(g.n) if not removed[v]]
-    start = members[0]
+    """The cycle of a connected unicyclic graph, its only block of more than two vertices.
+
+    The walk starts at the cycle's lowest vertex and steps first to the
+    lower of that vertex's two neighbours on the cycle.
+    """
+    cyc = next(b for b in blocks(g.adj_bits) if b.bit_count() > 2)
+    start = (cyc & -cyc).bit_length() - 1
     order = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = next(u for u in g.neighbors[cur] if not removed[u] and u != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
+    prev, cur = start, next(bits(g.adj_bits[start] & cyc))
+    while cur != start:
+        order.append(cur)
+        prev, cur = cur, ((g.adj_bits[cur] & cyc) ^ 1 << prev).bit_length() - 1
     return tuple(order)
 
 
@@ -696,7 +683,7 @@ def _sun_legs(g: Graph, cyc: tuple[int, ...]) -> Optional[list[int]]:
     legs = []
     visited = len(cyc)
     for u in cyc:
-        outside = [x for x in g.neighbors[u] if x not in on_cycle]
+        outside = [x for x in bits(g.adj_bits[u]) if x not in on_cycle]
         if len(outside) > 1:
             return None
         length = 0

@@ -1,8 +1,8 @@
 """Graph representation and metric primitives.
 
 Vertices are dense 0-based indices; external labels live in the CLI layer.
-Adjacency is kept both as neighbor tuples and as per-vertex bitmasks, the
-latter being the workhorse of the subset-search solvers.
+Adjacency has one format, a neighbour bitmask per vertex: the solvers, the
+BFS, the blocks, the minor search and the closed forms all read it.
 """
 
 from __future__ import annotations
@@ -38,25 +38,29 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    ``adj_bits[v]`` has bit u set exactly when u and v are adjacent; ``bits``
+    lists a vertex's neighbours from it in ascending order.  ``m`` counts the
+    edges, and ``had_duplicate_edges`` records that the input repeated one.
+    """
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
     adj_bits: tuple[int, ...]
     m: int
     had_duplicate_edges: bool = False
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.adj_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
+        """Every edge once, as (u, v) with u < v, by ascending u and then v."""
+        for u, row in enumerate(self.adj_bits):
+            for v in bits(row >> u + 1):
+                yield (u, u + 1 + v)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -104,15 +108,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             continue
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    neighbors = tuple(tuple(bits(r)) for r in rows)
-    m = sum(len(nb) for nb in neighbors) // 2
-    return Graph(
-        n=n,
-        neighbors=neighbors,
-        adj_bits=tuple(rows),
-        m=m,
-        had_duplicate_edges=duplicates,
-    )
+    m = sum(map(int.bit_count, rows)) // 2
+    return Graph(n=n, adj_bits=tuple(rows), m=m, had_duplicate_edges=duplicates)
 
 
 @dataclass(frozen=True)

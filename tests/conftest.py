@@ -17,6 +17,7 @@ from collections import deque
 from hypothesis import assume, strategies as st
 
 from metricdim import Graph, build_graph
+from metricdim.graph import bits
 
 
 @st.composite
@@ -40,7 +41,7 @@ def naive_bfs(g: Graph, source: int, removed: frozenset[int] = frozenset()) -> d
     queue = deque([source])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors[v]:
+        for u in bits(g.adj_bits[v]):
             if u not in dist and u not in removed:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -75,7 +76,7 @@ def subset_connected(g: Graph, members: tuple[int, ...]) -> bool:
     queue = deque([members[0]])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors[v]:
+        for u in bits(g.adj_bits[v]):
             if u in inside and u not in seen:
                 seen.add(u)
                 queue.append(u)

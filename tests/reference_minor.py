@@ -23,7 +23,7 @@ from metricdim.minor import MINOR_CAP, Witness, _TARGETS
 
 
 def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
+    adj: dict[int, set[int]] = {v: set(bits(g.adj_bits[v])) for v in range(g.n)}
     bags: dict[int, set[int]] = {v: {v} for v in range(g.n)}
     changed = True
     while changed:

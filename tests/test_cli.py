@@ -6,9 +6,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metricdim import HeaderMismatch, ParseError, generate
 from metricdim.cli import parse_graph_file, run, write_edgelist
+from metricdim.families import _KINDS, FLOAT, INT, INTS, PAIR, SEED, SXT
 
 from conftest import SRC, run_python
 
@@ -472,3 +474,64 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert done.returncode == 1
     assert done.stdout == b""
     assert done.stderr == b"error: standard input is not valid UTF-8 text\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the command line with family specs built from the field shapes of _KINDS
+
+SMALL = st.integers(-2, 14)
+FIELD_TEXT = {
+    INT: SMALL.map(str),
+    SEED: st.just("") | SMALL.map(str),
+    FLOAT: st.sampled_from(["0", "0.05", "0.3", "1", "1.5", "nan", "inf"]),
+    INTS: st.lists(SMALL, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    PAIR: st.tuples(SMALL, SMALL).map(lambda ab: f"{ab[0]},{ab[1]}"),
+    SXT: st.tuples(SMALL, SMALL).map(lambda ab: f"{ab[0]}x{ab[1]}"),
+}
+LABELS = st.sampled_from(["u1", "u2", "w", "w1.1", "v1", "v4", "l1", "x1", "nope"])
+COMMANDS = ("dim", "cdim", "cdim-at", "profile", "enumerate-min", "classify", "planar-desk",
+            "formula", "generate", "verify")
+
+
+@st.composite
+def family_texts(draw):
+    """A spec string with the field shapes of one kind, sometimes a field short or over."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    fields = [draw(FIELD_TEXT[f]) for f in _KINDS[kind].fields]
+    change = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if change == 1:
+        fields.append(str(draw(SMALL)))
+    elif change == -1:
+        fields = fields[:-1]
+    return ":".join([kind, *fields])
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--family", draw(family_texts())]
+    if command in ("cdim-at", "formula") and draw(st.booleans()):
+        argv += ["--vertex", draw(LABELS)]
+    if command == "cdim-at" and draw(st.booleans()):
+        argv += ["--set", ",".join(draw(st.lists(LABELS, min_size=1, max_size=3)))]
+    if command == "formula" and draw(st.integers(0, 3)):
+        argv += ["--theorem", draw(st.sampled_from(["dim", "cdim", "cdim-at"]))]
+    for flag in ("--cap", "--seed"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(SMALL))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=2000)
+@given(invocations())
+@example(["dim", "--family", "rand:4000:0.9:1"])
+@example(["dim", "--family", "complete:3000"])
+def test_fuzzed_family_commands_exit_cleanly(argv):
+    """Every command ends with exit 0, 1 or 2; only argparse's SystemExit may escape run."""
+    try:
+        code = run(argv, out=io.StringIO(), err=io.StringIO())
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

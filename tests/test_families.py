@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from metricdim.families import (
     order,
     vdel_pair,
 )
-from metricdim.graph import MAX_ORDER
+from metricdim.graph import MAX_ORDER, bits
 
 ALL_SPECS = [
     "path:5", "cycle:7", "complete:4", "star:6", "multipartite:1,2,3",
@@ -97,7 +98,7 @@ def test_vdel_pair_differs_by_one_vertex():
     assert g.n == t.n + 1
     v = labels_g.index("v")
     assert v == g.n - 1
-    nb = set(g.neighbors[v])
+    nb = set(bits(g.adj_bits[v]))
     assert nb == {labels_g.index("l1"), labels_g.index("l6")}
     assert sorted(t.edges()) == sorted(e for e in g.edges() if v not in e)
 
@@ -184,13 +185,34 @@ def test_random_connected_sparse_outcome_is_deterministic():
 def test_random_connected_stops_at_the_pair_budget(monkeypatch):
     import metricdim.families as families
 
+    with pytest.raises(TooLarge, match="past the library cap"):
+        generate("rand:5000:0.0001:1")  # refused from its order, before any draw
+    monkeypatch.setattr(families, "RAND_PAIR_BUDGET", 9)
     with pytest.raises(GenerationFailed, match="in 0 draws"):
-        generate("rand:5000:0.0001:1")  # one draw alone is past the budget
+        generate("rand:5:0.01:7")  # one draw of 10 pairs alone is past the budget
     monkeypatch.setattr(families, "RAND_PAIR_BUDGET", 100)
     with pytest.raises(GenerationFailed, match="in 10 draws"):
         generate("rand:5:0.01:7")
     g, _ = generate("rand:8:0.4:42")  # connected on its first draw: unchanged
     assert g.m == 15
+
+
+# Every randtree:n:s and rand:n:p:s below: the order, size, adjacency masks, edge order
+# and labels that generate gave before build_graph kept only its bitmasks.
+RANDOM_SPECS = (
+    *(f"randtree:{n}:{seed}" for n in range(2, 31) for seed in range(5)),
+    *(f"rand:{n}:{p}:{seed}" for n in range(2, 15) for p in (0.3, 0.5, 0.8, 1.0)
+      for seed in range(3)),
+)
+RANDOM_DIGEST = "7f4547168528fba4d4c7a950e1104b2badfa90b5543bf019225b93bae1a3ef31"
+
+
+def test_random_generators_pinned():
+    found = []
+    for spec in RANDOM_SPECS:
+        g, labels = generate(spec)
+        found.append((spec, g.n, g.m, g.adj_bits, tuple(g.edges()), labels))
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == RANDOM_DIGEST
 
 
 def test_random_tree_is_tree_and_deterministic():
@@ -277,7 +299,7 @@ def test_readme_grammar_names_exactly_the_table_kinds():
     "sun:5:0,2,0,1,3", "kite:5", "vdel:9", "edel:5,7"])
 def test_order_from_parameters_matches_the_built_graph(spec):
     parsed = parse_spec(spec)
-    if parsed.kind in ("fr", "rand"):
+    if parsed.kind == "fr":
         assert order(parsed) is None
     else:
         assert order(parsed) == generate(parsed)[0].n

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -256,7 +257,7 @@ def test_recognize_computes_distances_only_where_read(monkeypatch, spec, calls):
 
 def _paw():
     """The triangle with a pendant edge: unicyclic, no cycle, and no family recognizes it."""
-    return next(g for g in atlas() if g.n == 4 and g.m == 4 and max(map(len, g.neighbors)) == 3)
+    return next(g for g in atlas() if g.n == 4 and g.m == 4 and max(map(g.degree, range(g.n))) == 3)
 
 
 @pytest.mark.parametrize("graph, kind", [(_paw, None), (lambda: generate("randtree:12:1")[0], "tree")],
@@ -398,7 +399,24 @@ def test_fr_membership_threshold_exhaustive_small():
         if not (2 <= ag.number_of_nodes() <= 6) or not nx.is_connected(ag):
             continue
         g = graph_from_nx(ag)
-        assert fr_membership(g).member == (cdim_exact(g).value <= 2), g.neighbors
+        assert fr_membership(g).member == (cdim_exact(g).value <= 2), sorted(g.edges())
+
+
+# Every connected atlas graph: fr_membership in full, refutations included, and
+# classify_extremes of the graph and of each vertex.
+FR_DIGEST = "157c8b81554bff6b55d4b2cde3ebcf6856cfac7c0845e0f66eca8619f5691b2a"
+EXTREMES_DIGEST = "0ee59bb050fb7e156d6800009cbac52211997f8f746a4d415db43c53f009980f"
+
+
+def test_fr_membership_pinned_on_atlas():
+    found = [fr_membership(g) for g in atlas()]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == FR_DIGEST
+
+
+def test_classify_extremes_pinned_on_atlas():
+    found = [[classify_extremes(g), *(classify_extremes(g, v) for v in range(g.n))]
+             for g in atlas()]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == EXTREMES_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +451,21 @@ def test_unicyclic_not_a_sun():
     g = build_graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (5, 6)])
     cls = unicyclic_cdim_eq_dim(g)
     assert not cls.equal and cls.case == "not-a-sun"
+
+
+# Every unicyclic atlas graph, then every sun with cycle length 3-6 and legs of 0-2
+# vertices: the classification, case and cycle tuple.
+UNICYCLIC_DIGEST = "7d201e06b5dd18beb78648db8de06de81850cd03ff4f86f01782d2771eca249e"
+
+
+def test_unicyclic_classification_pinned():
+    graphs = [g for g in atlas() if g.m == g.n]
+    for m in range(3, 7):
+        for legs in itertools.product(range(3), repeat=m):
+            graphs.append(generate(f"sun:{m}:{','.join(map(str, legs))}")[0])
+    found = [unicyclic_cdim_eq_dim(g) for g in graphs]
+    assert len(found) == 1080 + sum(g.m == g.n for g in atlas())
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == UNICYCLIC_DIGEST
 
 
 # ---------------------------------------------------------------------------
