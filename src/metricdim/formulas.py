@@ -93,6 +93,11 @@ class TreeSkeleton:
 def tree_skeleton(t: Graph) -> TreeSkeleton:
     if t.m != t.n - 1 or not t.is_connected():
         raise NotATree(f"graph with n={t.n}, m={t.m} is not a tree")
+    return _skeleton(t)
+
+
+def _skeleton(t: Graph) -> TreeSkeleton:
+    """``tree_skeleton`` of a graph already known to be a tree."""
     deg = [t.degree(v) for v in range(t.n)]
     majors = [v for v in range(t.n) if deg[v] >= 3]
     leaves = [v for v in range(t.n) if deg[v] == 1]
@@ -369,7 +374,7 @@ def _forms(rec: Recognized, g: Graph, v: Optional[int] = None) -> tuple[FormulaR
         return (R(3, "petersen", "petersen-dim"), R(4, "petersen", "petersen-cdim"),
                 R(4, "petersen", "petersen-cdim"))
     if kind == "tree":
-        sk = tree_skeleton(g)
+        sk = _skeleton(g)
         base = len(sk.dset) + sk.sigma
         forms = R(sk.sigma - sk.ex, "tree", "tree-dim"), R(base, "tree", "tree-cdim")
         if v is None:

@@ -28,9 +28,24 @@ when ``_too_few`` shows r cannot suffice: either the twin deficit, the
 twin-class vertices still missing from the partial set, exceeds r, or a
 greedy packing finds more than r unhit masks that are pairwise disjoint on
 the vertices the branch may still add.  Every cut drops only branches
-without a hit, so the order in which hits are met is unchanged.  The search
-is sequential: ``workers`` is checked but never changes the work done.
-Exceeding a cap is an error, never a silent approximation.
+without a hit, so the order in which hits are met is unchanged.
+
+Swapping two twins is an automorphism, and it keeps a set resolving and
+connected.  So the lexicographically smallest hit meets every twin class in
+a prefix of it, in vertex order: the lex-leader predicate of Crawford,
+Ginsberg, Luks and Roy ("Symmetry-breaking predicates for search problems",
+1996), on the twin classes (Hernando, Mora, Pelayo, Seara and Wood, 2010).
+The walker keeps to such sets.  Once a candidate's subtree is done, it bans
+the candidate's class-mates above it too, and a root start skips a root with
+a class-mate below it.  Twins enter the candidates together, so exactly the
+prefix sets are met, still in order.  An anchor's vertices are never
+candidates, so with an anchor the rule covers only the swaps that fix it.
+``vertex_profile`` marks the whole class of each vertex it marks, since twins
+have equal values.  ``enumerate_min_resolving_sets`` expands each prefix set
+to its orbit: a resolving set misses at most one vertex of a class, so the
+orbit trades that class's missing top vertex for any one of its vertices.
+The search is sequential: ``workers`` is checked but never changes the work
+done.  Exceeding a cap is an error, never a silent approximation.
 """
 
 from __future__ import annotations
@@ -135,8 +150,12 @@ def _prepare(
     default_cap: int,
     workers: int = 1,
     what: str = "solver",
-) -> tuple[list[int], tuple[int, ...], int]:
-    """Checked arguments to (inclusion-minimal masks, twin classes, lower bound on the answer)."""
+) -> tuple[list[int], tuple[int, ...], Sequence[int], int]:
+    """Checked arguments to (inclusion-minimal masks, twin classes, class-mates above each
+    vertex, lower bound on the answer).
+
+    The third item is ``()`` when the graph has no twins.
+    """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
     check_cap(g.n, cap, default_cap, what)
@@ -154,10 +173,15 @@ def _prepare(
         for b in (m & -m, m & (m - 1)):
             classes[b] = classes.get(b, b) | m
     twins = tuple(set(classes.values()))
+    up: Sequence[int] = ()
+    if classes:
+        up = [0] * g.n
+        for b, c in classes.items():
+            up[b.bit_length() - 1] = c & -(b << 1)
     # A resolving set holds all but one vertex of every twin class.
     floor = len(classes) - len(twins)
     diam = max(map(len, levels))
-    return _minimal(masks), twins, max(1, floor, dim_floor_from_diameter(g.n, diam))
+    return _minimal(masks), twins, up, max(1, floor, dim_floor_from_diameter(g.n, diam))
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -209,16 +233,25 @@ def _too_few(unhit: list[int], twins: tuple[int, ...], cur: int, free: int, r: i
 _Start = tuple[int, int, int]
 
 
-def _roots(adj: Sequence[int], masks: list[int], k: int) -> Iterator[_Start]:
+def _roots(
+    adj: Sequence[int], masks: list[int], k: int, up: Sequence[int] = ()
+) -> Iterator[_Start]:
     """Starts for anchor-free growth of k-sets: one per root, root = subset minimum.
 
     A set whose minimum lies past the top vertex of a mask cannot meet it.
+    With ``up``, the class-mates above each vertex, a start also bans the
+    class-mates above every vertex below its root, and a root above a
+    class-mate below it is skipped: a set without the lower twin is not the
+    class's lex-leader.
     """
     n = len(adj)
     last = min(n - k + 1, min(map(int.bit_length, masks), default=n))
+    banned = 0
     for root in range(last):
-        banned = (1 << root) - 1
-        yield 1 << root, banned, adj[root] & ~banned
+        b = 1 << root
+        if not b & banned:
+            yield b, banned, adj[root] & ~banned
+        banned |= b | up[root] if up else b
 
 
 def _connected_hits(
@@ -231,6 +264,7 @@ def _connected_hits(
     banned: int,
     nb: int,
     done: Sequence[int],
+    up: Sequence[int] = (),
 ) -> Iterator[int]:
     """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
 
@@ -242,6 +276,12 @@ def _connected_hits(
     branch is cut when ``_too_few`` shows that r of the vertices it may add
     cannot meet every unhit mask, or when they and ``cur`` all lie in
     ``done[0]``, a mask the caller may grow between hits.
+
+    With ``up``, the class-mates above each vertex, a candidate's are banned
+    and dropped from the candidates along with it, the last slot included.
+    Twins enter the candidates together and are tried in ascending order, so
+    this yields exactly the extensions that add, from each twin class, a
+    prefix of its vertices outside ``cur`` and ``banned``.
     """
     if r == 0:
         if not unhit:
@@ -255,6 +295,8 @@ def _connected_hits(
             b = ext & -ext
             yield cur | b
             ext ^= b
+            if up:
+                ext &= ~up[b.bit_length() - 1]
         return
     free = full & ~(banned | cur)
     if not (cur | free) & ~done[0]:
@@ -273,10 +315,14 @@ def _connected_hits(
         b = ext & -ext
         ext ^= b
         new_cur = cur | b
+        v = b.bit_length() - 1
         yield from _connected_hits(
             adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
-            (nb | adj[b.bit_length() - 1]) & ~new_cur, done,
+            (nb | adj[v]) & ~new_cur, done, up,
         )
+        if up:
+            b |= up[v]
+            ext &= ~b
         banned |= b
 
 
@@ -287,27 +333,32 @@ def _searches(
     k: int,
     starts: Optional[Iterable[_Start]] = None,
     done: Sequence[int] = (0,),
+    up: Sequence[int] = (),
 ) -> Iterator[Iterator[int]]:
     """The connected k-sets meeting every mask, as one hit stream per growth start.
 
-    The starts are the roots in ascending order unless given.
+    The starts are the roots in ascending order unless given.  With ``up``,
+    only the sets that meet every twin class in a prefix of it.
     """
     full = (1 << len(adj)) - 1
-    for cur, banned, nb in starts or _roots(adj, masks, k):
+    for cur, banned, nb in starts or _roots(adj, masks, k, up):
         unhit = [m for m in masks if not m & cur]
         r = k - cur.bit_count()
-        yield _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, done)
+        yield _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, done, up)
 
 
-def _plain_hits(masks: list[int], twins: tuple[int, ...], n: int, k: int) -> Iterator[int]:
+def _plain_hits(
+    masks: list[int], twins: tuple[int, ...], n: int, k: int, up: Sequence[int] = ()
+) -> Iterator[int]:
     """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
 
     These are the connected k-sets of the complete graph, where growth tries
-    vertices in ascending order.
+    vertices in ascending order.  With ``up``, only those that meet every
+    twin class in a prefix of it.
     """
     full = (1 << n) - 1
     adj = [full ^ 1 << v for v in range(n)]
-    return chain.from_iterable(_searches(adj, masks, twins, k))
+    return chain.from_iterable(_searches(adj, masks, twins, k, up=up))
 
 
 def dim_exact(
@@ -318,9 +369,9 @@ def dim_exact(
     workers: int = 1,
 ) -> SolveResult:
     """Exact metric dimension with the lexicographically smallest witness."""
-    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     for k in range(floor, g.n):
-        for hit in _plain_hits(masks, twins, g.n, k):
+        for hit in _plain_hits(masks, twins, g.n, k, up):
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
 
@@ -341,7 +392,7 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     anchor_mask = sum(1 << v for v in anchor_set)
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
@@ -349,7 +400,10 @@ def cdim_at_set(
 
     for k in range(max(floor, len(anchor_set)), g.n + 1):
         best = 0
-        for hits in _searches(g.adj_bits, masks, twins, k, starts):
+        # Anchor vertices are never candidates, so the twin rule only bans a
+        # candidate's class-mates outside the anchor: a prefix rule for the
+        # twin swaps that fix the anchor, under which the smallest hit is kept.
+        for hits in _searches(g.adj_bits, masks, twins, k, starts, up=up):
             for hit in hits:
                 if need_check and not g.is_connected_subset(hit):
                     continue
@@ -388,10 +442,12 @@ def vertex_profile(
 
     A vertex's value is the smallest k for which some connected resolving
     k-set contains it, so marking members of every resolving set found while
-    k ascends yields the whole table without per-vertex searches.  Branches
-    that can only mark marked vertices are cut.
+    k ascends yields the whole table without per-vertex searches.  Only sets
+    that meet every twin class in a prefix are grown, and a hit marks the
+    whole class of each vertex it newly marks, since twins have equal values.
+    Branches that can only mark marked vertices are cut.
     """
-    masks, twins, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
     # every vertex is marked by k = n-1 at the latest.
@@ -401,9 +457,14 @@ def vertex_profile(
         if marked[0] == full:
             break
         before = marked[0]
-        for hits in _searches(g.adj_bits, masks, twins, k, done=marked):
+        for hits in _searches(g.adj_bits, masks, twins, k, done=marked, up=up):
             for hit in hits:
-                marked[0] |= hit
+                new = hit & ~marked[0]
+                if new:
+                    marked[0] |= hit
+                    for c in twins:
+                        if c & new:
+                            marked[0] |= c
         for v in bits(marked[0] & ~before):
             values[v] = k
     per_vertex = tuple(values)
@@ -421,9 +482,23 @@ def enumerate_min_resolving_sets(
     cap: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, in lexicographic order."""
-    masks, twins, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
+    masks, twins, up, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
     for k in range(floor, g.n):
-        sets = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k)]
+        hits = _plain_hits(masks, twins, g.n, k, up)
+        if twins:
+            # Each hit stands for its orbit under twin swaps.  It meets every
+            # class in all of it or all but its top vertex, and the orbit puts
+            # that top vertex back in place of any one vertex of the class.
+            orbits = []
+            for hit in hits:
+                orbit = [hit]
+                for c in twins:
+                    top = c & ~hit
+                    if top:
+                        orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
+                orbits += orbit
+            hits = orbits
+        sets = [tuple(bits(hit)) for hit in hits]
         if sets:
-            return sets
+            return sorted(sets) if twins else sets
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

@@ -277,6 +277,29 @@ def test_recognize_tests_connectivity_once(monkeypatch, graph, kind):
     assert count[0] == 1
 
 
+def test_tree_formulas_test_connectivity_once_per_call(monkeypatch):
+    # recognize tests it; the skeleton behind the tree forms does not test it again.
+    g, _ = generate("randtree:12:1")
+    count = [0]
+    real = Graph.is_connected
+
+    def counted(self):
+        count[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    dim_formula(g)
+    assert count[0] == 1
+    for v in range(g.n):
+        cdim_at_vertex_formula(g, v)
+    assert count[0] == 1 + g.n
+
+
+def test_skeleton_rejects_a_disconnected_graph_with_tree_size():
+    with pytest.raises(NotATree):
+        tree_skeleton(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+
+
 @pytest.mark.parametrize("s, t", [(3, 3), (4, 4), (5, 3), (4, 3), (6, 2)])
 def test_grid_recognizer_on_relabelled_grids(s, t):
     rng = random.Random(s * 10 + t)

@@ -12,6 +12,11 @@ lexicographic order, and growth from ``_roots`` exactly the connected ones,
 each once.  Inputs are all 995 connected atlas graphs and four small family
 graphs; larger graphs pin the values, witnesses, profiles and enumerations
 the solvers returned before these cuts.
+
+Given ``up``, the class-mates above each vertex, the same searches keep only
+the lex-leaders under twin swaps: the sets that meet every twin class in a
+prefix of it.  Grown from an anchor, they keep the sets that meet the part
+of every class outside the anchor in a prefix of that part.
 """
 
 from __future__ import annotations
@@ -30,11 +35,12 @@ from metricdim.solver import _connected_hits, _plain_hits, _prepare, _roots
 from conftest import atlas, connected_graphs, naive_all_pairs, naive_resolves, subset_connected
 
 FAMILY_GRAPHS = ("wheel:9", "petersen", "multipartite:3,3,3", "randtree:12:1")
+TWIN_GRAPHS = ("multipartite:3,3,3", "bouquet:3,4,5", "paddle:5,3")
 
 
-def graphs():
+def graphs(families=FAMILY_GRAPHS):
     yield from ((f"atlas graph {i}", g) for i, g in enumerate(atlas()))
-    yield from ((spec, md.generate(spec)[0]) for spec in FAMILY_GRAPHS)
+    yield from ((spec, md.generate(spec)[0]) for spec in families)
 
 
 def naive_masks(dists: list[dict[int, int]], n: int) -> set[int]:
@@ -63,12 +69,14 @@ def check_prepare(where, g):
     dm = md.all_pairs_distances(g)
     every = naive_masks(naive_all_pairs(g), g.n)
     minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
-    masks, twins, floor = prepared = _prepare(g, None, g.n, g.n)
+    masks, twins, up, floor = prepared = _prepare(g, None, g.n, g.n)
     assert _prepare(g, dm, g.n, g.n) == prepared, where
     assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
     tp = md.twin_partition(g)
     classes = [c for c in tp.classes if len(c) > 1]
     assert sorted(twins) == sorted(sum(1 << v for v in c) for c in classes), where
+    above = [sum(1 << w for c in classes if v in c for w in c if w > v) for v in range(g.n)]
+    assert list(up) == (above if classes else []), where
     assert floor == max(1, tp.lower_bound(), md.dim_floor_from_diameter(g.n, dm.diam)), where
 
 
@@ -111,7 +119,7 @@ def test_disconnected_input_raises_not_connected(name, text):
 def test_cuts_keep_every_hit_and_its_order():
     for where, g in graphs():
         dists = naive_all_pairs(g)
-        masks, twins, floor = _prepare(g, None, g.n, g.n)
+        masks, twins, _, floor = _prepare(g, None, g.n, g.n)
         adj, full = g.adj_bits, g.vertex_mask()
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
@@ -127,6 +135,55 @@ def test_cuts_keep_every_hit_and_its_order():
             assert sorted(grown) == want, (where, k)
 
 
+def meets_in_prefixes(members, classes, fixed=()):
+    """Whether ``members`` meets the part outside ``fixed`` of every class in a prefix of it."""
+    for c in classes:
+        inside = [v in members for v in c if v not in fixed]
+        if inside != sorted(inside, reverse=True):
+            return False
+    return True
+
+
+def test_twin_rule_keeps_exactly_the_prefix_sets():
+    for where, g in graphs(TWIN_GRAPHS):
+        dists = naive_all_pairs(g)
+        classes = md.twin_partition(g).classes
+        masks, twins, up, floor = _prepare(g, None, g.n, g.n)
+        adj, full = g.adj_bits, g.vertex_mask()
+        for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
+            leaders = [c for c in itertools.combinations(range(g.n), k)
+                       if meets_in_prefixes(c, classes) and naive_resolves(dists, c, g.n)]
+            got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k, up)]
+            assert got == leaders, (where, k)
+            grown = []
+            for cur, banned, nb in _roots(adj, masks, k, up):
+                unhit = [m for m in masks if not m & cur]
+                hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, [0], up)
+                grown.extend(tuple(bits(hit)) for hit in hits)
+            want = [c for c in leaders if subset_connected(g, c)]
+            assert sorted(grown) == want, (where, k)
+
+
+def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor():
+    for where, g in graphs(TWIN_GRAPHS):
+        dists = naive_all_pairs(g)
+        classes = md.twin_partition(g).classes
+        masks, twins, up, floor = _prepare(g, None, g.n, g.n)
+        if not up:
+            continue
+        adj, full = g.adj_bits, g.vertex_mask()
+        for a in range(g.n):
+            cur = 1 << a
+            unhit = [m for m in masks if not m & cur]
+            for k in range(max(floor, 1), min(md.cdim_at_set(g, (a,)).value + 1, g.n) + 1):
+                hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, 0, adj[a], [0], up)
+                grown = sorted(tuple(bits(hit)) for hit in hits)
+                want = [c for c in itertools.combinations(range(g.n), k)
+                        if a in c and meets_in_prefixes(c, classes, (a,))
+                        and naive_resolves(dists, c, g.n) and subset_connected(g, c)]
+                assert grown == want, (where, a, k)
+
+
 # Values and witnesses of the solvers before the search cuts.
 PINS = [
     ("dim", "wheel:22", 9, (0, 1, 3, 6, 8, 11, 13, 16, 18)),
@@ -136,6 +193,11 @@ PINS = [
                                    25, 27, 28, 29, 31, 32, 33, 35)),
     ("cdim", "multipartite:4,4,4,4,4,4", 18, (0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17,
                                               18, 20, 21, 22)),
+    # Pinned before the twin rule.
+    ("dim", "bouquet:4,4,4,4,4,4,4", 13, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19)),
+    ("cdim", "bouquet:4,4,4,4,4,4,4", 14, (0, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19)),
+    ("cdim", "multipartite:4,4,4,4,4,4,4,4", 24, (0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17,
+                                                  18, 20, 21, 22, 24, 25, 26, 28, 29, 30)),
 ]
 
 
@@ -148,12 +210,15 @@ def test_witness_pins(op, spec, value, witness):
 
 # Profiles and minimum resolving sets of the solvers before growth replaced
 # the include-first walk; the candidate bound removes most of their nodes.
-PROFILE_PINS = [("wheel:22", 10), ("multipartite:4,4,4,4,4,4", 18)]
+PROFILE_PINS = [("wheel:22", 10), ("multipartite:4,4,4,4,4,4", 18), ("bouquet:4,4,4,4,4,4,4", 14)]
 
 ENUM_PINS = [
     ("wheel:17", 289, (0, 1, 3, 6, 8, 11, 13), (3, 5, 8, 10, 13, 15, 16)),
     ("multipartite:3,3,3,3,3,3", 729, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16),
      (1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17)),
+    # Pinned before the twin rule.
+    ("multipartite:3,3,3,3,3", 243, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13), (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
+    ("bouquet:4,4,4,4,4", 810, (1, 2, 4, 5, 7, 8, 10, 11, 13), (3, 5, 6, 8, 9, 11, 12, 14, 15)),
 ]
 
 
@@ -170,3 +235,9 @@ def test_enumeration_pins(spec, count, first, last):
     g, _ = md.generate(spec)
     sets = md.enumerate_min_resolving_sets(g, cap=g.n)
     assert (len(sets), sets[0], sets[-1]) == (count, first, last)
+
+
+def test_anchor_inside_a_twin_class_pin():
+    # Pinned before the twin rule; vertex 1 is the middle of the class {0, 1, 2}.
+    g, _ = md.generate("multipartite:3,3,3,3,3,3")
+    assert md.cdim_at_set(g, (1,), cap=g.n) == (12, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16))
