@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence, TextIO
@@ -224,7 +225,7 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
 # Command driver
 
 
-# Commands whose solver refuses a family past its cap before the family is built.
+# Commands that refuse a family past their cap before the family is built.
 _FAMILY_CAPS = {
     "dim": (DIM_CAP, "solver"),
     "cdim": (DIM_CAP, "solver"),
@@ -232,6 +233,7 @@ _FAMILY_CAPS = {
     "profile": (DIM_CAP, "solver"),
     "enumerate-min": (ENUM_CAP, "enumeration"),
     "verify": (DIM_CAP, "solver"),
+    "classify": (DIM_CAP, "solver"),
 }
 
 
@@ -392,6 +394,8 @@ def _dispatch(args, out: TextIO) -> int:
     elif args.command == "classify":
         from .formulas import classify_extremes, fr_membership, unicyclic_cdim_eq_dim
 
+        # A graph file has no order before it is read: check it here.
+        check_cap(g.n, cap, DIM_CAP, "solver")
         report["query"] = "classify"
         cls = classify_extremes(g)
         info = {
@@ -489,8 +493,23 @@ def _ms(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
+# Exit status when standard output closes before the report is written, as
+# from ``metricdim profile ... | head``: 128 + SIGPIPE, what a shell reports
+# for a program that the signal ended.
+EXIT_BROKEN_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:], sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ a new kind is one table row plus its builder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import GenerationFailed, InvalidSpec, RuleViolation, TooLarge
@@ -28,8 +27,7 @@ Labeled = tuple[Graph, tuple[str, ...]]
 RAND_PAIR_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Tagged parametric description of a graph family instance."""
 
     kind: str
@@ -182,8 +180,7 @@ def generalized_sun(m: int, legs: Sequence[int]) -> Labeled:
     return build_graph(nxt, edges), tuple(labels)
 
 
-@dataclass(frozen=True)
-class FrLevel:
+class FrLevel(NamedTuple):
     """Presence flags and edge choices for one level of a layered two-anchor graph.
 
     ``y_attach`` selects how a level's middle vertex reaches the level below:
@@ -197,7 +194,7 @@ class FrLevel:
     y: bool = False
     z: bool = False
     y_attach: str = "auto"
-    intra: frozenset = field(default_factory=frozenset)
+    intra: frozenset = frozenset()
 
 
 def fr_graph(levels: Sequence[FrLevel]) -> Labeled:

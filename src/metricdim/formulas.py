@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     IsAPath,
@@ -28,8 +27,7 @@ from .solver import check_resolving
 TREE_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     value: int
     case_label: str
     theorem_id: str
@@ -60,8 +58,7 @@ def _walk_chain(g: Graph, start: int, first: int) -> tuple[list[int], int]:
 # Tree skeleton
 
 
-@dataclass(frozen=True)
-class TreeSkeleton:
+class TreeSkeleton(NamedTuple):
     """Exterior-major-vertex decomposition of a tree.
 
     ``legs[v]`` holds, for each exterior major vertex v, the vertex chains of
@@ -170,8 +167,7 @@ def _skeleton(t: Graph) -> TreeSkeleton:
 # Structural recognizers
 
 
-@dataclass(frozen=True)
-class Recognized:
+class Recognized(NamedTuple):
     kind: str
     data: dict
 
@@ -467,8 +463,7 @@ def cdim_at_vertex_formula(g: Graph, v: int) -> FormulaResult:
 # Extremal classification
 
 
-@dataclass(frozen=True)
-class ExtremesClassification:
+class ExtremesClassification(NamedTuple):
     cdim_is_one: bool
     cdim_is_n_minus_one: bool
     graph_case: Optional[str]
@@ -554,8 +549,7 @@ def classify_extremes(g: Graph, v: Optional[int] = None) -> ExtremesClassificati
 # Membership in the two-anchor layered family (graphs with cdim <= 2)
 
 
-@dataclass(frozen=True)
-class FrMembership:
+class FrMembership(NamedTuple):
     member: bool
     r: Optional[int]
     base_pair: Optional[tuple[int, int]]
@@ -658,8 +652,7 @@ def fr_membership(g: Graph, dm: Optional[DistanceMatrix] = None) -> FrMembership
 # Unicyclic classification
 
 
-@dataclass(frozen=True)
-class UnicyclicClassification:
+class UnicyclicClassification(NamedTuple):
     equal: bool
     case: str
     cycle: tuple[int, ...]

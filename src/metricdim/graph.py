@@ -7,8 +7,7 @@ BFS, the blocks, the minor search and the closed forms all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidEdge, InvalidOption, NotConnected, TooLarge, TooSmall
 
@@ -36,8 +35,43 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """Immutable slotted record: its fields are its ``__slots__``, in order.
+
+    Two records are equal when they have the same type and equal fields.
+    The solvers' inner loops read the fields, and a slot read is as fast as
+    an instance-dictionary read, where a named-tuple field read is slower.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, not through __setattr__.
+        return type(self), self._values()
+
+
+class Graph(_Frozen):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adj_bits[v]`` has bit u set exactly when u and v are adjacent; ``bits``
@@ -45,10 +79,20 @@ class Graph:
     edges, and ``had_duplicate_edges`` records that the input repeated one.
     """
 
+    __slots__ = ("n", "adj_bits", "m", "had_duplicate_edges")
     n: int
     adj_bits: tuple[int, ...]
     m: int
-    had_duplicate_edges: bool = False
+    had_duplicate_edges: bool
+
+    def __init__(
+        self, n: int, adj_bits: tuple[int, ...], m: int, had_duplicate_edges: bool = False
+    ) -> None:
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "adj_bits", adj_bits)
+        init(self, "m", m)
+        init(self, "had_duplicate_edges", had_duplicate_edges)
 
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
@@ -112,15 +156,25 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adj_bits=tuple(rows), m=m, had_duplicate_edges=duplicates)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Frozen):
     """All-pairs hop distances of a connected graph, with eccentricities."""
 
+    __slots__ = ("n", "rows", "ecc", "rad", "diam")
     n: int
     rows: tuple[tuple[int, ...], ...]
     ecc: tuple[int, ...]
     rad: int
     diam: int
+
+    def __init__(
+        self, n: int, rows: tuple[tuple[int, ...], ...], ecc: tuple[int, ...], rad: int, diam: int
+    ) -> None:
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "rows", rows)
+        init(self, "ecc", ecc)
+        init(self, "rad", rad)
+        init(self, "diam", diam)
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -256,8 +310,7 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(bits(cut))
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     """Partition of V into maximal twin classes.
 
     u and w are twins when N(u)-{w} == N(w)-{u}; the relation is an

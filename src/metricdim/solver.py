@@ -50,7 +50,6 @@ done.  Exceeding a cap is an error, never a silent approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import and_, or_
@@ -68,8 +67,7 @@ class SolveResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ResolvingCertificate:
+class ResolvingCertificate(NamedTuple):
     """Full code table proving that a vertex set does or does not resolve."""
 
     set: tuple[int, ...]
@@ -78,8 +76,7 @@ class ResolvingCertificate:
     witness_pair: Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class VertexProfile:
+class VertexProfile(NamedTuple):
     """Connected metric dimension at every vertex, with center and periphery."""
 
     per_vertex: tuple[int, ...]

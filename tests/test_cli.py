@@ -304,6 +304,7 @@ def test_verify_past_the_solver_cap_is_refused_before_it_is_built(monkeypatch):
     ("profile", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
     ("enumerate-min", [], "n=25 exceeds the enumeration cap 16; pass cap=25 to override"),
     ("dim", ["--cap", "20"], "n=25 exceeds the solver cap 20; pass cap=25 to override"),
+    ("classify", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
 ])
 def test_every_solver_command_checks_its_cap_before_building(monkeypatch, command, extra, message):
     _refuse_to_generate(monkeypatch)
@@ -329,8 +330,36 @@ def test_a_raised_cap_still_reaches_the_solver(monkeypatch):
 def test_uncapped_commands_still_build_families_past_the_solver_cap():
     code, out, _ = run_cli(["formula", "--theorem", "dim", "--family", "complete:30", "--json"])
     assert code == 0 and json.loads(out)["value"] == 29
-    code, out, _ = run_cli(["classify", "--family", "complete:30", "--json"])
-    assert code == 0 and json.loads(out)["input"]["n"] == 30
+
+
+def test_classify_past_the_solver_cap_exits_one_at_once(monkeypatch):
+    started = time.perf_counter()
+    code, out, err = run_cli(["classify", "--family", "complete:3000"])
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert err == "error: n=3000 exceeds the solver cap 24; pass cap=3000 to override\n"
+    from metricdim import families
+
+    built = []
+
+    def small_stand_in(spec):
+        built.append(spec.text())
+        return families.complete(4)
+
+    monkeypatch.setattr(families, "generate", small_stand_in)
+    code, out, _ = run_cli(["classify", "--family", "complete:3000", "--cap", "3000", "--json"])
+    assert code == 0 and built == ["complete:3000"]
+    assert json.loads(out)["classification"]["graph_case"] == "complete"
+
+
+def test_classify_checks_the_cap_on_a_graph_file(tmp_path):
+    path = tmp_path / "path25.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(24)))
+    code, out, err = run_cli(["classify", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: n=25 exceeds the solver cap 24; pass cap=25 to override\n"
+    code, out, _ = run_cli(["classify", str(path), "--cap", "25", "--json"])
+    assert code == 0 and json.loads(out)["input"]["n"] == 25
 
 
 def test_unknown_label_error():
@@ -474,6 +503,51 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert done.returncode == 1
     assert done.stdout == b""
     assert done.stderr == b"error: standard input is not valid UTF-8 text\n"
+
+
+CLOSED_STDOUT = """
+import sys
+from metricdim.cli import main
+
+
+class Closed:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return sys.__stdout__.fileno()
+
+
+sys.stdout = Closed()
+main()
+"""
+
+
+@pytest.mark.parametrize("argv", [["profile", "--family", "bouquet:4,4,4"],
+                                  ["enumerate-min", "--family", "petersen", "--json"],
+                                  ["generate", "--family", "wheel:5"]])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", CLOSED_STDOUT, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (141, "", "")
+
+
+def test_a_pipe_closed_by_its_reader_exits_141_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from metricdim.cli import main; main()",
+             "profile", "--family", "bouquet:4,4,4"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 # ---------------------------------------------------------------------------

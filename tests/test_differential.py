@@ -20,7 +20,6 @@ are checked on the whole atlas.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -44,8 +43,8 @@ def pair_sample(g: md.Graph, offset: int) -> list[tuple[int, int]]:
 
 
 def assert_profiles_equal(got: md.VertexProfile, want: md.VertexProfile, where: str) -> None:
-    for field in dataclasses.fields(md.VertexProfile):
-        assert getattr(got, field.name) == getattr(want, field.name), (where, field.name)
+    for name in md.VertexProfile._fields:
+        assert getattr(got, name) == getattr(want, name), (where, name)
 
 
 def assert_matches_reference(g: md.Graph, pairs, where: str) -> None:

@@ -1,6 +1,10 @@
 """The package namespace: every public name loads its submodule on first use."""
 
-from conftest import run_python
+import os
+import subprocess
+import sys
+
+from conftest import SRC, run_python
 
 
 def test_package_import_loads_no_submodule_and_every_public_name_resolves():
@@ -23,3 +27,16 @@ except AttributeError:
     print("ok")
 """
     assert run_python(probe).strip() == "ok"
+
+
+
+def test_no_module_imports_dataclasses():
+    """The CLI and every module it may load start without ``dataclasses``, which
+    costs about 10 ms of cold start because it imports ``inspect``."""
+    probe = (
+        "import sys, metricdim.cli, metricdim.families, metricdim.formulas, metricdim.minor; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
