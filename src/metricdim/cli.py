@@ -274,13 +274,14 @@ def _to_indices(labels: Sequence[str], names: Sequence[str]) -> list[int]:
     return out
 
 
-def run(argv: Sequence[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+def run(argv: Sequence[str], out: Optional[TextIO] = None, err: Optional[TextIO] = None) -> int:
+    """Run one command; ``out`` and ``err`` default to the streams current at the call."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args, out)
+        return _dispatch(args, sys.stdout if out is None else out)
     except MetricDimError as exc:
-        err.write(f"error: {exc}\n")
+        (sys.stderr if err is None else err).write(f"error: {exc}\n")
         return 1
 
 
@@ -501,7 +502,7 @@ EXIT_BROKEN_PIPE = 141
 
 def main() -> None:
     try:
-        status = run(sys.argv[1:], sys.stdout)
+        status = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at devnull, so that the flush at interpreter exit

@@ -28,20 +28,32 @@ the negative case quickly; otherwise an exhaustive seeded branch-set search
 either finds a model or proves absence.
 
 The search grows one branch of the first unmet pair at a time, depth first,
-into free vertices (those in no branch).  A state is dead when some unmet
-pair has no free component touching both its branches: branches grow only
-into free vertices, so they can become adjacent only through a path whose
-interior lies in one free component.  Dead states are not expanded.  No model
-extends a dead state, so the live states are popped in the same order as
-without the prune, and the first model found is the same.  A stack entry
-also carries its parent's unmet pairs (a mask) and free components, and the
-branch that grew and the vertex v it grew by.  A pop re-tests only that
-branch's pairs.  The free set lost only v, so only the component that held v
-can split; what is left of it stays whole if v has at most one neighbour
-there.  Each component's signature, the branches whose neighbourhoods meet
-it, indexes a static table of the pairs it covers, and the state is dead
-when its unmet mask leaves a pair uncovered.  These are the values a search
-from scratch computes, so the pops and the first model are unchanged.
+into free vertices (those in no branch).  A state's children are its moves,
+pushed in a fixed order: side i's free neighbours ascending, then side j's,
+so the last is popped first.  Each child carries a ban mask, in which bit
+``side * n + v`` bars v from branch ``side``: its parent's bans and every
+move pushed after it.  A later sibling is popped first and searched to
+exhaustion, and the search from a state finds a model whenever some model
+contains the state and avoids its bans.  So a banned move is in no model left
+to find, and the bans change neither a seed's answer nor the first model
+found.  Where two paths from the seed split, the child pushed first bans the
+other's move, so their states differ: no state is popped twice and nothing
+records the states seen.  The stack is the search's only store, at most n
+levels of at most 2n children each.
+
+A state is dead when some unmet pair has no free component touching both its
+branches: branches grow only into free vertices, so they can become adjacent
+only through a path whose interior lies in one free component.  Dead states
+are not expanded.  No model extends a dead state, so the prune changes
+neither the answer nor the first model found.  A stack entry also carries
+its parent's unmet pairs (a mask) and free components, and the branch that
+grew and the vertex v it grew by.  A pop re-tests only that branch's pairs.
+The free set lost only v, so only the component that held v can split; what
+is left of it stays whole if v has at most one neighbour there.  Each
+component's signature, the branches whose neighbourhoods meet it, indexes a
+static table of the pairs it covers, and the state is dead when its unmet
+mask leaves a pair uncovered.  These are the values a search from scratch
+computes, so the pops and the first model are unchanged.
 """
 
 from __future__ import annotations
@@ -220,14 +232,11 @@ def _search_from_seed(
     nbhd = tuple(adjm[v] for v in seed)
     used = sum(start)
     unmet = sum(1 << p for p, (i, j) in enumerate(pairs) if not nbhd[i] & start[j])
+    n = len(adjm)
     # The start "grows" branch 0 by its own seed vertex, which changes nothing.
-    stack = [(start, nbhd, used, unmet, list(components(adjm, alive & ~used)), 0, seed[0])]
-    seen: set[tuple[int, ...]] = set()
+    stack = [(start, nbhd, used, unmet, list(components(adjm, alive & ~used)), 0, seed[0], 0)]
     while stack:
-        branches, nbhd, used, unmet, comps, grew, v = stack.pop()
-        if branches in seen:
-            continue
-        seen.add(branches)
+        branches, nbhd, used, unmet, comps, grew, v, banned = stack.pop()
         for bit, k in ends[grew]:
             if unmet & bit and nbhd[grew] & branches[k]:
                 unmet ^= bit
@@ -249,13 +258,15 @@ def _search_from_seed(
         if unmet & ~covered:
             continue
         i, j = pairs[(unmet & -unmet).bit_length() - 1]
-        for side in (i, j):
-            for v in bits(nbhd[side] & ~used):
-                grown = list(branches)
-                grown[side] |= 1 << v
-                grown_nbhd = list(nbhd)
-                grown_nbhd[side] |= adjm[v]
-                stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v, unmet, comps, side, v))
+        moves = [(side, v) for side in (i, j) for v in bits(nbhd[side] & ~used & ~(banned >> side * n))]
+        banned |= sum(1 << side * n + v for side, v in moves)
+        for side, v in moves:
+            banned ^= 1 << side * n + v  # a child is barred from the moves pushed after it
+            grown = list(branches)
+            grown[side] |= 1 << v
+            grown_nbhd = list(nbhd)
+            grown_nbhd[side] |= adjm[v]
+            stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v, unmet, comps, side, v, banned))
     return None
 
 

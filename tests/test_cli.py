@@ -1,14 +1,16 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metricdim import HeaderMismatch, ParseError, generate
+from metricdim import HeaderMismatch, MetricDimError, ParseError, generate
 from metricdim.cli import parse_graph_file, run, write_edgelist
 from metricdim.families import _KINDS, FLOAT, INT, INTS, PAIR, SEED, SXT
 
@@ -505,6 +507,17 @@ def test_stdin_that_is_not_utf8_is_an_error():
     assert done.stderr == b"error: standard input is not valid UTF-8 text\n"
 
 
+def test_run_writes_to_the_streams_current_at_the_call():
+    """Without ``out`` and ``err``, a report and an error go where sys.stdout
+    and sys.stderr point when run is called, not where they pointed at import."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert run(["dim", "--family", "petersen"]) == 0
+        assert run(["dim", "--family", "complete:3000"]) == 1
+    assert "value: 3\n" in out.getvalue()
+    assert err.getvalue() == "error: n=3000 exceeds the solver cap 24; pass cap=3000 to override\n"
+
+
 CLOSED_STDOUT = """
 import sys
 from metricdim.cli import main
@@ -609,3 +622,51 @@ def test_fuzzed_family_commands_exit_cleanly(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing graph files: edge-list and DIMACS text built from the formats' own tokens
+
+FILE_NUMBERS = ["0", "1", "2", "3", "5", "-1", "12345678901234567890", "99999999999999999999", "²", "٣"]
+FILE_TOKENS = st.sampled_from(["p", "edge", "e", "c", "#", "\x00", "\r", "a", "b", "v1", "é", *FILE_NUMBERS])
+NUMBER = st.sampled_from(FILE_NUMBERS[:5])
+# Random token runs, and lines of the shapes the two formats expect.
+FILE_LINES = st.one_of(
+    st.lists(FILE_TOKENS, max_size=5),
+    st.tuples(st.just("p"), st.just("edge"), NUMBER, NUMBER),
+    st.tuples(st.just("e"), NUMBER, NUMBER),
+    st.tuples(FILE_TOKENS, FILE_TOKENS),
+)
+# Bytes that are not UTF-8: a stray continuation byte, a truncated sequence,
+# an overlong encoding and an encoded surrogate.
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80"])
+
+
+@st.composite
+def graph_file_bytes(draw):
+    lines = draw(st.lists(FILE_LINES, max_size=10))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(
+        draw(st.sampled_from([" ", "\t"])).join(toks) for toks in lines
+    )
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=2000)
+@given(graph_file_bytes(), st.sampled_from(["edgelist", "dimacs"]))
+@example(b"p edge 3 2\ne 1 2\ne 2 3\n", "dimacs")
+@example(b"3 2\na b\nb \xff\n", "edgelist")
+@example(b"# a path\r\na\tb\r\nb c\r\n", "edgelist")
+def test_fuzzed_graph_files_parse_or_raise_a_library_error(data, fmt):
+    """A graph file parses or raises MetricDimError, and dim on it exits 0 or 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.suppress(MetricDimError):
+            parse_graph_file(path, fmt)
+        code = run(["dim", path, "--format", fmt], out=io.StringIO(), err=io.StringIO())
+    assert code in (0, 1), (data, fmt)

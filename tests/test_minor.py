@@ -117,28 +117,28 @@ def test_k33_seeds_skip_the_swapped_sides():
 
 
 def test_search_work_pinned_on_moebius_ladder(monkeypatch):
-    """Seeds searched and states popped (each once, duplicates skipped) by
-    ``has_minor`` on the 12-vertex Moebius ladder.  A weaker dead test pops
-    more states and still finds the same first model, so only this count
-    shows it."""
+    """Seeds searched and states popped by ``has_minor`` on the 12- and
+    16-vertex Moebius ladders.  The ban rule pops no state twice, and a
+    weaker dead test pops more states and still finds the same first model,
+    so only this count shows either."""
     popped = []
 
-    class CountingSet(set):
-        def add(self, state):
-            popped.append(state)
-            super().add(state)
+    class CountingEnds(list):
+        def __getitem__(self, branch):
+            popped.append(branch)
+            return super().__getitem__(branch)
 
-    # The search builds its ``seen`` set by name, so a module global shadows the builtin.
-    monkeypatch.setattr(minor, "set", CountingSet, raising=False)
+    # Each pop reads its grown branch's pairs from the table once.
+    for name, (ends, covered_by) in list(minor._TABLES.items()):
+        monkeypatch.setitem(minor._TABLES, name, (CountingEnds(ends), covered_by))
     search = minor._search_from_seed
     seeds = []
     monkeypatch.setattr(minor, "_search_from_seed", lambda *a: seeds.append(a[2]) or search(*a))
-    g = moebius_ladder(12)
-    for target, want in [("K5", (46, 1276)), ("K33", (928, 3493))]:
+    for n, target, want in [(12, "K5", (46, 1014)), (12, "K33", (928, 2978)), (16, "K5", (94, 9806))]:
         seeds.clear()
         popped.clear()
-        assert has_minor(g, target)[0]
-        assert (len(seeds), len(popped)) == want, target
+        assert has_minor(moebius_ladder(n), target, cap=n)[0]
+        assert (len(seeds), len(popped)) == want, (n, target)
 
 
 def test_witness_verifier_rejects_bad_models():
