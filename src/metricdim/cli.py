@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("input", nargs="?", help="graph file (or '-' for stdin)")
             p.add_argument("--family", help="generate the input from a family spec")
-        p.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
+            p.add_argument("--format", choices=("edgelist", "dimacs"), default="edgelist")
         p.add_argument("--json", action="store_true")
         p.add_argument("--cap", type=int, default=None, help="override solver caps")
         p.add_argument("--seed", type=int, default=None, help="seed for seedless family specs")
@@ -326,6 +326,10 @@ def _dispatch(args, out: TextIO) -> int:
     report = _blank_report()
     if args.cap is not None and args.cap < 1:
         raise InvalidOption(f"--cap must be at least 1, got {args.cap}")
+    if args.command == "cdim-at" and args.vertex is not None and args.anchor_set is not None:
+        raise InvalidOption("cdim-at takes --vertex or --set, not both")
+    if args.command == "formula" and args.vertex is not None and args.theorem != "cdim-at":
+        raise InvalidOption(f"formula --theorem {args.theorem} takes no --vertex")
 
     if args.command == "generate":
         from . import families

@@ -232,7 +232,7 @@ def components(adj: Sequence[int], mask: int) -> Iterator[int]:
     ``adj`` holds one neighbour bitmask per vertex.  Components come in the
     order of their lowest vertex, each filled only when it is asked for.
     The set bits are walked inline, as in ``distance_levels``: the minor
-    search re-splits a free component on many of the states it pops.
+    search splits its free vertices on every state it pops.
     """
     while mask:
         comp = frontier = mask & -mask

@@ -45,15 +45,15 @@ A state is dead when some unmet pair has no free component touching both its
 branches: branches grow only into free vertices, so they can become adjacent
 only through a path whose interior lies in one free component.  Dead states
 are not expanded.  No model extends a dead state, so the prune changes
-neither the answer nor the first model found.  A stack entry also carries
-its parent's unmet pairs (a mask) and free components, and the branch that
-grew and the vertex v it grew by.  A pop re-tests only that branch's pairs.
-The free set lost only v, so only the component that held v can split; what
-is left of it stays whole if v has at most one neighbour there.  Each
-component's signature, the branches whose neighbourhoods meet it, indexes a
-static table of the pairs it covers, and the state is dead when its unmet
-mask leaves a pair uncovered.  These are the values a search from scratch
-computes, so the pops and the first model are unchanged.
+neither the answer nor the first model found.  A stack entry holds only
+per-move state: the branches and their neighbourhoods, its parent's unmet
+pairs (a mask), the branch that grew, and the bans.  A pop re-tests only
+the grown branch's pairs, the only ones its move can meet.  It then splits
+the free vertices into components afresh: the branches are disjoint, so
+their sum is the set of used vertices.  Each component's signature, the
+branches whose neighbourhoods meet it, indexes a static table of the pairs
+it covers, and the state is dead when its unmet mask leaves a pair
+uncovered.
 """
 
 from __future__ import annotations
@@ -230,26 +230,20 @@ def _search_from_seed(
     pairs, (ends, covered_by) = _TARGETS[target][1], _TABLES[target]
     start = tuple(1 << v for v in seed)
     nbhd = tuple(adjm[v] for v in seed)
-    used = sum(start)
     unmet = sum(1 << p for p, (i, j) in enumerate(pairs) if not nbhd[i] & start[j])
     n = len(adjm)
-    # The start "grows" branch 0 by its own seed vertex, which changes nothing.
-    stack = [(start, nbhd, used, unmet, list(components(adjm, alive & ~used)), 0, seed[0], 0)]
+    # The start counts branch 0 as grown; its pairs are already tested.
+    stack = [(start, nbhd, unmet, 0, 0)]
     while stack:
-        branches, nbhd, used, unmet, comps, grew, v, banned = stack.pop()
+        branches, nbhd, unmet, grew, banned = stack.pop()
         for bit, k in ends[grew]:
             if unmet & bit and nbhd[grew] & branches[k]:
                 unmet ^= bit
         if not unmet:
             return branches
-        comps = [comp for comp in comps if not comp >> v & 1]
-        held = alive & ~used & ~sum(comps)  # the component that held v, less v
-        if (adjm[v] & held).bit_count() > 1:
-            comps += components(adjm, held)
-        elif held:
-            comps.append(held)
+        used = sum(branches)  # branches are disjoint, so their sum is their union
         covered = 0  # the pairs that some free component touches at both ends
-        for comp in comps:
+        for comp in components(adjm, alive & ~used):
             sig = 0
             for k, nb in enumerate(nbhd):
                 if nb & comp:
@@ -266,7 +260,7 @@ def _search_from_seed(
             grown[side] |= 1 << v
             grown_nbhd = list(nbhd)
             grown_nbhd[side] |= adjm[v]
-            stack.append((tuple(grown), tuple(grown_nbhd), used | 1 << v, unmet, comps, side, v, banned))
+            stack.append((tuple(grown), tuple(grown_nbhd), unmet, side, banned))
     return None
 
 
@@ -300,19 +294,16 @@ def verify_minor_witness(g: Graph, target: str, witness: Witness) -> bool:
     if len(witness) != h:
         return False
     masks = []
+    total = 0  # the vertices of the branches before this one
     for branch in witness:
         mask = 0
         for v in branch:
-            if not (0 <= v < g.n) or mask >> v & 1:
+            if not (0 <= v < g.n) or (total | mask) >> v & 1:
                 return False
             mask |= 1 << v
         if mask == 0 or not g.is_connected_subset(mask):
             return False
         masks.append(mask)
-    total = 0
-    for mask in masks:
-        if total & mask:
-            return False
         total |= mask
     for i, j in pairs:
         if not g.neighborhood_of_set(masks[i]) & masks[j]:

@@ -138,6 +138,27 @@ def test_cdim_at_with_set(tmp_path):
     assert code == 0 and json.loads(out)["value"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cdim-at", "--vertex", "w", "--set", "u1,u2"], "cdim-at takes --vertex or --set, not both"),
+        (["formula", "--theorem", "dim", "--vertex", "w"], "formula --theorem dim takes no --vertex"),
+        (["formula", "--theorem", "cdim", "--vertex", "w"], "formula --theorem cdim takes no --vertex"),
+    ],
+)
+def test_conflicting_flags_exit_one(argv, message):
+    code, out, err = run_cli([*argv, "--family", "wheel:5"])
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_format_is_refused_where_no_graph_file_is_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--family", "path:3", "--format", "dimacs"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format dimacs" in capsys.readouterr().err
+
+
 def test_verify_family_exit_codes(monkeypatch):
     code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
     assert code == 0

@@ -118,9 +118,10 @@ def test_k33_seeds_skip_the_swapped_sides():
 
 def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     """Seeds searched and states popped by ``has_minor`` on the 12- and
-    16-vertex Moebius ladders.  The ban rule pops no state twice, and a
-    weaker dead test pops more states and still finds the same first model,
-    so only this count shows either."""
+    16-vertex Moebius ladders and on ``rand:16:0.3:3``, the two minor graphs
+    of the bench's ``search`` workload.  The ban rule pops no state twice,
+    and a weaker dead test pops more states and still finds the same first
+    model, so only this count shows either."""
     popped = []
 
     class CountingEnds(list):
@@ -134,11 +135,18 @@ def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     search = minor._search_from_seed
     seeds = []
     monkeypatch.setattr(minor, "_search_from_seed", lambda *a: seeds.append(a[2]) or search(*a))
-    for n, target, want in [(12, "K5", (46, 1014)), (12, "K33", (928, 2978)), (16, "K5", (94, 9806))]:
+    for g, target, want in [
+        (moebius_ladder(12), "K5", (46, 1014)),
+        (moebius_ladder(12), "K33", (928, 2978)),
+        (moebius_ladder(16), "K5", (94, 9806)),
+        (moebius_ladder(16), "K33", (4296, 97389)),
+        (generate("rand:16:0.3:3")[0], "K5", (12, 126)),
+        (generate("rand:16:0.3:3")[0], "K33", (54, 108)),
+    ]:
         seeds.clear()
         popped.clear()
-        assert has_minor(moebius_ladder(n), target, cap=n)[0]
-        assert (len(seeds), len(popped)) == want, (n, target)
+        assert has_minor(g, target, cap=g.n)[0]
+        assert (len(seeds), len(popped)) == want, (g.n, target)
 
 
 def test_witness_verifier_rejects_bad_models():
@@ -149,6 +157,12 @@ def test_witness_verifier_rejects_bad_models():
     broken[0] = broken[0] + broken[1]  # overlapping branch sets
     assert not verify_minor_witness(g, "K5", tuple(broken))
     assert not verify_minor_witness(g, "K5", witness[:4])
+    broken = list(witness)
+    broken[2] = broken[2] + broken[2][:1]  # a vertex twice in one branch set
+    assert not verify_minor_witness(g, "K5", tuple(broken))
+    broken = list(witness)
+    broken[4] = broken[4] + (g.n,)  # a vertex outside the graph
+    assert not verify_minor_witness(g, "K5", tuple(broken))
 
 
 # Witnesses of the unpruned branch-set search (tests/reference_minor.py) on
