@@ -260,14 +260,38 @@ def _load_input(args) -> tuple[Graph, tuple[str, ...], str]:
     return g, labels, args.input
 
 
+def _planar_desk_unbuilt(args) -> Optional[dict]:
+    """The input report of a family that planar-desk answers from its order and size alone.
+
+    On n >= 3 vertices, more than 3n - 6 edges make a graph nonplanar (Euler),
+    and any other family of known size past the minor-search cap raises
+    TooLarge; neither is built.  None means the family is built and tested.
+    """
+    from . import families
+    from .minor import MINOR_CAP
+
+    spec = families.parse_spec(args.family, default_seed=args.seed)
+    n, m = families.order(spec), families.size(spec)
+    # Past MAX_ORDER, generate reports the library cap instead.
+    if n is None or m is None or not 3 <= n <= MAX_ORDER:
+        return None
+    if m > 3 * n - 6:
+        return {"source": spec.text(), "format": "family", "n": n, "m": m}
+    check_cap(n, args.cap, MINOR_CAP, "minor-search")
+    return None
+
+
 def _labelset(labels: Sequence[str], vertices: Sequence[int]) -> list[str]:
     return [labels[v] for v in sorted(vertices)]
 
 
-def _to_indices(labels: Sequence[str], names: Sequence[str]) -> list[int]:
+def _to_indices(labels: Sequence[str], flag: str, value: str) -> list[int]:
+    """The vertices that a ``--vertex`` label or a comma-separated ``--set`` names."""
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
-    for name in names:
+    for name in value.split(",") if flag == "--set" else [value]:
+        if not name:
+            raise MetricDimError(f"{flag} {value!r} has an empty vertex label")
         if name not in index:
             raise MetricDimError(f"unknown vertex label {name!r}")
         out.append(index[name])
@@ -352,6 +376,13 @@ def _dispatch(args, out: TextIO) -> int:
             write_edgelist(g, labels, out)
         return 0
 
+    if args.command == "planar-desk" and args.family:
+        unbuilt = _planar_desk_unbuilt(args)
+        if unbuilt is not None:
+            report.update(input=unbuilt, query="planar-desk", value=False, elapsed_ms=_ms(started))
+            _emit(report, args.json, out)
+            return 0
+
     g, labels, source = _load_input(args)
     fmt = "family" if getattr(args, "family", None) else args.format
     report["input"] = {"source": source, "format": fmt, "n": g.n, "m": g.m}
@@ -370,10 +401,10 @@ def _dispatch(args, out: TextIO) -> int:
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "cdim-at":
-        if args.vertex:
-            anchor = _to_indices(labels, [args.vertex])
-        elif args.anchor_set:
-            anchor = _to_indices(labels, args.anchor_set.split(","))
+        if args.vertex is not None:
+            anchor = _to_indices(labels, "--vertex", args.vertex)
+        elif args.anchor_set is not None:
+            anchor = _to_indices(labels, "--set", args.anchor_set)
         else:
             raise MetricDimError("cdim-at needs --vertex or --set")
         res = cdim_at_set(g, anchor, cap=cap)
@@ -429,9 +460,9 @@ def _dispatch(args, out: TextIO) -> int:
         elif args.theorem == "cdim":
             res = cdim_formula(g)
         else:
-            if not args.vertex:
+            if args.vertex is None:
                 raise MetricDimError("formula --theorem cdim-at needs --vertex")
-            v = _to_indices(labels, [args.vertex])[0]
+            v = _to_indices(labels, "--vertex", args.vertex)[0]
             res = cdim_at_vertex_formula(g, v)
         report["query"] = f"formula:{args.theorem}"
         report["value"] = res.value

@@ -7,9 +7,12 @@ that every vertex beyond the first has a lower-indexed neighbor, which lets
 the CLI write edge lists whose parse round-trips to the identical indexing.
 
 Each kind is one row of ``_KINDS``: the shapes of its ``:``-separated fields,
-its builder, and its order as a function of its parameters.  The spec
-parser, the canonical text, ``order`` and ``generate`` all read that row, so
-a new kind is one table row plus its builder.
+its builder, its order and size as functions of its parameters, and the
+check of their domain.  The spec parser, the canonical text, ``order``,
+``size`` and ``generate`` all read that row, so a new kind is one table row
+plus its builder.  The check runs before anything else reads the
+parameters, so a command can answer or refuse from the order and size of a
+valid spec without building it.
 """
 
 from __future__ import annotations
@@ -46,34 +49,28 @@ def _fail(msg: str) -> None:
 
 
 def path(n: int) -> Labeled:
-    n >= 2 or _fail("path needs n ≥ 2")
     g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     return g, tuple(f"u{i + 1}" for i in range(n))
 
 
 def cycle(n: int) -> Labeled:
-    n >= 3 or _fail("cycle needs n ≥ 3")
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     return g, tuple(f"u{i + 1}" for i in range(n))
 
 
 def complete(n: int) -> Labeled:
-    n >= 2 or _fail("complete needs n ≥ 2")
     g = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     return g, tuple(f"u{i + 1}" for i in range(n))
 
 
 def star(n: int) -> Labeled:
     """Star on n vertices total: one center joined to n-1 leaves."""
-    n >= 2 or _fail("star needs n ≥ 2")
     g = build_graph(n, [(0, i) for i in range(1, n)])
     return g, ("w",) + tuple(f"l{i}" for i in range(1, n))
 
 
 def complete_multipartite(parts: Sequence[int]) -> Labeled:
     parts = tuple(sorted(parts))
-    len(parts) >= 2 or _fail("multipartite needs k ≥ 2 parts")
-    all(a >= 1 for a in parts) or _fail("part sizes must be ≥ 1")
     boundaries = []
     start = 0
     labels = []
@@ -93,7 +90,6 @@ def complete_multipartite(parts: Sequence[int]) -> Labeled:
 
 def wheel(n: int) -> Labeled:
     """Wheel on n+1 vertices: rim cycle u1..un plus a hub w joined to all."""
-    n >= 3 or _fail("wheel needs rim length n ≥ 3")
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
     return build_graph(n + 1, edges), tuple(f"u{i + 1}" for i in range(n)) + ("w",)
 
@@ -108,7 +104,6 @@ def petersen() -> Labeled:
 
 def grid(s: int, t: int) -> Labeled:
     """Cartesian product of paths, row-major: vertex (i,j) at index (i-1)*t + (j-1)."""
-    (s >= 2 and t >= 2) or _fail("grid needs s,t ≥ 2")
 
     def idx(i: int, j: int) -> int:
         return (i - 1) * t + (j - 1)
@@ -127,8 +122,6 @@ def grid(s: int, t: int) -> Labeled:
 def bouquet(lengths: Sequence[int]) -> Labeled:
     """m ≥ 2 cycles sharing exactly one vertex w; cycle i walked as u{i}.1..u{i}.(c-1)."""
     lengths = tuple(lengths)
-    len(lengths) >= 2 or _fail("bouquet needs m ≥ 2 cycles")
-    all(c >= 3 for c in lengths) or _fail("cycle lengths must be ≥ 3")
     labels = ["w"]
     edges = []
     nxt = 1
@@ -144,8 +137,6 @@ def bouquet(lengths: Sequence[int]) -> Labeled:
 
 def paddle(a: int, b: int) -> Labeled:
     """Clique u0..u(a-1) with a pendant path w1..wb hanging off u0."""
-    a >= 3 or _fail("paddle needs clique size a ≥ 3")
-    b >= 1 or _fail("paddle needs tail length b ≥ 1")
     edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
     edges.append((0, a))
     edges.extend((a + j, a + j + 1) for j in range(b - 1))
@@ -155,7 +146,6 @@ def paddle(a: int, b: int) -> Labeled:
 
 def fork(r: int, n: int) -> Labeled:
     """Path u1..ur with the n-r independent vertices l1.. joined to ur."""
-    (2 <= r <= n - 2) or _fail("fork needs 2 ≤ r ≤ n-2")
     edges = [(i, i + 1) for i in range(r - 1)]
     edges += [(r - 1, r - 1 + i) for i in range(1, n - r + 1)]
     labels = tuple(f"u{i + 1}" for i in range(r)) + tuple(f"l{i + 1}" for i in range(n - r))
@@ -164,9 +154,6 @@ def fork(r: int, n: int) -> Labeled:
 
 def generalized_sun(m: int, legs: Sequence[int]) -> Labeled:
     """Cycle u1..um with a pendant path of legs[i-1] vertices at each u_i (0 = none)."""
-    m >= 3 or _fail("sun needs cycle length m ≥ 3")
-    len(legs) == m or _fail(f"need exactly {m} leg lengths")
-    all(x >= 0 for x in legs) or _fail("leg lengths must be ≥ 0")
     edges = [(i, (i + 1) % m) for i in range(m)]
     labels = [f"u{i + 1}" for i in range(m)]
     nxt = m
@@ -277,7 +264,6 @@ def fr_graph(levels: Sequence[FrLevel]) -> Labeled:
 def fr_sample(r: int, seed: int) -> Labeled:
     """Random member with at most r levels; presence flags are sampled then
     repaired downward so the construction rules always hold."""
-    r >= 0 or _fail("fr needs r ≥ 0")
     rng = random.Random(seed)
     levels: list[FrLevel] = []
     prev = FrLevel(x=True, y=True, z=True)  # level-0 stand-in: u and w support anything
@@ -310,7 +296,6 @@ def fr_sample(r: int, seed: int) -> Labeled:
 
 def kite(k: int) -> Labeled:
     """Complete graph on u1..u(k+2) with the edge u1-u(k+2) subdivided once (s)."""
-    k >= 3 or _fail("kite needs k ≥ 3")
     n = k + 2
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if not (i == 0 and j == n - 1)
@@ -354,7 +339,6 @@ def theta_tails() -> Labeled:
 
 def fan_tail(n: int) -> Labeled:
     """Path u1..u4 whose every vertex is joined to w1, the head of a pendant path."""
-    n >= 6 or _fail("fantail needs n ≥ 6")
     edges = [(0, 1), (1, 2), (2, 3)]
     edges += [(i, 4) for i in range(4)]
     edges += [(4 + j, 5 + j) for j in range(n - 5)]
@@ -365,7 +349,6 @@ def fan_tail(n: int) -> Labeled:
 def vdel_pair(k: int) -> tuple[Labeled, Labeled]:
     """Graph G and the tree G-v: a (k+2)-path with leaves at u1 and uk, where v
     joins those two leaves."""
-    k >= 6 or _fail("vdel needs k ≥ 6")
     # indices: u0..u(k+1) = 0..k+1, l1 = k+2, lk = k+3, v = k+4
     tree_edges = [(i, i + 1) for i in range(k + 1)]
     tree_edges += [(1, k + 2), (k, k + 3)]
@@ -385,8 +368,6 @@ def vdel(k: int) -> Labeled:
 def edel_pair(k: int, a: int) -> tuple[Labeled, Labeled]:
     """Graph G and the spider G-e: center w with a long leg l1,s1..s(a-1), legs of
     length two to l2..l(k-1), a pendant lk, and the extra edge e = l1-s3."""
-    k >= 3 or _fail("edel needs k ≥ 3 legs")
-    a >= 4 or _fail("edel needs long-leg length a ≥ 4")
     # indices: l1 = 0, s1..s(a-1) = 1..a-1, w = a, then per middle leg (t, l), lk last
     labels = ["l1"] + [f"s{t}" for t in range(1, a)] + ["w"]
     edges = [(i, i + 1) for i in range(a)]
@@ -427,7 +408,6 @@ def _bfs_relabel(g: Graph) -> Graph:
 
 def random_tree(n: int, seed: int) -> Labeled:
     """Uniform random labeled tree via a random vertex sequence decode."""
-    n >= 2 or _fail("randtree needs n ≥ 2")
     rng = random.Random(seed)
     if n == 2:
         edges = [(0, 1)]
@@ -459,8 +439,6 @@ def random_connected(n: int, p: float, seed: int) -> Labeled:
     take the vertex-pair trials past ``RAND_PAIR_BUDGET``; below n = 46 the
     draw ceiling binds first.
     """
-    n >= 2 or _fail("rand needs n ≥ 2")
-    (0 < p <= 1) or _fail("rand needs edge probability 0 < p ≤ 1")
     rng = random.Random(seed)
     draws = min(10_000, RAND_PAIR_BUDGET // (n * (n - 1) // 2))
     for _ in range(draws):
@@ -521,9 +499,15 @@ SEED = _Field(1, lambda s, text: (_int(s, text),), str)
 class _Kind(NamedTuple):
     fields: tuple[_Field, ...]
     build: Callable[..., Labeled]
-    # Order of the instance from its params; None when it is known only once
-    # drawn: ``fr_sample`` stops at its first empty level.
+    # Order and size (edge count) of the instance from its params; None when
+    # known only once drawn: ``fr_sample`` stops at its first empty level, and
+    # ``rand`` keeps each vertex pair with probability p.
     order: Optional[Callable[..., int]]
+    size: Optional[Callable[..., int]]
+    # Raises InvalidSpec for params outside the kind's domain.  It runs before
+    # the order or size is read, so the builders and the counts above assume
+    # params inside it.
+    check: Callable[..., object]
 
 
 def _first(n: int, *_: int) -> int:
@@ -531,27 +515,60 @@ def _first(n: int, *_: int) -> int:
 
 
 _KINDS = {
-    "path": _Kind((INT,), path, _first),
-    "cycle": _Kind((INT,), cycle, _first),
-    "complete": _Kind((INT,), complete, _first),
-    "star": _Kind((INT,), star, _first),
-    "multipartite": _Kind((INTS,), complete_multipartite, sum),
-    "wheel": _Kind((INT,), wheel, lambda n: n + 1),
-    "petersen": _Kind((), petersen, lambda: 10),
-    "grid": _Kind((SXT,), grid, lambda s, t: s * t),
-    "bouquet": _Kind((INTS,), bouquet, lambda cs: 1 + sum(c - 1 for c in cs)),
-    "paddle": _Kind((PAIR,), paddle, lambda a, b: a + b),
-    "fork": _Kind((PAIR,), fork, lambda r, n: n),
-    "sun": _Kind((INT, INTS), generalized_sun, lambda m, legs: m + sum(legs)),
-    "fr": _Kind((INT, SEED), fr_sample, None),
-    "kite": _Kind((INT,), kite, lambda k: k + 3),
-    "k33sub": _Kind((), subdivided_k33, lambda: 10),
-    "thetatails": _Kind((), theta_tails, lambda: 12),
-    "fantail": _Kind((INT,), fan_tail, _first),
-    "vdel": _Kind((INT,), vdel, lambda k: k + 5),
-    "edel": _Kind((PAIR,), edel, lambda k, a: a + 2 * k - 2),
-    "randtree": _Kind((INT, SEED), random_tree, _first),
-    "rand": _Kind((INT, FLOAT, SEED), random_connected, _first),
+    "path": _Kind((INT,), path, _first, lambda n: n - 1,
+                  lambda n: n >= 2 or _fail("path needs n ≥ 2")),
+    "cycle": _Kind((INT,), cycle, _first, _first,
+                   lambda n: n >= 3 or _fail("cycle needs n ≥ 3")),
+    "complete": _Kind((INT,), complete, _first, lambda n: n * (n - 1) // 2,
+                      lambda n: n >= 2 or _fail("complete needs n ≥ 2")),
+    "star": _Kind((INT,), star, _first, lambda n: n - 1,
+                  lambda n: n >= 2 or _fail("star needs n ≥ 2")),
+    "multipartite": _Kind(
+        (INTS,), complete_multipartite, sum,
+        lambda parts: (sum(parts) ** 2 - sum(a * a for a in parts)) // 2,
+        lambda parts: (len(parts) >= 2 or _fail("multipartite needs k ≥ 2 parts"),
+                       all(a >= 1 for a in parts) or _fail("part sizes must be ≥ 1"))),
+    "wheel": _Kind((INT,), wheel, lambda n: n + 1, lambda n: 2 * n,
+                   lambda n: n >= 3 or _fail("wheel needs rim length n ≥ 3")),
+    "petersen": _Kind((), petersen, lambda: 10, lambda: 15, lambda: None),
+    "grid": _Kind((SXT,), grid, lambda s, t: s * t, lambda s, t: 2 * s * t - s - t,
+                  lambda s, t: (s >= 2 and t >= 2) or _fail("grid needs s,t ≥ 2")),
+    "bouquet": _Kind(
+        (INTS,), bouquet, lambda cs: 1 + sum(c - 1 for c in cs), sum,
+        lambda cs: (len(cs) >= 2 or _fail("bouquet needs m ≥ 2 cycles"),
+                    all(c >= 3 for c in cs) or _fail("cycle lengths must be ≥ 3"))),
+    "paddle": _Kind(
+        (PAIR,), paddle, lambda a, b: a + b, lambda a, b: a * (a - 1) // 2 + b,
+        lambda a, b: (a >= 3 or _fail("paddle needs clique size a ≥ 3"),
+                      b >= 1 or _fail("paddle needs tail length b ≥ 1"))),
+    "fork": _Kind((PAIR,), fork, lambda r, n: n, lambda r, n: n - 1,
+                  lambda r, n: (2 <= r <= n - 2) or _fail("fork needs 2 ≤ r ≤ n-2")),
+    "sun": _Kind(
+        (INT, INTS), generalized_sun, lambda m, legs: m + sum(legs), lambda m, legs: m + sum(legs),
+        lambda m, legs: (m >= 3 or _fail("sun needs cycle length m ≥ 3"),
+                         len(legs) == m or _fail(f"need exactly {m} leg lengths"),
+                         all(x >= 0 for x in legs) or _fail("leg lengths must be ≥ 0"))),
+    "fr": _Kind((INT, SEED), fr_sample, None, None,
+                lambda r, seed: r >= 0 or _fail("fr needs r ≥ 0")),
+    # K(k+2) less one edge, which a new vertex subdivides.
+    "kite": _Kind((INT,), kite, lambda k: k + 3, lambda k: (k + 2) * (k + 1) // 2 + 1,
+                  lambda k: k >= 3 or _fail("kite needs k ≥ 3")),
+    "k33sub": _Kind((), subdivided_k33, lambda: 10, lambda: 13, lambda: None),
+    "thetatails": _Kind((), theta_tails, lambda: 12, lambda: 12, lambda: None),
+    "fantail": _Kind((INT,), fan_tail, _first, lambda n: n + 2,
+                     lambda n: n >= 6 or _fail("fantail needs n ≥ 6")),
+    "vdel": _Kind((INT,), vdel, lambda k: k + 5, lambda k: k + 5,
+                  lambda k: k >= 6 or _fail("vdel needs k ≥ 6")),
+    "edel": _Kind(
+        (PAIR,), edel, lambda k, a: a + 2 * k - 2, lambda k, a: a + 2 * k - 2,
+        lambda k, a: (k >= 3 or _fail("edel needs k ≥ 3 legs"),
+                      a >= 4 or _fail("edel needs long-leg length a ≥ 4"))),
+    "randtree": _Kind((INT, SEED), random_tree, _first, lambda n, seed: n - 1,
+                      lambda n, seed: n >= 2 or _fail("randtree needs n ≥ 2")),
+    "rand": _Kind(
+        (INT, FLOAT, SEED), random_connected, _first, None,
+        lambda n, p, seed: (n >= 2 or _fail("rand needs n ≥ 2"),
+                            (0 < p <= 1) or _fail("rand needs edge probability 0 < p ≤ 1"))),
 }
 
 
@@ -561,16 +578,30 @@ def _kind(name: str) -> _Kind:
     return _KINDS[name]
 
 
+def _checked(spec: FamilySpec) -> _Kind:
+    """The kind of a spec whose params are in its domain; InvalidSpec otherwise."""
+    kind = _kind(spec.kind)
+    kind.check(*spec.params)
+    return kind
+
+
 def order(spec: FamilySpec) -> Optional[int]:
     """Order of the instance, from its parameters alone; None for fr."""
-    count = _kind(spec.kind).order
+    count = _checked(spec).order
+    return None if count is None else count(*spec.params)
+
+
+def size(spec: FamilySpec) -> Optional[int]:
+    """Edge count of the instance, from its parameters alone; None for fr and rand."""
+    count = _checked(spec).size
     return None if count is None else count(*spec.params)
 
 
 def generate(spec: FamilySpec | str) -> Labeled:
     """Instantiate a family spec (object or canonical text) deterministically.
 
-    An instance past ``MAX_ORDER`` raises ``TooLarge`` before anything is built.
+    Parameters outside the kind's domain raise ``InvalidSpec``, and an
+    instance past ``MAX_ORDER`` raises ``TooLarge``, before anything is built.
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)

@@ -3,6 +3,8 @@
 Each evaluator takes a Graph.  The graph is matched by a structural
 recognizer, and one dispatch on the recognized family, ``_forms``, reads
 its dim, cdim and cdim-at-v closed forms off the recognized structure.
+The evaluators recognize the last graph object they were given only once,
+so dim, cdim and cdim at every vertex of one graph cost one recognition.
 Every value returned here is independently checkable against the exact
 solvers; the test suite does exactly that.
 """
@@ -21,7 +23,7 @@ from .errors import (
     TooMany,
     Unsupported,
 )
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, blocks
+from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, blocks, remember_last_graph
 from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
@@ -335,8 +337,18 @@ def recognize(g: Graph) -> Optional[Recognized]:
     return None
 
 
+@remember_last_graph
+def _recognized(g: Graph) -> Optional[Recognized]:
+    """``recognize`` of g, computed once for the last graph object the evaluators saw.
+
+    The evaluators only read the result, so sharing it is safe; ``recognize``
+    itself stays uncached and hands every caller a fresh ``data`` dict.
+    """
+    return recognize(g)
+
+
 def _resolve(g: Graph) -> Recognized:
-    rec = recognize(g)
+    rec = _recognized(g)
     if rec is None:
         raise Unsupported("graph matches no family with a known closed form")
     return rec

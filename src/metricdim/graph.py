@@ -7,9 +7,11 @@ BFS, the blocks, the minor search and the closed forms all read it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import InvalidEdge, InvalidOption, NotConnected, TooLarge, TooSmall
+
+_T = TypeVar("_T")
 
 # Hard cap on library graph order: distances fit 16 bits with huge headroom,
 # and every exact solver saturates far below this anyway.
@@ -128,6 +130,29 @@ class Graph(_Frozen):
             raise InvalidEdge(f"no edge {u}-{v} to delete")
         edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
         return build_graph(self.n, edges)
+
+
+def remember_last_graph(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
+    """Wrap ``fn`` so that a second call on the same Graph object returns the first result.
+
+    One entry is kept: the last graph passed and ``fn``'s result on it.  The
+    key is object identity, which costs nothing to test, so an equal but
+    distinct graph is computed afresh.  The entry holds a strong reference
+    to its graph, so no other object can take its id while it is the key.
+    Every caller gets the same result object, so callers must not mutate it.
+    """
+    last: tuple = (None, None)
+
+    def remembered(g: Graph) -> _T:
+        nonlocal last
+        key, value = last
+        if key is not g:
+            value = fn(g)
+            # One assignment, so a thread never reads a key with another graph's value.
+            last = (g, value)
+        return value
+
+    return remembered
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -13,7 +13,8 @@ the block is nonplanar.  Otherwise a fragment with exactly one admissible
 face, or else any fragment, gets a path between two of its attachments drawn
 through that face, which splits the face in two.  For a 2-connected graph
 this succeeds exactly when the graph is planar.  ``is_planar_desk`` answers
-from this test alone.
+from this test alone, run on the kernel below, which is planar exactly when
+the input is.
 
 For a minor, the input is first shrunk by reductions that preserve presence
 of any 3-connected minor: vertices of degree at most one are deleted and
@@ -25,7 +26,9 @@ masks are the input's, reduced (a removed vertex's mask is 0), and the bags
 are masks, so the search, its seeds and the witness need no re-indexing.
 A planar kernel has neither target minor, so the planarity test dispatches
 the negative case quickly; otherwise an exhaustive seeded branch-set search
-either finds a model or proves absence.
+either finds a model or proves absence.  The kernel and its planarity are
+computed once for the last graph object seen, so K5, K33 and planarity
+queries on one graph share them.
 
 The search grows one branch of the first unmet pair at a time, depth first,
 into free vertices (those in no branch).  A state's children are its moves,
@@ -62,7 +65,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidSpec
-from .graph import Graph, bits, blocks, check_cap, components
+from .graph import Graph, bits, blocks, check_cap, components, remember_last_graph
 
 MINOR_CAP = 20
 
@@ -224,6 +227,21 @@ def _is_planar(adjm: Sequence[int]) -> bool:
     return all(_block_is_planar(adjm, block) for block in blocks(adjm))
 
 
+@remember_last_graph
+def _kernel(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...], bool]:
+    """``_kernelize`` of g as tuples, and whether g is planar, for the last graph seen.
+
+    The kernel is planar exactly when g is: deleting a vertex of degree at
+    most one and suppressing one of degree two keep a planar graph planar,
+    and undoing them (adding a pendant vertex, subdividing an edge, or
+    drawing a path beside an existing edge) does too.  So the K5 and K33
+    searches and the planarity test of one graph share one kernel and one
+    planarity run.
+    """
+    adj, alive, bags = _kernelize(g.adj_bits)
+    return tuple(adj), alive, tuple(bags), _is_planar(adj)
+
+
 def _search_from_seed(
     adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str
 ) -> Optional[tuple[int, ...]]:
@@ -270,7 +288,7 @@ def has_minor(
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
     check_cap(g.n, cap, MINOR_CAP, "minor-search")
-    adj, alive, bags = _kernelize(g.adj_bits)
+    adj, alive, bags, planar = _kernel(g)
     kn = alive.bit_count()
     km = sum(nb.bit_count() for nb in adj) // 2
     needed_edges = len(pairs)
@@ -278,7 +296,7 @@ def has_minor(
     rank = km - kn + len(list(components(adj, alive)))
     if kn < h or km < needed_edges or rank < needed_edges - h + 1:
         return False, None
-    if _is_planar(adj):
+    if planar:
         return False, None  # planar graphs contain neither obstruction
     for seed in _seed_sets(target, list(bits(alive))):
         model = _search_from_seed(adj, alive, seed, target)
@@ -323,4 +341,4 @@ def is_planar_desk(g: Graph, *, cap: Optional[int] = None) -> bool:
         check_cap(0, cap, MINOR_CAP, "minor-search")
         return g.n < 3
     check_cap(g.n, cap, MINOR_CAP, "minor-search")
-    return _is_planar(g.adj_bits)
+    return _kernel(g)[3]

@@ -36,6 +36,11 @@ def moebius_ladder(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + half) for i in range(half)])
 
 
+def distinct_copy(g: Graph) -> Graph:
+    """A graph equal to g that is another object, so no per-object memo has seen it."""
+    return build_graph(g.n, g.edges())
+
+
 def naive_bfs(g: Graph, source: int, removed: frozenset[int] = frozenset()) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])

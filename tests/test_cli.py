@@ -151,6 +151,21 @@ def test_conflicting_flags_exit_one(argv, message):
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cdim-at", "--vertex", ""], "--vertex '' has an empty vertex label"),
+        (["cdim-at", "--set", ""], "--set '' has an empty vertex label"),
+        (["cdim-at", "--set", "u1,,u2"], "--set 'u1,,u2' has an empty vertex label"),
+        (["cdim-at", "--set", "u1,"], "--set 'u1,' has an empty vertex label"),
+        (["formula", "--theorem", "cdim-at", "--vertex", ""], "--vertex '' has an empty vertex label"),
+    ],
+)
+def test_empty_vertex_labels_exit_one(argv, message):
+    code, out, err = run_cli([*argv, "--family", "wheel:5"])
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["generate", "verify"])
 def test_format_is_refused_where_no_graph_file_is_read(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -232,6 +247,54 @@ def test_classify_command_unicyclic():
 def test_planar_desk_command():
     code, out, _ = run_cli(["planar-desk", "--family", "kite:3", "--json"])
     assert code == 0 and json.loads(out)["value"] is False
+
+
+def _refuse_to_build(monkeypatch, kind_name):
+    import metricdim.families as families
+
+    def build(*params):
+        raise AssertionError(f"{kind_name}:{params} was built")
+
+    monkeypatch.setitem(families._KINDS, kind_name, families._KINDS[kind_name]._replace(build=build))
+
+
+def test_planar_desk_answers_too_many_edges_before_building(monkeypatch):
+    _refuse_to_build(monkeypatch, "complete")
+    code, out, _ = run_cli(["planar-desk", "--family", "complete:3000", "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["value"] is False
+    assert report["input"] == {"source": "complete:3000", "format": "family", "n": 3000, "m": 4498500}
+    assert report["query"] == "planar-desk" and report["warnings"] == []
+
+
+def test_planar_desk_refuses_past_the_minor_cap_before_building(monkeypatch):
+    _refuse_to_build(monkeypatch, "path")
+    code, out, err = run_cli(["planar-desk", "--family", "path:3000"])
+    assert code == 1 and out == ""
+    assert err == "error: n=3000 exceeds the minor-search cap 20; pass cap=3000 to override\n"
+
+
+@pytest.mark.parametrize("spec", ["complete:21", "grid:5x5", "kite:4", "paddle:7,2", "multipartite:3,3,3"])
+def test_planar_desk_before_building_matches_the_built_graph(monkeypatch, spec):
+    from metricdim import is_planar_desk
+
+    g = generate(spec)[0]
+    _refuse_to_build(monkeypatch, spec.split(":")[0])
+    code, out, err = run_cli(["planar-desk", "--family", spec, "--json"])
+    if g.m > 3 * g.n - 6:
+        report = json.loads(out)
+        assert code == 0 and report["input"] == {"source": spec, "format": "family", "n": g.n, "m": g.m}
+        assert report["value"] is is_planar_desk(g) is False
+    else:
+        assert code == 1 and err == f"error: n={g.n} exceeds the minor-search cap 20; pass cap={g.n} to override\n"
+
+
+@pytest.mark.parametrize("spec", ["wheel:2", "paddle:30,0", "grid:-5x-5", "multipartite:0,20,20",
+                                  "bouquet:2,2", "fantail:3"])
+def test_planar_desk_rejects_out_of_domain_specs_before_any_shortcut(spec):
+    code, out, err = run_cli(["planar-desk", "--family", spec])
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "cap" not in err
 
 
 def test_formula_command():

@@ -23,6 +23,7 @@ from metricdim.families import (
     fr_graph,
     fr_sample,
     order,
+    size,
     vdel_pair,
 )
 from metricdim.graph import MAX_ORDER, bits
@@ -303,6 +304,26 @@ def test_order_from_parameters_matches_the_built_graph(spec):
         assert order(parsed) is None
     else:
         assert order(parsed) == generate(parsed)[0].n
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    "wheel:4", "grid:3x5", "multipartite:2,2,5", "bouquet:4,4,6", "paddle:4,2", "fork:2,9",
+    "sun:5:0,2,0,1,3", "kite:5", "vdel:9", "edel:5,7", "complete:9", "multipartite:1,1,1,4",
+    *(f"randtree:{n}:{seed}" for n in (2, 3, 7, 15, 40) for seed in range(3))])
+def test_size_from_parameters_matches_the_built_graph(spec):
+    parsed = parse_spec(spec)
+    if parsed.kind in ("fr", "rand"):
+        assert size(parsed) is None
+    else:
+        assert size(parsed) == generate(parsed)[0].m
+
+
+def test_out_of_domain_parameters_are_rejected_before_the_order_is_read():
+    # Past MAX_ORDER by its order, but refused for its domain first.
+    for bad in ("grid:-100x-100", "fork:1,99999", "paddle:3000,0"):
+        for call in (order, size, generate):
+            with pytest.raises(InvalidSpec):
+                call(parse_spec(bad))
 
 
 @pytest.mark.parametrize("spec", ["path:99999999999999999999", "grid:3000x3000", "complete:100000",

@@ -31,7 +31,7 @@ from metricdim import (
 from metricdim import formulas
 from metricdim.families import vdel_pair
 
-from conftest import atlas, brute_min_resolving_sets, moebius_ladder
+from conftest import atlas, brute_min_resolving_sets, distinct_copy, moebius_ladder
 
 
 def path_graph(n):
@@ -278,7 +278,8 @@ def test_recognize_tests_connectivity_once(monkeypatch, graph, kind):
 
 
 def test_tree_formulas_test_connectivity_once_per_call(monkeypatch):
-    # recognize tests it; the skeleton behind the tree forms does not test it again.
+    # recognize tests it, once per graph object; the skeleton behind the tree
+    # forms does not test it again.
     g, _ = generate("randtree:12:1")
     count = [0]
     real = Graph.is_connected
@@ -292,7 +293,7 @@ def test_tree_formulas_test_connectivity_once_per_call(monkeypatch):
     assert count[0] == 1
     for v in range(g.n):
         cdim_at_vertex_formula(g, v)
-    assert count[0] == 1 + g.n
+    assert count[0] == 1
 
 
 def test_skeleton_rejects_a_disconnected_graph_with_tree_size():
@@ -553,3 +554,61 @@ def test_cdim_at_vertex_formula_resolves_its_input_once(monkeypatch, spec, v):
     monkeypatch.setattr(formulas, "recognize", counted)
     cdim_at_vertex_formula(family(spec), v)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the evaluators' memo of the last graph recognized
+
+
+def _interleaved(graphs):
+    """Each graph A with the next graph B as A, B, A and an equal but distinct copy of A."""
+    for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+        yield from (a, b, a, distinct_copy(a))
+
+
+def _evaluated(g):
+    try:
+        return [dim_formula(g), cdim_formula(g)] + [cdim_at_vertex_formula(g, v) for v in range(g.n)]
+    except Unsupported:
+        return None
+
+
+def _unmemoized(g):
+    rec = recognize(g)
+    if rec is None:
+        return None
+    return [*formulas._forms(rec, g)[:2]] + [formulas._forms(rec, g, v)[2] for v in range(g.n)]
+
+
+def test_formulas_on_interleaved_graphs_match_the_unmemoized_forms():
+    graphs = list(atlas()) + [generate(spec)[0] for spec in RECOGNIZE_SPECS]
+    for g in _interleaved(graphs):
+        assert _evaluated(g) == _unmemoized(g), g
+
+
+def test_mutating_a_recognize_result_changes_no_formula():
+    g = family("bouquet:3,4,5")
+    before = _evaluated(g)
+    recognize(g).data.clear()
+    assert _evaluated(g) == before
+    h = family("wheel:9")
+    recognize(h).data["rim"] = 6
+    assert _evaluated(h) == _unmemoized(h)
+
+
+@pytest.mark.parametrize("spec", ["wheel:9", "randtree:12:1", "grid:4x3", "bouquet:3,5,4", "kite:3"])
+def test_formulas_recognize_a_graph_once_across_calls(monkeypatch, spec):
+    calls = []
+    real = formulas.recognize
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(formulas, "recognize", counted)
+    g = family(spec)
+    _evaluated(g)
+    _evaluated(g)
+    assert len(calls) == 1
+    _evaluated(distinct_copy(g))  # an equal graph is another object: recognized afresh
+    assert len(calls) == 2

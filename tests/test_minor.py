@@ -15,7 +15,7 @@ from metricdim import (
 from metricdim import minor
 from metricdim.minor import _seed_sets
 
-from conftest import moebius_ladder
+from conftest import atlas, distinct_copy, moebius_ladder
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -201,3 +201,45 @@ def test_k33_witness_pinned(g, witness):
 def test_k5_witness_pinned(g, witness):
     assert has_minor(g, "K5", cap=g.n) == (True, witness)
     assert verify_minor_witness(g, "K5", witness)
+
+
+# ---------------------------------------------------------------------------
+# the kernel memo of the last graph seen
+
+SHIPPED_SPECS = (
+    "path:5", "cycle:7", "complete:4", "star:6", "multipartite:1,2,3", "wheel:9", "petersen",
+    "grid:7x4", "bouquet:3,5,4", "paddle:6,5", "fork:3,7", "sun:8:1,0,3,1,0,2,0,0", "fr:3:11",
+    "kite:3", "k33sub", "thetatails", "fantail:8", "vdel:6", "edel:3,4", "randtree:9:4",
+    "rand:8:0.4:42", "multipartite:3,3", "complete:5", "kite:4",
+)
+
+
+def _answers(g):
+    cap = max(minor.MINOR_CAP, g.n)
+    return has_minor(g, "K5", cap=cap), has_minor(g, "K33", cap=cap), is_planar_desk(g, cap=cap)
+
+
+def test_minor_answers_on_interleaved_graphs_match_the_unmemoized_ones():
+    graphs = list(atlas()) + [generate(spec)[0] for spec in SHIPPED_SPECS]
+    # The minor answers of each graph on a copy seen alone, and its planarity from the graph itself.
+    alone = {g.adj_bits: (*_answers(distinct_copy(g))[:2], minor._is_planar(g.adj_bits)) for g in graphs}
+    # Each graph A with the next graph B as A, B, A and an equal but distinct copy of A.
+    for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+        for g in (a, b, a, distinct_copy(a)):
+            want = alone[g.adj_bits]
+            assert _answers(g) == want, g
+            for target, (found, model) in zip(("K5", "K33"), want):
+                assert not found or verify_minor_witness(g, target, model)
+
+
+@pytest.mark.parametrize("spec", ["petersen", "k33sub", "kite:3", "grid:4x3", "randtree:12:1",
+                                  "multipartite:3,3", "wheel:9"])
+def test_one_graph_is_kernelized_and_planarity_tested_once(monkeypatch, spec):
+    calls = []
+    for name in ("_kernelize", "_is_planar"):
+        real = getattr(minor, name)
+        monkeypatch.setattr(minor, name, lambda adj, real=real, name=name: calls.append(name) or real(adj))
+    g, _ = generate(spec)
+    for _ in range(2):
+        _answers(g)
+    assert sorted(calls) == ["_is_planar", "_kernelize"]
