@@ -341,10 +341,14 @@ def recognize(g: Graph) -> Optional[Recognized]:
 def _recognized(g: Graph) -> Optional[Recognized]:
     """``recognize`` of g, computed once for the last graph object the evaluators saw.
 
+    A tree's result also holds its skeleton, which every tree form reads.
     The evaluators only read the result, so sharing it is safe; ``recognize``
-    itself stays uncached and hands every caller a fresh ``data`` dict.
+    and ``tree_skeleton`` stay uncached and hand every caller fresh dicts.
     """
-    return recognize(g)
+    rec = recognize(g)
+    if rec is not None and rec.kind == "tree":
+        rec.data["skeleton"] = _skeleton(g)
+    return rec
 
 
 def _resolve(g: Graph) -> Recognized:
@@ -363,7 +367,8 @@ def _forms(rec: Recognized, g: Graph, v: Optional[int] = None) -> tuple[FormulaR
 
     Each block covers only what ``recognize`` can hand it: a wheel has rim
     >= 4 (rim 3 is complete), and a multipartite graph with one singleton
-    part has three or more parts (with two it is a star, a tree).
+    part has three or more parts (with two it is a star, a tree).  A tree's
+    skeleton comes from ``rec`` when ``_recognized`` stored it there.
     """
     R = FormulaResult
     kind, data, n = rec.kind, rec.data, g.n
@@ -382,7 +387,7 @@ def _forms(rec: Recognized, g: Graph, v: Optional[int] = None) -> tuple[FormulaR
         return (R(3, "petersen", "petersen-dim"), R(4, "petersen", "petersen-cdim"),
                 R(4, "petersen", "petersen-cdim"))
     if kind == "tree":
-        sk = _skeleton(g)
+        sk = data.get("skeleton") or _skeleton(g)
         base = len(sk.dset) + sk.sigma
         forms = R(sk.sigma - sk.ex, "tree", "tree-dim"), R(base, "tree", "tree-cdim")
         if v is None:

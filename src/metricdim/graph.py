@@ -256,8 +256,8 @@ def components(adj: Sequence[int], mask: int) -> Iterator[int]:
 
     ``adj`` holds one neighbour bitmask per vertex.  Components come in the
     order of their lowest vertex, each filled only when it is asked for.
-    The set bits are walked inline, as in ``distance_levels``: the minor
-    search splits its free vertices on every state it pops.
+    The set bits are walked inline, as in ``distance_levels``; the minor
+    search writes this loop out in its pop, where it runs on every state.
     """
     while mask:
         comp = frontier = mask & -mask

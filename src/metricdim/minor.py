@@ -55,8 +55,8 @@ the grown branch's pairs, the only ones its move can meet.  It then splits
 the free vertices into components afresh: the branches are disjoint, so
 their sum is the set of used vertices.  Each component's signature, the
 branches whose neighbourhoods meet it, indexes a static table of the pairs
-it covers, and the state is dead when its unmet mask leaves a pair
-uncovered.
+it covers.  The split stops once the components found cover every unmet
+pair, and the state is dead when its unmet mask leaves a pair uncovered.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def _search_from_seed(
     adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str
 ) -> Optional[tuple[int, ...]]:
     pairs, (ends, covered_by) = _TARGETS[target][1], _TABLES[target]
-    start = tuple(1 << v for v in seed)
-    nbhd = tuple(adjm[v] for v in seed)
+    start = [1 << v for v in seed]
+    nbhd = [adjm[v] for v in seed]
     unmet = sum(1 << p for p, (i, j) in enumerate(pairs) if not nbhd[i] & start[j])
     n = len(adjm)
     # The start counts branch 0 as grown; its pairs are already tested.
@@ -258,10 +258,22 @@ def _search_from_seed(
             if unmet & bit and nbhd[grew] & branches[k]:
                 unmet ^= bit
         if not unmet:
-            return branches
+            return tuple(branches)
         used = sum(branches)  # branches are disjoint, so their sum is their union
+        free = alive & ~used
         covered = 0  # the pairs that some free component touches at both ends
-        for comp in components(adjm, alive & ~used):
+        while free and unmet & ~covered:
+            # The free component of the lowest free vertex, as in ``graph.components``.
+            comp = frontier = free & -free
+            while frontier:
+                reach = 0
+                while frontier:
+                    b = frontier & -frontier
+                    reach |= adjm[b.bit_length() - 1]
+                    frontier ^= b
+                frontier = reach & free & ~comp
+                comp |= frontier
+            free ^= comp
             sig = 0
             for k, nb in enumerate(nbhd):
                 if nb & comp:
@@ -274,11 +286,12 @@ def _search_from_seed(
         banned |= sum(1 << side * n + v for side, v in moves)
         for side, v in moves:
             banned ^= 1 << side * n + v  # a child is barred from the moves pushed after it
-            grown = list(branches)
+            # Each child owns its lists; nothing mutates them after the push.
+            grown = branches.copy()
             grown[side] |= 1 << v
-            grown_nbhd = list(nbhd)
+            grown_nbhd = nbhd.copy()
             grown_nbhd[side] |= adjm[v]
-            stack.append((tuple(grown), tuple(grown_nbhd), unmet, side, banned))
+            stack.append((grown, grown_nbhd, unmet, side, banned))
     return None
 
 

@@ -21,14 +21,17 @@ connected sets of the complete graph, where growth from the ascending roots
 tries vertices in ascending order, so it meets k-sets in lexicographic order
 and its first hit is the lexicographically smallest witness; for connected
 sets the smallest hit is kept.  The walker carries the masks its partial set
-has not hit yet, and fills the last slot from their intersection.  With r
-slots still open, it tries candidates only up to the lowest top vertex of an
-unhit mask whose addable vertices are all candidates, and it cuts a branch
-when ``_too_few`` shows r cannot suffice: either the twin deficit, the
-twin-class vertices still missing from the partial set, exceeds r, or a
-greedy packing finds more than r unhit masks that are pairwise disjoint on
-the vertices the branch may still add.  Every cut drops only branches
-without a hit, so the order in which hits are met is unchanged.
+has not hit yet.  With r slots still open, one pass over them finds the
+lowest top vertex of an unhit mask whose addable vertices are all
+candidates, past which no candidate is tried, and cuts the branch when r
+cannot suffice: either the twin deficit, the twin-class vertices still
+missing from the partial set, exceeds r, or a greedy packing finds more than
+r unhit masks that are pairwise disjoint on the vertices the branch may
+still add.  With two slots open, a node fills the last slot of each
+candidate itself, from the intersection of the unhit masks that the
+candidate misses, rather than calling the walker once more.  Every cut drops
+only branches without a hit, so the order in which hits are met is
+unchanged.
 
 Swapping two twins is an automorphism, and it keeps a set resolving and
 connected.  So the lexicographically smallest hit meets every twin class in
@@ -198,34 +201,6 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _too_few(unhit: list[int], twins: tuple[int, ...], cur: int, free: int, r: int) -> bool:
-    """Whether a lower bound shows r more vertices from ``free`` cannot meet all ``unhit`` masks.
-
-    Two lower bounds on the vertices still needed are tried.  The twin
-    deficit: every twin class needs all but one of its vertices.  The
-    packing: unhit masks that stay pairwise disjoint on ``free`` each need a
-    vertex of their own, and a greedy pass over the masks, smallest first,
-    stops once it has more than r.  Neither bound exceeds ``len(unhit)``, so
-    a caller may skip the call when that is at most r.
-    """
-    need = 0
-    for c in twins:
-        gap = c.bit_count() - 1 - (c & cur).bit_count()
-        if gap > 0:
-            need += gap
-    if need > r:
-        return True
-    used = 0
-    for m in unhit:
-        m &= free
-        if not m & used:
-            used |= m
-            r -= 1
-            if r < 0:
-                return True
-    return False
-
-
 # A growth start: (current mask, banned mask, neighborhood mask).
 _Start = tuple[int, int, int]
 
@@ -270,9 +245,17 @@ def _connected_hits(
     lowest top vertex of an unhit mask whose addable vertices are all
     candidates, since once it is banned no later sibling can meet that mask;
     so no branch is entered with an unhit mask it can no longer meet.  A
-    branch is cut when ``_too_few`` shows that r of the vertices it may add
-    cannot meet every unhit mask, or when they and ``cur`` all lie in
-    ``done[0]``, a mask the caller may grow between hits.
+    branch is cut when the vertices it may add and ``cur`` all lie in
+    ``done[0]``, a mask the caller may grow between hits, or when a lower
+    bound shows that r of those vertices cannot meet every unhit mask.  Two
+    bounds are tried, only while more than r masks are unhit, since neither
+    can exceed their number.  The twin deficit: every twin class needs all
+    but one of its vertices.  The packing: unhit masks that stay pairwise
+    disjoint on those vertices each need a vertex of their own; a greedy
+    pass over the masks, smallest first, stops once it has more than r.  The
+    same pass finds the lowest top vertex.  With two slots open, a node
+    fills the last slot of each candidate b itself: the choices are the new
+    neighbors of the set that lie in every unhit mask b misses.
 
     With ``up``, the class-mates above each vertex, a candidate's are banned
     and dropped from the candidates along with it, the last slot included.
@@ -302,21 +285,54 @@ def _connected_hits(
     # candidates; a smaller mask has no higher top vertex.
     beyond = free & ~ext
     low = ext
-    for m in unhit:
-        if m & free < low and not m & beyond:
-            low = m & free
-    if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
-        return
+    if len(unhit) <= r:
+        for m in unhit:
+            if m & free < low and not m & beyond:
+                low = m & free
+    else:
+        need = 0
+        for c in twins:
+            gap = c.bit_count() - 1 - (c & cur).bit_count()
+            if gap > 0:
+                need += gap
+        if need > r:
+            return
+        used = 0
+        slack = r
+        for m in unhit:
+            m &= free
+            if m < low and not m & beyond:
+                low = m
+            if not m & used:
+                used |= m
+                slack -= 1
+                if slack < 0:
+                    return
     ext &= (1 << low.bit_length()) - 1
     while ext:
         b = ext & -ext
         ext ^= b
         new_cur = cur | b
         v = b.bit_length() - 1
-        yield from _connected_hits(
-            adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
-            (nb | adj[v]) & ~new_cur, done, up,
-        )
+        if r > 2:
+            yield from _connected_hits(
+                adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
+                (nb | adj[v]) & ~new_cur, done, up,
+            )
+        else:
+            # The last slot: a new neighbor of the set in every unhit mask b misses.
+            last = (nb | adj[v]) & ~(new_cur | banned)
+            for m in unhit:
+                if not m & b:
+                    last &= m
+                    if not last:
+                        break
+            while last:
+                c = last & -last
+                yield new_cur | c
+                last ^= c
+                if up:
+                    last &= ~up[c.bit_length() - 1]
         if up:
             b |= up[v]
             ext &= ~b

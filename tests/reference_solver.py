@@ -6,7 +6,9 @@ the connected variants grow every connected k-set with a per-branch ban set
 and keep the lexicographically smallest resolving one, the profile sweeps
 every connected k-set per cardinality, and the enumeration filters all
 k-sets.  Each candidate is checked against its full code table, so nothing
-here depends on the distinguisher masks of the pruning core.
+here depends on the distinguisher masks of the pruning core.  The one
+exception is ``_connected_hits`` at the end, the core's earlier mask walker:
+it is the oracle for the order in which the current walker yields its hits.
 """
 
 from __future__ import annotations
@@ -230,3 +232,109 @@ def enumerate_min_resolving_sets(
         if _is_resolving(rows, members, base):
             out.append(members)
     return out
+
+
+# The growth walker of the library's exact solvers before it filled the last
+# slot inline and folded its bounds into one pass, copied verbatim: the oracle
+# for the order of the hits the current walker yields.
+
+
+def _too_few(unhit: list[int], twins: tuple[int, ...], cur: int, free: int, r: int) -> bool:
+    """Whether a lower bound shows r more vertices from ``free`` cannot meet all ``unhit`` masks.
+
+    Two lower bounds on the vertices still needed are tried.  The twin
+    deficit: every twin class needs all but one of its vertices.  The
+    packing: unhit masks that stay pairwise disjoint on ``free`` each need a
+    vertex of their own, and a greedy pass over the masks, smallest first,
+    stops once it has more than r.  Neither bound exceeds ``len(unhit)``, so
+    a caller may skip the call when that is at most r.
+    """
+    need = 0
+    for c in twins:
+        gap = c.bit_count() - 1 - (c & cur).bit_count()
+        if gap > 0:
+            need += gap
+    if need > r:
+        return True
+    used = 0
+    for m in unhit:
+        m &= free
+        if not m & used:
+            used |= m
+            r -= 1
+            if r < 0:
+                return True
+    return False
+
+
+def _connected_hits(
+    adj: Sequence[int],
+    full: int,
+    twins: tuple[int, ...],
+    unhit: list[int],
+    cur: int,
+    r: int,
+    banned: int,
+    nb: int,
+    done: Sequence[int],
+    up: Sequence[int] = (),
+) -> Iterator[int]:
+    """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
+
+    Banning a candidate for the rest of its branch once its subtree is
+    exhausted yields each extension exactly once.  Candidates stop at the
+    lowest top vertex of an unhit mask whose addable vertices are all
+    candidates, since once it is banned no later sibling can meet that mask;
+    so no branch is entered with an unhit mask it can no longer meet.  A
+    branch is cut when ``_too_few`` shows that r of the vertices it may add
+    cannot meet every unhit mask, or when they and ``cur`` all lie in
+    ``done[0]``, a mask the caller may grow between hits.
+
+    With ``up``, the class-mates above each vertex, a candidate's are banned
+    and dropped from the candidates along with it, the last slot included.
+    Twins enter the candidates together and are tried in ascending order, so
+    this yields exactly the extensions that add, from each twin class, a
+    prefix of its vertices outside ``cur`` and ``banned``.
+    """
+    if r == 0:
+        if not unhit:
+            yield cur
+        return
+    ext = nb & ~banned
+    if r == 1:
+        for m in unhit:
+            ext &= m
+        while ext:
+            b = ext & -ext
+            yield cur | b
+            ext ^= b
+            if up:
+                ext &= ~up[b.bit_length() - 1]
+        return
+    free = full & ~(banned | cur)
+    if not (cur | free) & ~done[0]:
+        return
+    # The lowest top vertex of an unhit mask whose addable vertices are all
+    # candidates; a smaller mask has no higher top vertex.
+    beyond = free & ~ext
+    low = ext
+    for m in unhit:
+        if m & free < low and not m & beyond:
+            low = m & free
+    if len(unhit) > r and _too_few(unhit, twins, cur, free, r):
+        return
+    ext &= (1 << low.bit_length()) - 1
+    while ext:
+        b = ext & -ext
+        ext ^= b
+        new_cur = cur | b
+        v = b.bit_length() - 1
+        yield from _connected_hits(
+            adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
+            (nb | adj[v]) & ~new_cur, done, up,
+        )
+        if up:
+            b |= up[v]
+            ext &= ~b
+        banned |= b
+

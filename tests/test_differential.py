@@ -1,9 +1,11 @@
 """Every public solver against the reference searches of ``reference_solver``,
-``has_minor`` against the unpruned branch-set search of ``reference_minor``,
-the minor module's bitmask kernel against that module's dict-of-sets one,
-``is_planar_desk`` against having neither minor, the minor module's bitmask
-planarity test against ``networkx``, and the bitmask walks of
-``metricdim.graph`` against removal and ``networkx`` oracles.
+the solvers' growth walker against the earlier walker kept there, hit for
+hit and in order, ``has_minor`` against the unpruned branch-set search of
+``reference_minor``, the minor module's bitmask kernel against that
+module's dict-of-sets one, ``is_planar_desk`` against having neither minor,
+the minor module's bitmask planarity test against ``networkx``, and the
+bitmask walks of ``metricdim.graph`` against removal and ``networkx``
+oracles.
 
 Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
@@ -11,7 +13,8 @@ minor search also runs on the benchmark's two nonplanar kernels and on the
 subdivided K3,3, and from every seed of the Petersen graph (K5 and K3,3) and
 of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  Values and
 witnesses, every profile field and whole enumerations must be equal.  The
-planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
+walker runs on nine family and seeded graphs from every root start and from
+single- and two-vertex anchors.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
 planar graphs with one edge added or moved, and nonplanar minor kernels.  The
 kernel sees every atlas graph, disconnected ones included, and seeded random
 graphs.  Cut vertices, components of seeded vertex subsets and complete
@@ -33,6 +36,7 @@ import reference_solver as ref
 from metricdim.formulas import _recognize_multipartite
 from metricdim.graph import bits, components
 from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
+from metricdim.solver import _connected_hits, _prepare, _roots
 
 from conftest import atlas, connected_graphs, moebius_ladder, naive_cut_vertices
 
@@ -74,6 +78,50 @@ def test_atlas_matches_reference():
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_match_reference(g):
     assert_matches_reference(g, list(itertools.combinations(range(g.n), 2)), "random graph")
+
+
+WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3", "paddle:5,3",
+                "rand:14:0.3:1", "rand:14:0.3:2", "rand:14:0.3:3", "randtree:14:1")
+
+
+def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
+    """The hits of ``walker`` from each start, in order.  With ``grow_done``, the
+    ``done`` mask grows after each hit as ``vertex_profile`` grows it."""
+    done = [0]
+    streams = []
+    for cur, banned, nb in starts:
+        unhit = [m for m in masks if not m & cur]
+        stream = []
+        for hit in walker(g.adj_bits, g.vertex_mask(), twins, unhit, cur, k - cur.bit_count(),
+                          banned, nb, done, up):
+            stream.append(hit)
+            new = hit & ~done[0]
+            if grow_done and new:
+                done[0] |= hit
+                for c in twins:
+                    if c & new:
+                        done[0] |= c
+        streams.append(stream)
+    return streams
+
+
+@pytest.mark.parametrize("spec", WALKER_SPECS)
+def test_walker_yields_the_reference_hits_in_order(spec):
+    g, _ = md.generate(spec)
+    masks, twins, up, floor = _prepare(g, None, g.n, g.n)
+    anchors = [1 << v for v in range(g.n)]
+    anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
+    hits = 0
+    for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
+        for rule in ((), up):
+            starts = list(_roots(g.adj_bits, masks, k, rule))
+            starts += [(a, 0, g.neighborhood_of_set(a)) for a in anchors if a.bit_count() <= k]
+            for grow_done in (False, True):
+                got = hit_streams(_connected_hits, g, masks, twins, k, starts, rule, grow_done)
+                want = hit_streams(ref._connected_hits, g, masks, twins, k, starts, rule, grow_done)
+                assert got == want, (spec, k, bool(rule), grow_done)
+                hits += sum(map(len, got))
+    assert hits
 
 
 def minors_matching_reference(g: md.Graph, where: str, cap=None) -> int:

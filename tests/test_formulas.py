@@ -612,3 +612,30 @@ def test_formulas_recognize_a_graph_once_across_calls(monkeypatch, spec):
     assert len(calls) == 1
     _evaluated(distinct_copy(g))  # an equal graph is another object: recognized afresh
     assert len(calls) == 2
+
+
+# dim, cdim and cdim at each vertex, as the evaluators gave them before the skeleton was shared.
+TREE_VALUES = {
+    "randtree:12:1": (3, 5, (7, 6, 5, 5, 5, 5, 5, 5, 5, 6, 6, 7)),
+    "randtree:40:3": (8, 25, (25, 25, 25, 25, 25, 26, 25, 25, 25, 25, 25, 26, 25, 25, 25, 25, 25,
+                              25, 25, 25, 26, 25, 25, 25, 26, 25, 27, 25, 25, 25, 26, 25, 25, 25,
+                              25, 25, 25, 26, 27, 28)),
+}
+
+
+@pytest.mark.parametrize("spec", TREE_VALUES)
+def test_tree_forms_build_the_skeleton_once_per_graph(monkeypatch, spec):
+    calls = []
+    real = formulas._skeleton
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(formulas, "_skeleton", counted)
+    g = family(spec)
+    for h in (g, g, distinct_copy(g)):
+        found = _evaluated(h)
+        values = found[0].value, found[1].value, tuple(r.value for r in found[2:])
+        assert values == TREE_VALUES[spec]
+    assert len(calls) == 2 and calls[0] is g and calls[1] is not g

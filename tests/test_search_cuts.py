@@ -11,7 +11,8 @@ on the complete graph must yield exactly the resolving k-sets in
 lexicographic order, and growth from ``_roots`` exactly the connected ones,
 each once.  Inputs are all 995 connected atlas graphs and four small family
 graphs; larger graphs pin the values, witnesses, profiles and enumerations
-the solvers returned before these cuts.
+the solvers returned before these cuts, and the walker's call counts, which
+alone show a cut that was weakened.
 
 Given ``up``, the class-mates above each vertex, the same searches keep only
 the lex-leaders under twin swaps: the sets that meet every twin class in a
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 import metricdim as md
 from metricdim.cli import parse_graph_file
 from metricdim.graph import bits, distance_levels
+from metricdim import solver
 from metricdim.solver import _connected_hits, _plain_hits, _prepare, _roots
 
 from conftest import atlas, connected_graphs, naive_all_pairs, naive_resolves, subset_connected
@@ -241,3 +243,37 @@ def test_anchor_inside_a_twin_class_pin():
     # Pinned before the twin rule; vertex 1 is the middle of the class {0, 1, 2}.
     g, _ = md.generate("multipartite:3,3,3,3,3,3")
     assert md.cdim_at_set(g, (1,), cap=g.n) == (12, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16))
+
+
+
+# Calls of ``_connected_hits``, recursive ones included, now that a node with
+# two slots open fills the last slot itself.  Every cut removes calls without
+# changing a hit, so only a count shows a weakened cut; a change that prunes
+# more lowers a pin and says so.
+NODE_PINS = [
+    ("dim", "wheel:17", 238),
+    ("cdim", "wheel:17", 577),
+    ("profile", "wheel:17", 445),
+    ("enum", "wheel:17", 727),
+    ("cdim", "grid:7x7", 1493),
+    ("cdim", "randtree:40:3", 31249),
+    ("cdim", "multipartite:4,4,4,4,4,4", 21),
+]
+CAPPED = {"dim": md.dim_exact, "cdim": md.cdim_exact, "profile": md.vertex_profile,
+          "enum": md.enumerate_min_resolving_sets}
+
+
+@pytest.mark.parametrize("op, spec, nodes", NODE_PINS)
+def test_walker_node_pins(monkeypatch, op, spec, nodes):
+    g, _ = md.generate(spec)
+    calls = [0]
+    real = solver._connected_hits
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    # The recursion looks the module name up, so every call is counted.
+    monkeypatch.setattr(solver, "_connected_hits", counted)
+    CAPPED[op](g, cap=g.n)
+    assert calls[0] == nodes
