@@ -49,6 +49,20 @@ to its orbit: a resolving set misses at most one vertex of a class, so the
 orbit trades that class's missing top vertex for any one of its vertices.
 The search is sequential: ``workers`` is checked but never changes the work
 done.  Exceeding a cap is an error, never a silent approximation.
+
+The solvers of one graph share the values they have proved.  ``_proved``
+keeps, for the last Graph object a solver was given, the exact dim(G),
+cdim(G) and cdim_G(v) found so far.  The chain dim(G) <= cdim(G) <=
+cdim_G(v) <= cdim_G(A) for v in A, since a set containing A contains v,
+turns them into floors: dim and enumeration start at dim(G), cdim and the
+profile at cdim(G) (at dim(G) while cdim(G) is unknown), and cdim_G(A) at
+the largest of those and of cdim_G(v) for each v in A.  A search that ended
+at k proved every level below k empty, so starting there skips only levels
+without a hit, and every value and witness is unchanged.  A solver records
+its value once its search has found it: dim and enumeration write dim(G),
+an empty anchor cdim(G), a singleton anchor its cdim_G(v), and the profile
+cdim(G) (its ``rrad``) and every cdim_G(v).  A call that raises writes
+nothing.  ``_prepare`` still runs on every call.
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import EmptySet, InvalidAnchor, InvalidOption
-from .graph import DistanceMatrix, Graph, bits, check_cap, distance_levels
+from .graph import DistanceMatrix, Graph, bits, check_cap, distance_levels, remember_last_graph
 
 DIM_CAP = 24
 ENUM_CAP = 16
@@ -182,6 +196,18 @@ def _prepare(
     floor = len(classes) - len(twins)
     diam = max(map(len, levels))
     return _minimal(masks), twins, up, max(1, floor, dim_floor_from_diameter(g.n, diam))
+
+
+@remember_last_graph
+def _proved(g: Graph) -> list[int]:
+    """The exact values proved so far on ``g``: [dim, cdim, cdim_G(0), ..., cdim_G(n-1)].
+
+    0 stands for unknown.  One record is kept, for the last Graph object a
+    solver was given, so an equal copy starts with an empty one.  A solver
+    reads it for the level its search starts at, and writes a value only
+    once its search has found it, so every entry is proved.
+    """
+    return [0] * (g.n + 2)
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -381,10 +407,16 @@ def dim_exact(
     cap: Optional[int] = None,
     workers: int = 1,
 ) -> SolveResult:
-    """Exact metric dimension with the lexicographically smallest witness."""
+    """Exact metric dimension with the lexicographically smallest witness.
+
+    The search starts at dim(G) once a call on the same Graph object has
+    proved it, and records the value it finds.
+    """
     masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
-    for k in range(floor, g.n):
+    proved = _proved(g)
+    for k in range(max(floor, proved[0]), g.n):
         for hit in _plain_hits(masks, twins, g.n, k, up):
+            proved[0] = k
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
 
@@ -400,18 +432,25 @@ def cdim_at_set(
     """Minimum connected resolving set containing ``anchor`` (may be empty).
 
     An empty anchor computes the plain connected metric dimension; a singleton
-    anchor the connected metric dimension at that vertex.
+    anchor the connected metric dimension at that vertex.  The search starts
+    at the largest value proved on the same Graph object that bounds the
+    answer from below: cdim(G) (or dim(G) while cdim(G) is unknown), and
+    cdim_G(v) for each v in the anchor, since a set containing the anchor
+    contains v.  An empty or singleton anchor records the value it finds.
     """
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
     masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    proved = _proved(g)
+    start = max(floor, len(anchor_set), proved[1] or proved[0],
+                *[proved[v + 2] for v in anchor_set])
     anchor_mask = sum(1 << v for v in anchor_set)
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
     starts = [(anchor_mask, 0, g.neighborhood_of_set(anchor_mask))] if anchor_mask else None
 
-    for k in range(max(floor, len(anchor_set)), g.n + 1):
+    for k in range(start, g.n + 1):
         best = 0
         # Anchor vertices are never candidates, so the twin rule only bans a
         # candidate's class-mates outside the anchor: a prefix rule for the
@@ -428,6 +467,8 @@ def cdim_at_set(
                 # Sets from later roots have larger minima.
                 break
         if best:
+            if len(anchor_set) <= 1:
+                proved[min(anchor_set) + 2 if anchor_set else 1] = k
             best = tuple(bits(best))
             return SolveResult(k, best)
     raise AssertionError("unreachable: the full vertex set resolves any connected graph")
@@ -440,7 +481,11 @@ def cdim_exact(
     cap: Optional[int] = None,
     workers: int = 1,
 ) -> SolveResult:
-    """Exact connected metric dimension with its lexicographically smallest witness."""
+    """Exact connected metric dimension with its lexicographically smallest witness.
+
+    The search starts at cdim(G), or else dim(G), once a call on the same
+    Graph object has proved it, and records the value it finds.
+    """
     return cdim_at_set(g, (), dm, cap=cap, workers=workers)
 
 
@@ -458,15 +503,18 @@ def vertex_profile(
     k ascends yields the whole table without per-vertex searches.  Only sets
     that meet every twin class in a prefix are grown, and a hit marks the
     whole class of each vertex it newly marks, since twins have equal values.
-    Branches that can only mark marked vertices are cut.
+    Branches that can only mark marked vertices are cut.  The sweep starts
+    at cdim(G) (or dim(G)) once a call on the same Graph object has proved
+    it, and records cdim(G) and every cdim_G(v).
     """
     masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    proved = _proved(g)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
     # every vertex is marked by k = n-1 at the latest.
     values = [g.n - 1] * g.n
     marked = [0]
-    for k in range(floor, g.n):
+    for k in range(max(floor, proved[1] or proved[0]), g.n):
         if marked[0] == full:
             break
         before = marked[0]
@@ -482,6 +530,8 @@ def vertex_profile(
             values[v] = k
     per_vertex = tuple(values)
     rrad = min(per_vertex)
+    proved[1] = rrad
+    proved[2:] = per_vertex
     rdiam = max(per_vertex)
     rc = tuple(v for v in range(g.n) if per_vertex[v] == rrad)
     rp = tuple(v for v in range(g.n) if per_vertex[v] == rdiam)
@@ -495,8 +545,11 @@ def enumerate_min_resolving_sets(
     cap: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, in lexicographic order."""
+    # The search starts at dim(G) once a call on the same Graph object has
+    # proved it, and records the value it finds.
     masks, twins, up, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
-    for k in range(floor, g.n):
+    proved = _proved(g)
+    for k in range(max(floor, proved[0]), g.n):
         hits = _plain_hits(masks, twins, g.n, k, up)
         if twins:
             # Each hit stands for its orbit under twin swaps.  It meets every
@@ -513,5 +566,6 @@ def enumerate_min_resolving_sets(
             hits = orbits
         sets = [tuple(bits(hit)) for hit in hits]
         if sets:
+            proved[0] = k
             return sorted(sets) if twins else sets
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

@@ -13,6 +13,10 @@ minor search also runs on the benchmark's two nonplanar kernels and on the
 subdivided K3,3, and from every seed of the Petersen graph (K5 and K3,3) and
 of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  Values and
 witnesses, every profile field and whole enumerations must be equal.  The
+solvers run in a fixed order, and in the reverse order, on one object of each
+atlas graph and of one graph per family kind, where each search starts at the
+values the earlier calls proved; every result must equal the same call on an
+equal copy that no solver has seen.  The
 walker runs on nine family and seeded graphs from every root start and from
 single- and two-vertex anchors.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
 planar graphs with one edge added or moved, and nonplanar minor kernels.  The
@@ -33,12 +37,13 @@ from hypothesis import given, settings
 import metricdim as md
 import reference_minor as ref_minor
 import reference_solver as ref
+from metricdim.families import _KINDS
 from metricdim.formulas import _recognize_multipartite
 from metricdim.graph import bits, components
 from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
 from metricdim.solver import _connected_hits, _prepare, _roots
 
-from conftest import atlas, connected_graphs, moebius_ladder, naive_cut_vertices
+from conftest import atlas, connected_graphs, distinct_copy, moebius_ladder, naive_cut_vertices
 
 
 def pair_sample(g: md.Graph, offset: int) -> list[tuple[int, int]]:
@@ -78,6 +83,51 @@ def test_atlas_matches_reference():
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_match_reference(g):
     assert_matches_reference(g, list(itertools.combinations(range(g.n), 2)), "random graph")
+
+
+# One graph of every family kind, small enough to enumerate.
+SHARED_RECORD_SPECS = (
+    "path:6", "cycle:7", "complete:5", "star:6", "multipartite:2,2,3", "wheel:9", "petersen",
+    "grid:4x3", "bouquet:3,4,5", "paddle:5,3", "fork:3,7", "sun:5:0,2,0,1,3", "fr:3:11",
+    "kite:3", "k33sub", "thetatails", "fantail:7", "vdel:6", "edel:3,4", "randtree:12:3",
+    "rand:11:0.35:2",
+)
+
+
+def solver_calls(g: md.Graph) -> list:
+    """Every solver on g, as (name, call) pairs in a fixed order: dim, cdim, cdim at
+    each vertex and at one adjacent pair, the profile, the enumeration, then dim and
+    cdim again."""
+    pair = (0, (g.adj_bits[0] & -g.adj_bits[0]).bit_length() - 1)
+    calls = [("dim", lambda h: md.dim_exact(h, cap=h.n)),
+             ("cdim", lambda h: md.cdim_exact(h, cap=h.n))]
+    calls += [(f"cdim_at {v}", lambda h, v=v: md.cdim_at_set(h, (v,), cap=h.n))
+              for v in range(g.n)]
+    calls += [(f"cdim_at {pair}", lambda h: md.cdim_at_set(h, pair, cap=h.n)),
+              ("profile", lambda h: md.vertex_profile(h, cap=h.n)),
+              ("enum", lambda h: md.enumerate_min_resolving_sets(h, cap=h.n)),
+              ("dim again", lambda h: md.dim_exact(h, cap=h.n)),
+              ("cdim again", lambda h: md.cdim_exact(h, cap=h.n))]
+    return calls
+
+
+def test_shared_record_specs_cover_every_family_kind():
+    assert sorted(spec.split(":")[0] for spec in SHARED_RECORD_SPECS) == sorted(_KINDS)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_solvers_sharing_a_graph_object_match_fresh_copies(reverse):
+    """Run in order on one object, each solver starts at the values the calls before it
+    proved; reversed, the profile's values feed the anchored searches.  Each result
+    must equal the same call on an equal graph that no solver has seen."""
+    graphs = list(atlas()) + [md.generate(spec)[0] for spec in SHARED_RECORD_SPECS]
+    for i, g in enumerate(graphs):
+        calls = solver_calls(g)
+        if reverse:
+            calls.reverse()
+        shared = [call(g) for _, call in calls]
+        for (name, call), got in zip(calls, shared):
+            assert got == call(distinct_copy(g)), (i, name)
 
 
 WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3", "paddle:5,3",

@@ -249,7 +249,8 @@ def test_anchor_inside_a_twin_class_pin():
 # Calls of ``_connected_hits``, recursive ones included, now that a node with
 # two slots open fills the last slot itself.  Every cut removes calls without
 # changing a hit, so only a count shows a weakened cut; a change that prunes
-# more lowers a pin and says so.
+# more lowers a pin and says so.  Each row builds its own Graph object, so no
+# value an earlier call proved moves the level its search starts at.
 NODE_PINS = [
     ("dim", "wheel:17", 238),
     ("cdim", "wheel:17", 577),
@@ -263,9 +264,9 @@ CAPPED = {"dim": md.dim_exact, "cdim": md.cdim_exact, "profile": md.vertex_profi
           "enum": md.enumerate_min_resolving_sets}
 
 
-@pytest.mark.parametrize("op, spec, nodes", NODE_PINS)
-def test_walker_node_pins(monkeypatch, op, spec, nodes):
-    g, _ = md.generate(spec)
+@pytest.fixture
+def walker_calls(monkeypatch):
+    """A one-item list that counts the calls of ``_connected_hits``."""
     calls = [0]
     real = solver._connected_hits
 
@@ -275,5 +276,39 @@ def test_walker_node_pins(monkeypatch, op, spec, nodes):
 
     # The recursion looks the module name up, so every call is counted.
     monkeypatch.setattr(solver, "_connected_hits", counted)
+    return calls
+
+
+@pytest.mark.parametrize("op, spec, nodes", NODE_PINS)
+def test_walker_node_pins(walker_calls, op, spec, nodes):
+    g, _ = md.generate(spec)
     CAPPED[op](g, cap=g.n)
-    assert calls[0] == nodes
+    assert walker_calls[0] == nodes
+
+
+def test_walker_node_pins_on_one_graph_object(walker_calls):
+    """The seven wheel:17 solver queries of the benchmark's seed-1 search plan, in
+    plan order on one Graph object: each search starts where the values that the
+    calls before it proved end.  A solver call on another object evicts that
+    record, so the wheel's next query starts cold."""
+    g, _ = md.generate("wheel:17")
+    dm = md.all_pairs_distances(g)
+    queries = [
+        lambda: md.dim_exact(g, dm),
+        lambda: md.cdim_exact(g, dm),
+        lambda: md.cdim_at_set(g, (17,), dm),
+        lambda: md.cdim_at_set(g, (1,), dm),
+        lambda: md.cdim_at_set(g, (1, 2), dm),
+        lambda: md.vertex_profile(g, dm),
+        lambda: md.enumerate_min_resolving_sets(g, dm, cap=g.n),
+    ]
+    counts = []
+    for query in queries:
+        walker_calls[0] = 0
+        query()
+        counts.append(walker_calls[0])
+    assert counts == [238, 487, 523, 270, 93, 138, 522]
+    md.dim_exact(md.generate("petersen")[0])
+    walker_calls[0] = 0
+    md.cdim_exact(g, dm)
+    assert walker_calls[0] == 577

@@ -18,8 +18,11 @@ from metricdim import (
     twin_partition,
     vertex_profile,
 )
+from metricdim import solver
 
-from conftest import brute_cdim, brute_cdim_at, brute_dim, naive_all_pairs, subset_connected
+from conftest import (
+    brute_cdim, brute_cdim_at, brute_dim, distinct_copy, naive_all_pairs, subset_connected,
+)
 
 
 def path_graph(n):
@@ -293,6 +296,46 @@ def test_cap_below_one_is_an_invalid_option(cap):
                   lambda g, **kw: cdim_at_set(g, [1], **kw)):
         with pytest.raises(InvalidOption, match="cap must be at least 1"):
             solve(g, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# values shared by the solvers of one graph object
+
+
+def all_solvers(g):
+    return (dim_exact(g), cdim_exact(g), cdim_at_set(g, [1]), cdim_at_set(g, [0, 1]),
+            vertex_profile(g), enumerate_min_resolving_sets(g))
+
+
+def test_calls_that_raise_record_nothing():
+    g, _ = generate("wheel:9")
+    with pytest.raises(TooLarge):
+        dim_exact(g, cap=3)
+    with pytest.raises(TooLarge):
+        cdim_exact(g, cap=3)
+    with pytest.raises(TooLarge):
+        vertex_profile(g, cap=3)
+    with pytest.raises(TooLarge):
+        enumerate_min_resolving_sets(g, cap=3)
+    with pytest.raises(InvalidAnchor):
+        cdim_at_set(g, [g.n])
+    with pytest.raises(InvalidOption):
+        cdim_at_set(g, [1], workers=0)
+    with pytest.raises(InvalidOption):
+        vertex_profile(g, workers=0)
+    assert solver._proved(g) == [0] * (g.n + 2)
+    assert all_solvers(g) == all_solvers(distinct_copy(g))
+
+
+def test_calls_with_and_without_a_distance_matrix_share_one_record():
+    g, _ = generate("wheel:9")
+    dim = dim_exact(g, all_pairs_distances(g))
+    assert solver._proved(g)[0] == dim.value
+    cdim = cdim_exact(g)
+    assert solver._proved(g)[:2] == [dim.value, cdim.value]
+    fresh = distinct_copy(g)
+    assert (dim, cdim) == (dim_exact(fresh), cdim_exact(fresh))
+    assert all_solvers(g) == all_solvers(distinct_copy(g))
 
 
 def test_diameter_floor():
