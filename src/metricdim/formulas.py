@@ -16,6 +16,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import (
+    InvalidOption,
     IsAPath,
     MetricDimError,
     NotATree,
@@ -630,9 +631,12 @@ def fr_membership(g: Graph, dm: Optional[DistanceMatrix] = None) -> FrMembership
 
     Decided two ways that must agree: directly checking every adjacent pair,
     and structurally validating the role labeling implied by the codes.
+    ``dm`` must be g's own; one of another order raises InvalidOption.
     """
     if dm is None:
         dm = all_pairs_distances(g)
+    elif dm.n != g.n:
+        raise InvalidOption(f"the distance matrix has order {dm.n}, the graph {g.n}")
     refutations: dict[tuple[int, int], tuple[int, int]] = {}
     for u, w in g.edges():
         cert = check_resolving(g, dm, (u, w))

@@ -5,9 +5,9 @@ D(u, w) = {v : d(v, u) != d(v, w)} of every vertex pair, so each solver here
 searches for small hitting sets of those masks.  This is the set-cover view
 of Khuller, Raghavachari and Rosenfeld ("Landmarks in graphs", 1996) and the
 constraint matrix of the integer program of Chartrand, Eroh, Johnson and
-Oellermann (2000).  ``_prepare`` builds the masks once per call from BFS
-level sets: a vertex is outside D(u, w) exactly when it lies in the same
-level from u as from w, so a mask costs one AND per level, not one
+Oellermann (2000).  ``_prepare`` builds the masks once per call from the
+graph's BFS level sets: a vertex is outside D(u, w) exactly when it lies in
+the same level from u as from w, so a mask costs one AND per level, not one
 comparison per vertex.  It sorts them smallest first and drops every mask
 that contains another, since a set meeting the smaller one meets both
 (Weihe, "Covering trains by stations or the power of data reduction", 1998).
@@ -16,11 +16,13 @@ classes and the twin-class lower bound; the diameter floor is the other one.
 
 Every solver runs one walker, ``_connected_hits``, for each cardinality k
 ascending from that bound: seeded growth with a per-branch ban set, which
-meets each connected k-set exactly once.  Plain resolving sets are the
-connected sets of the complete graph, where growth from the ascending roots
-tries vertices in ascending order, so it meets k-sets in lexicographic order
-and its first hit is the lexicographically smallest witness; for connected
-sets the smallest hit is kept.  The walker carries the masks its partial set
+meets each connected k-set exactly once.  A node keeps one free mask, the
+vertices neither in its partial set nor banned, and tries the free
+neighbors of the set.  Plain resolving sets are the connected sets of the
+complete graph, where growth from the ascending roots tries vertices in
+ascending order, so it meets k-sets in lexicographic order and its first
+hit is the lexicographically smallest witness; for connected sets the
+smallest hit is kept.  The walker carries the masks its partial set
 has not hit yet.  With r slots still open, one pass over them finds the
 lowest top vertex of an unhit mask whose addable vertices are all
 candidates, past which no candidate is tried, and cuts the branch when r
@@ -48,7 +50,8 @@ have equal values.  ``enumerate_min_resolving_sets`` expands each prefix set
 to its orbit: a resolving set misses at most one vertex of a class, so the
 orbit trades that class's missing top vertex for any one of its vertices.
 The search is sequential: ``workers`` is checked but never changes the work
-done.  Exceeding a cap is an error, never a silent approximation.
+done, and ``dm`` is accepted but never read.  Exceeding a cap is an error,
+never a silent approximation.
 
 The solvers of one graph share the values they have proved.  ``_proved``
 keeps, for the last Graph object a solver was given, the exact dim(G),
@@ -115,8 +118,11 @@ def check_resolving(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> Resolving
     """Certificate for the candidate set ``s`` (taken in ascending vertex order).
 
     The witness pair, when present, is the lexicographically smallest pair of
-    vertices sharing a code.
+    vertices sharing a code.  ``dm`` must be g's own; one of another order
+    raises InvalidOption.
     """
+    if dm.n != g.n:
+        raise InvalidOption(f"the distance matrix has order {dm.n}, the graph {g.n}")
     members = tuple(sorted(set(s)))
     if not members:
         raise EmptySet("resolving-set candidates must be non-empty")
@@ -148,18 +154,8 @@ def _pair_masks(levels: Sequence[Sequence[int]], full: int) -> list[int]:
     return ordered
 
 
-def _row_levels(row: Sequence[int]) -> list[int]:
-    """A distance row as the masks of the vertices at distance 1, 2, ..."""
-    levels = [0] * max(row)
-    for v, d in enumerate(row):
-        if d:
-            levels[d - 1] |= 1 << v
-    return levels
-
-
 def _prepare(
     g: Graph,
-    dm: Optional[DistanceMatrix],
     cap: Optional[int],
     default_cap: int,
     workers: int = 1,
@@ -173,10 +169,7 @@ def _prepare(
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
     check_cap(g.n, cap, default_cap, what)
-    if dm is None:
-        levels = distance_levels(g.adj_bits)
-    else:
-        levels = [_row_levels(row) for row in dm.rows]
+    levels = distance_levels(g.adj_bits)
     masks = _pair_masks(levels, g.vertex_mask())
     # Only twins have a mask of size two, and twinhood is an equivalence, so
     # the size-two masks through a vertex together make up its twin class.
@@ -227,7 +220,7 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-# A growth start: (current mask, banned mask, neighborhood mask).
+# A growth start: (current mask, free mask, neighborhood mask).
 _Start = tuple[int, int, int]
 
 
@@ -244,29 +237,30 @@ def _roots(
     """
     n = len(adj)
     last = min(n - k + 1, min(map(int.bit_length, masks), default=n))
-    banned = 0
+    free = (1 << n) - 1
     for root in range(last):
         b = 1 << root
-        if not b & banned:
-            yield b, banned, adj[root] & ~banned
-        banned |= b | up[root] if up else b
+        if b & free:
+            yield b, free ^ b, adj[root]
+        free &= ~(b | up[root] if up else b)
 
 
 def _connected_hits(
     adj: Sequence[int],
-    full: int,
     twins: tuple[int, ...],
     unhit: list[int],
     cur: int,
     r: int,
-    banned: int,
+    free: int,
     nb: int,
     done: Sequence[int],
     up: Sequence[int] = (),
 ) -> Iterator[int]:
     """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
 
-    Banning a candidate for the rest of its branch once its subtree is
+    ``free`` holds the vertices neither in ``cur`` nor banned, and the
+    candidates are the free vertices of ``nb``, the set's neighborhood.
+    Banning a candidate, taking it out of ``free``, once its subtree is
     exhausted yields each extension exactly once.  Candidates stop at the
     lowest top vertex of an unhit mask whose addable vertices are all
     candidates, since once it is banned no later sibling can meet that mask;
@@ -287,13 +281,13 @@ def _connected_hits(
     and dropped from the candidates along with it, the last slot included.
     Twins enter the candidates together and are tried in ascending order, so
     this yields exactly the extensions that add, from each twin class, a
-    prefix of its vertices outside ``cur`` and ``banned``.
+    prefix of its free vertices.
     """
     if r == 0:
         if not unhit:
             yield cur
         return
-    ext = nb & ~banned
+    ext = nb & free
     if r == 1:
         for m in unhit:
             ext &= m
@@ -304,7 +298,6 @@ def _connected_hits(
             if up:
                 ext &= ~up[b.bit_length() - 1]
         return
-    free = full & ~(banned | cur)
     if not (cur | free) & ~done[0]:
         return
     # The lowest top vertex of an unhit mask whose addable vertices are all
@@ -342,12 +335,12 @@ def _connected_hits(
         v = b.bit_length() - 1
         if r > 2:
             yield from _connected_hits(
-                adj, full, twins, [m for m in unhit if not m & b], new_cur, r - 1, banned,
-                (nb | adj[v]) & ~new_cur, done, up,
+                adj, twins, [m for m in unhit if not m & b], new_cur, r - 1, free ^ b,
+                nb | adj[v], done, up,
             )
         else:
             # The last slot: a new neighbor of the set in every unhit mask b misses.
-            last = (nb | adj[v]) & ~(new_cur | banned)
+            last = (nb | adj[v]) & free & ~b
             for m in unhit:
                 if not m & b:
                     last &= m
@@ -362,7 +355,7 @@ def _connected_hits(
         if up:
             b |= up[v]
             ext &= ~b
-        banned |= b
+        free &= ~b
 
 
 def _searches(
@@ -379,11 +372,10 @@ def _searches(
     The starts are the roots in ascending order unless given.  With ``up``,
     only the sets that meet every twin class in a prefix of it.
     """
-    full = (1 << len(adj)) - 1
-    for cur, banned, nb in starts or _roots(adj, masks, k, up):
+    for cur, free, nb in starts or _roots(adj, masks, k, up):
         unhit = [m for m in masks if not m & cur]
         r = k - cur.bit_count()
-        yield _connected_hits(adj, full, twins, unhit, cur, r, banned, nb, done, up)
+        yield _connected_hits(adj, twins, unhit, cur, r, free, nb, done, up)
 
 
 def _plain_hits(
@@ -410,9 +402,9 @@ def dim_exact(
     """Exact metric dimension with the lexicographically smallest witness.
 
     The search starts at dim(G) once a call on the same Graph object has
-    proved it, and records the value it finds.
+    proved it, and records the value it finds.  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
         for hit in _plain_hits(masks, twins, g.n, k, up):
@@ -437,18 +429,20 @@ def cdim_at_set(
     answer from below: cdim(G) (or dim(G) while cdim(G) is unknown), and
     cdim_G(v) for each v in the anchor, since a set containing the anchor
     contains v.  An empty or singleton anchor records the value it finds.
+    ``dm`` is never read.
     """
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
     proved = _proved(g)
     start = max(floor, len(anchor_set), proved[1] or proved[0],
                 *[proved[v + 2] for v in anchor_set])
     anchor_mask = sum(1 << v for v in anchor_set)
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
-    starts = [(anchor_mask, 0, g.neighborhood_of_set(anchor_mask))] if anchor_mask else None
+    free = g.vertex_mask() ^ anchor_mask
+    starts = [(anchor_mask, free, g.neighborhood_of_set(anchor_mask))] if anchor_mask else None
 
     for k in range(start, g.n + 1):
         best = 0
@@ -484,7 +478,8 @@ def cdim_exact(
     """Exact connected metric dimension with its lexicographically smallest witness.
 
     The search starts at cdim(G), or else dim(G), once a call on the same
-    Graph object has proved it, and records the value it finds.
+    Graph object has proved it, and records the value it finds.  ``dm`` is
+    never read.
     """
     return cdim_at_set(g, (), dm, cap=cap, workers=workers)
 
@@ -505,9 +500,9 @@ def vertex_profile(
     whole class of each vertex it newly marks, since twins have equal values.
     Branches that can only mark marked vertices are cut.  The sweep starts
     at cdim(G) (or dim(G)) once a call on the same Graph object has proved
-    it, and records cdim(G) and every cdim_G(v).
+    it, and records cdim(G) and every cdim_G(v).  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, dm, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
     proved = _proved(g)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
@@ -546,8 +541,8 @@ def enumerate_min_resolving_sets(
 ) -> list[tuple[int, ...]]:
     """All minimum resolving sets, in lexicographic order."""
     # The search starts at dim(G) once a call on the same Graph object has
-    # proved it, and records the value it finds.
-    masks, twins, up, floor = _prepare(g, dm, cap, ENUM_CAP, what="enumeration")
+    # proved it, and records the value it finds.  ``dm`` is never read.
+    masks, twins, up, floor = _prepare(g, cap, ENUM_CAP, what="enumeration")
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
         hits = _plain_hits(masks, twins, g.n, k, up)

@@ -134,16 +134,22 @@ WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3",
                 "rand:14:0.3:1", "rand:14:0.3:2", "rand:14:0.3:3", "randtree:14:1")
 
 
+def reference_walker(adj, twins, unhit, cur, r, free, nb, done, up):
+    """The reference walker called as the solver's: it takes the full mask and
+    the banned vertices, those neither free nor in the set, for ``free``."""
+    full = (1 << len(adj)) - 1
+    return ref._connected_hits(adj, full, twins, unhit, cur, r, full & ~(free | cur), nb, done, up)
+
+
 def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
     """The hits of ``walker`` from each start, in order.  With ``grow_done``, the
     ``done`` mask grows after each hit as ``vertex_profile`` grows it."""
     done = [0]
     streams = []
-    for cur, banned, nb in starts:
+    for cur, free, nb in starts:
         unhit = [m for m in masks if not m & cur]
         stream = []
-        for hit in walker(g.adj_bits, g.vertex_mask(), twins, unhit, cur, k - cur.bit_count(),
-                          banned, nb, done, up):
+        for hit in walker(g.adj_bits, twins, unhit, cur, k - cur.bit_count(), free, nb, done, up):
             stream.append(hit)
             new = hit & ~done[0]
             if grow_done and new:
@@ -158,17 +164,18 @@ def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
 @pytest.mark.parametrize("spec", WALKER_SPECS)
 def test_walker_yields_the_reference_hits_in_order(spec):
     g, _ = md.generate(spec)
-    masks, twins, up, floor = _prepare(g, None, g.n, g.n)
+    masks, twins, up, floor = _prepare(g, g.n, g.n)
     anchors = [1 << v for v in range(g.n)]
     anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
     hits = 0
     for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
         for rule in ((), up):
             starts = list(_roots(g.adj_bits, masks, k, rule))
-            starts += [(a, 0, g.neighborhood_of_set(a)) for a in anchors if a.bit_count() <= k]
+            starts += [(a, g.vertex_mask() ^ a, g.neighborhood_of_set(a))
+                       for a in anchors if a.bit_count() <= k]
             for grow_done in (False, True):
                 got = hit_streams(_connected_hits, g, masks, twins, k, starts, rule, grow_done)
-                want = hit_streams(ref._connected_hits, g, masks, twins, k, starts, rule, grow_done)
+                want = hit_streams(reference_walker, g, masks, twins, k, starts, rule, grow_done)
                 assert got == want, (spec, k, bool(rule), grow_done)
                 hits += sum(map(len, got))
     assert hits

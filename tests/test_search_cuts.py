@@ -1,7 +1,7 @@
 """The solver's hitting-set search against exhaustive subset searches.
 
-``_prepare`` builds the distinguisher masks from BFS level sets, or from the
-rows of a given distance matrix, and drops every mask that contains another.
+``_prepare`` builds the distinguisher masks from BFS level sets of the graph
+and drops every mask that contains another.
 The growth search tries candidates only up to the lowest top vertex of an
 unhit mask they cover, starts no root past the lowest top vertex of a mask,
 and cuts a branch when its open slots cannot cover the twin deficit or a
@@ -71,8 +71,7 @@ def check_prepare(where, g):
     dm = md.all_pairs_distances(g)
     every = naive_masks(naive_all_pairs(g), g.n)
     minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
-    masks, twins, up, floor = prepared = _prepare(g, None, g.n, g.n)
-    assert _prepare(g, dm, g.n, g.n) == prepared, where
+    masks, twins, up, floor = _prepare(g, g.n, g.n)
     assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
     tp = md.twin_partition(g)
     classes = [c for c in tp.classes if len(c) > 1]
@@ -121,17 +120,17 @@ def test_disconnected_input_raises_not_connected(name, text):
 def test_cuts_keep_every_hit_and_its_order():
     for where, g in graphs():
         dists = naive_all_pairs(g)
-        masks, twins, _, floor = _prepare(g, None, g.n, g.n)
-        adj, full = g.adj_bits, g.vertex_mask()
+        masks, twins, _, floor = _prepare(g, g.n, g.n)
+        adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
                          if naive_resolves(dists, c, g.n)]
             got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k)]
             assert got == resolving, (where, k)
             grown = []
-            for cur, banned, nb in _roots(adj, masks, k):
+            for cur, free, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, [0])
+                hits = _connected_hits(adj, twins, unhit, cur, k - 1, free, nb, [0])
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in resolving if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -150,17 +149,17 @@ def test_twin_rule_keeps_exactly_the_prefix_sets():
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, None, g.n, g.n)
-        adj, full = g.adj_bits, g.vertex_mask()
+        masks, twins, up, floor = _prepare(g, g.n, g.n)
+        adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             leaders = [c for c in itertools.combinations(range(g.n), k)
                        if meets_in_prefixes(c, classes) and naive_resolves(dists, c, g.n)]
             got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k, up)]
             assert got == leaders, (where, k)
             grown = []
-            for cur, banned, nb in _roots(adj, masks, k, up):
+            for cur, free, nb in _roots(adj, masks, k, up):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, banned, nb, [0], up)
+                hits = _connected_hits(adj, twins, unhit, cur, k - 1, free, nb, [0], up)
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in leaders if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -170,7 +169,7 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, None, g.n, g.n)
+        masks, twins, up, floor = _prepare(g, g.n, g.n)
         if not up:
             continue
         adj, full = g.adj_bits, g.vertex_mask()
@@ -178,7 +177,7 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
             cur = 1 << a
             unhit = [m for m in masks if not m & cur]
             for k in range(max(floor, 1), min(md.cdim_at_set(g, (a,)).value + 1, g.n) + 1):
-                hits = _connected_hits(adj, full, twins, unhit, cur, k - 1, 0, adj[a], [0], up)
+                hits = _connected_hits(adj, twins, unhit, cur, k - 1, full ^ cur, adj[a], [0], up)
                 grown = sorted(tuple(bits(hit)) for hit in hits)
                 want = [c for c in itertools.combinations(range(g.n), k)
                         if a in c and meets_in_prefixes(c, classes, (a,))

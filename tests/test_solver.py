@@ -5,6 +5,7 @@ from metricdim import (
     InvalidAnchor,
     InvalidOption,
     MetricDimError,
+    NotConnected,
     TooLarge,
     all_pairs_distances,
     build_graph,
@@ -14,6 +15,7 @@ from metricdim import (
     dim_exact,
     dim_floor_from_diameter,
     enumerate_min_resolving_sets,
+    fr_membership,
     generate,
     twin_partition,
     vertex_profile,
@@ -21,7 +23,7 @@ from metricdim import (
 from metricdim import solver
 
 from conftest import (
-    brute_cdim, brute_cdim_at, brute_dim, distinct_copy, naive_all_pairs, subset_connected,
+    atlas, brute_cdim, brute_cdim_at, brute_dim, distinct_copy, naive_all_pairs, subset_connected,
 )
 
 
@@ -71,6 +73,21 @@ def test_check_resolving_rejects_empty_set():
     g = path_graph(3)
     with pytest.raises(EmptySet):
         check_resolving(g, all_pairs_distances(g), set())
+
+
+@pytest.mark.parametrize("other", [3, 7])
+def test_distance_matrix_of_another_order_is_an_invalid_option(other):
+    # A shorter matrix must not be indexed past its rows, and a longer one
+    # must not certify {0} as resolving K5.
+    g, _ = generate("complete:5")
+    dm = all_pairs_distances(path_graph(other))
+    with pytest.raises(InvalidOption, match="order"):
+        check_resolving(g, dm, [0])
+    with pytest.raises(InvalidOption, match="order"):
+        fr_membership(g, dm)
+    # With no edge, fr_membership checks no pair, so it must check the order itself.
+    with pytest.raises(InvalidOption, match="order"):
+        fr_membership(build_graph(2, []), dm)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +353,54 @@ def test_calls_with_and_without_a_distance_matrix_share_one_record():
     fresh = distinct_copy(g)
     assert (dim, cdim) == (dim_exact(fresh), cdim_exact(fresh))
     assert all_solvers(g) == all_solvers(distinct_copy(g))
+
+
+# ---------------------------------------------------------------------------
+# the solvers read g alone: a distance matrix of another graph changes nothing
+
+
+DM_SOLVERS = {
+    "dim": dim_exact,
+    "cdim": cdim_exact,
+    "cdim_at": lambda g, dm=None: cdim_at_set(g, [1], dm),
+    "profile": vertex_profile,
+    "enum": enumerate_min_resolving_sets,
+}
+
+
+def check_foreign_matrix_is_ignored(g, other, where):
+    dm = all_pairs_distances(other)
+    fresh = distinct_copy(g)
+    want = [solve(fresh) for solve in DM_SOLVERS.values()]
+    assert [solve(g, dm) for solve in DM_SOLVERS.values()] == want, where
+    # Nothing the calls given dm recorded moves a later search on the same object.
+    assert [solve(g) for solve in DM_SOLVERS.values()] == want, where
+
+
+def test_path_given_the_complete_graphs_matrix():
+    # K5's matrix would give 4 for dim, cdim and every vertex's value.
+    g, k5 = generate("path:5")[0], generate("complete:5")[0]
+    dm = all_pairs_distances(k5)
+    check_foreign_matrix_is_ignored(g, k5, "path:5")
+    assert (dim_exact(g, dm), cdim_exact(g, dm)) == ((1, (0,)), (1, (0,)))
+    assert vertex_profile(g, dm).per_vertex == (1, 2, 2, 2, 1)
+
+
+def test_atlas_graphs_given_another_graphs_matrix():
+    """Each atlas graph gets the matrix of the next atlas graph of its order."""
+    by_order = {}
+    for g in atlas():
+        by_order.setdefault(g.n, []).append(g)
+    for n, graphs in by_order.items():
+        for i, g in enumerate(graphs):
+            check_foreign_matrix_is_ignored(g, graphs[(i + 1) % len(graphs)], (n, i))
+
+
+@pytest.mark.parametrize("name", DM_SOLVERS)
+def test_disconnected_graph_given_a_connected_graphs_matrix_raises(name):
+    g = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(NotConnected):
+        DM_SOLVERS[name](g, all_pairs_distances(path_graph(4)))
 
 
 def test_diameter_floor():
