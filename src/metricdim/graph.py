@@ -141,8 +141,9 @@ def remember_last_graph(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
     to its graph, so no other object can take its id while it is the key.
     Every caller gets the same result object, so callers must not mutate it,
     unless it is a record meant to accumulate facts proved about its graph
-    (``solver._proved``): a caller may then add a fact it has proved, and the
-    record dies with the entry, so an equal copy starts with an empty one.
+    (``solver._proved``, the automorphisms in ``minor._kernel``): a caller may
+    then add a fact it has proved, and the record dies with the entry, so an
+    equal copy starts with an empty one.
     """
     last: tuple = (None, None)
 

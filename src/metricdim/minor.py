@@ -57,6 +57,43 @@ their sum is the set of used vertices.  Each component's signature, the
 branches whose neighbourhoods meet it, indexes a static table of the pairs
 it covers.  The split stops once the components found cover every unmet
 pair, and the state is dead when its unmet mask leaves a pair uncovered.
+
+Seeds that an automorphism of the kernel maps onto an earlier seed are
+skipped.  A seed's search is complete for it, and a model of seed S maps
+under an automorphism σ to a model of canon(σS), the seed with the same
+sides (K3,3's sides sorted, the side holding the least vertex first).  So
+S and canon(σS) both succeed or both fail.  Let S* be the first seed, in
+``_seed_sets`` order, that has a model.  Every seed before it fails, so no
+canon(σS*) comes before S*, and S* is never skipped; every skipped seed
+fails anyway.  So the first model, and with it every answer and witness, is
+unchanged, and only the number of seeds searched goes down.  Any set of
+verified automorphisms keeps this true.
+
+- **The finder.** ``_automorphisms`` backtracks over a BFS order of the
+  kernel vertices.  A vertex may map to an unused vertex of the same degree
+  and sorted neighbour degrees that is adjacent to the images of its mapped
+  neighbours and to no other image.  It stops after ``_FINDER_CAP`` maps or
+  ``_FINDER_NODES`` nodes, and it checks each map edge by edge.
+- **Lazy start.** A graph's seed loop looks for automorphisms only once its
+  failed searches have popped more than ``_FINDER_AFTER`` states, then
+  resumes with the skipping enumerator after the current seed.  The maps
+  are kept in the ``_kernel`` record, so the K5 and K33 queries of one
+  graph object share them, and the later query skips from its first seed.
+- **Prefix rules.** Sets of equal size are ordered by the least element of
+  their symmetric difference: X ≺ Y when the least element of X ^ Y is in
+  X.  On the sorted tuples this is the order of the seeds.  A K5 seed or a
+  K3,3 side A is skipped at its prefix P when σ(P) ≺ P for some σ.  With
+  side A fixed, side B is skipped at its prefix Q when σ(Q) ≺ A[:|Q|] for
+  some σ, or when σ(A) = A and σ(Q) ≺ Q.  A rule that holds for a prefix
+  holds for the whole side: the elements added later lie above the prefix,
+  so the least element that tells the prefixes apart still tells the whole
+  sides apart.  A skipped K5 seed S has σ(S) ≺ S.  A skipped K3,3 seed has
+  σ(A) ≺ A or σ(B) ≺ A, and then the side of σS that holds its least vertex
+  precedes A too; or σ(A) = A and σ(B) ≺ B, and then canon(σS) is A then
+  σ(B), or it starts with σ(B), whose least vertex lies below A's.  Either
+  way canon(σS) comes before S.  Skipping a prefix skips a whole run of
+  ``itertools.combinations``, and a few integer operations test a prefix
+  against every map at once (``_skipping_seeds``).
 """
 
 from __future__ import annotations
@@ -68,6 +105,13 @@ from .errors import InvalidSpec
 from .graph import Graph, bits, blocks, check_cap, components, remember_last_graph
 
 MINOR_CAP = 20
+
+# The seed loop looks for automorphisms once its failed searches have popped
+# more than _FINDER_AFTER states; the finder stops after _FINDER_CAP maps or
+# _FINDER_NODES nodes.
+_FINDER_AFTER = 256
+_FINDER_CAP = 128
+_FINDER_NODES = 20_000
 
 # Target name -> (branch count, required adjacent pairs).
 _TARGETS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -134,6 +178,125 @@ def _seed_sets(target: str, vertices: Sequence[int]) -> Iterator[tuple[int, ...]
             rest = [v for v in vertices if v > side_a[0] and v not in side_a]
             for side_b in itertools.combinations(rest, 3):
                 yield side_a + side_b
+
+
+def _skipping_seeds(target: str, vertices: Sequence[int], maps: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """``_seed_sets`` less the seeds whose prefix the rules of the module docstring skip.
+
+    A set is a mask with vertex v at bit ``top - v``, so X ≺ Y when X > Y.
+    The masks of a prefix's images sit side by side in one integer, a field
+    of ``width`` bits per map, so one OR grows them all.  The field's top bit
+    is a guard: ``(x * ones | guard) - images`` leaves in each field the guard
+    plus x minus that image, which is at least 1, so no borrow crosses a
+    field, and the guard stays set exactly when the image is at most x.
+    ``grow`` skips a prefix P of size j + 1 when one of its images precedes
+    ``heads[j]`` (A[:j + 1] for side B; no image precedes ``full``), or when
+    its image under a map whose guard is in ``fixed`` precedes P.
+    """
+    top = vertices[-1]
+    width = top + 2
+    ones = sum(1 << k * width for k in range(len(maps)))
+    guard = ones << width - 1
+    full = (1 << top + 1) - 1
+    image = [sum(1 << k * width + top - img[v] for k, img in enumerate(maps)) for v in range(top + 1)]
+
+    def grow(pool, r, seed, mask, images, heads, fixed):
+        for i, v in enumerate(pool[: len(pool) - r + 1]):
+            prefix, prefix_images = mask | 1 << top - v, images | image[v]
+            if ((prefix * ones | guard) - prefix_images) & fixed != fixed:
+                continue  # a map in fixed takes the prefix below itself
+            if ((heads[len(seed)] * ones | guard) - prefix_images) & guard != guard:
+                continue  # some map takes the prefix below its head
+            if r == 1:
+                yield seed + (v,), prefix, prefix_images
+            else:
+                yield from grow(pool[i + 1 :], r - 1, seed + (v,), prefix, prefix_images, heads, fixed)
+
+    size = 5 if target == "K5" else 3
+    for side_a, mask_a, images_a in grow(vertices, size, (), 0, 0, [full] * size, guard):
+        if target == "K5":
+            yield side_a
+            continue
+        moved = (images_a ^ mask_a * ones | guard) - ones  # a field keeps its guard where σ(A) != A
+        heads = list(itertools.accumulate(1 << top - v for v in side_a))  # A[:1], A[:2], A
+        rest = [v for v in vertices if v > side_a[0] and v not in side_a]
+        for side_b, _, _ in grow(rest, 3, (), 0, 0, heads, guard & ~moved):
+            yield side_a + side_b
+
+
+def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
+    """Non-identity automorphisms of the kernel as image lists, in a fixed order.
+
+    At most ``_FINDER_CAP`` maps, found in at most ``_FINDER_NODES`` nodes;
+    each is checked edge by edge.  Removed vertices map to themselves.
+    """
+    deg = [nb.bit_count() for nb in adj]
+    kind = [sorted(deg[u] for u in bits(nb)) for nb in adj]  # its length is the degree
+    like = [sum(1 << u for u in bits(alive) if kind[u] == kind[v]) for v in range(len(adj))]
+    # A BFS order, level by level, one component after another; earlier[k]
+    # holds the neighbours of order[k] that come before it.
+    order, earlier, before = [], [], 0
+    for comp in components(adj, alive):
+        level = comp & -comp
+        while level:
+            comp ^= level
+            reach = 0
+            for v in bits(level):
+                order.append(v)
+                earlier.append(list(bits(adj[v] & before)))
+                before |= 1 << v
+                reach |= adj[v]
+            level = reach & comp
+    identity = list(range(len(adj)))
+    img = identity.copy()
+    maps: list[list[int]] = []
+    options = [like[order[0]]]  # options[k]: the images still to try for order[k]
+    used = nodes = 0  # used: the images of order[:len(options) - 1]
+    while options and len(maps) < _FINDER_CAP and nodes < _FINDER_NODES:
+        k = len(options) - 1
+        if not options[k]:
+            options.pop()
+            if k:
+                used ^= 1 << img[order[k - 1]]
+            continue
+        b = options[k] & -options[k]
+        options[k] ^= b
+        img[order[k]] = b.bit_length() - 1
+        nodes += 1
+        if k + 1 < len(order):
+            used |= b
+            want, fits = 0, like[order[k + 1]] & ~used
+            for u in earlier[k + 1]:
+                want |= 1 << img[u]
+                fits &= adj[img[u]]
+            options.append(sum(1 << c for c in bits(fits) if adj[c] & used == want))
+        elif img != identity and all(sum(1 << img[u] for u in bits(adj[v])) == adj[img[v]] for v in order):
+            maps.append(img.copy())
+    return maps
+
+
+def _seeds(
+    target: str, adj: Sequence[int], alive: int, found: list, popped: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The seeds to search, in ``_seed_sets`` order, less the skipped ones.
+
+    ``popped[0]`` is the number of states the failed searches have popped.
+    Past ``_FINDER_AFTER`` the kernel's automorphisms are looked for, once per
+    kernel record: ``found[0]`` is None until then.
+    """
+    vertices = list(bits(alive))
+    seeds, last = _seed_sets(target, vertices), ()
+    if found[0] is None:
+        for last in seeds:
+            yield last
+            if popped[0] > _FINDER_AFTER:
+                break
+        else:
+            return
+        found[0] = _automorphisms(adj, alive)
+    if found[0]:
+        seeds = itertools.dropwhile(lambda s: s <= last, _skipping_seeds(target, vertices, found[0]))
+    yield from seeds
 
 
 def _path(adj: Sequence[int], a: int, b: int, inner: int) -> list[int]:
@@ -228,8 +391,9 @@ def _is_planar(adjm: Sequence[int]) -> bool:
 
 
 @remember_last_graph
-def _kernel(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...], bool]:
-    """``_kernelize`` of g as tuples, and whether g is planar, for the last graph seen.
+def _kernel(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...], bool, list]:
+    """``_kernelize`` of g as tuples, whether g is planar, and a one-item list
+    for the kernel's automorphisms (None until looked for), for the last graph seen.
 
     The kernel is planar exactly when g is: deleting a vertex of degree at
     most one and suppressing one of degree two keep a planar graph planar,
@@ -239,12 +403,14 @@ def _kernel(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...], bool]:
     planarity run.
     """
     adj, alive, bags = _kernelize(g.adj_bits)
-    return tuple(adj), alive, tuple(bags), _is_planar(adj)
+    return tuple(adj), alive, tuple(bags), _is_planar(adj), [None]
 
 
 def _search_from_seed(
-    adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str
+    adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str, popped: Optional[list[int]] = None
 ) -> Optional[tuple[int, ...]]:
+    """The first model whose branch k holds seed[k], or None; a failed search
+    adds the number of states it popped to ``popped[0]``."""
     pairs, (ends, covered_by) = _TARGETS[target][1], _TABLES[target]
     start = [1 << v for v in seed]
     nbhd = [adjm[v] for v in seed]
@@ -252,7 +418,9 @@ def _search_from_seed(
     n = len(adjm)
     # The start counts branch 0 as grown; its pairs are already tested.
     stack = [(start, nbhd, unmet, 0, 0)]
+    pops = 0
     while stack:
+        pops += 1
         branches, nbhd, unmet, grew, banned = stack.pop()
         for bit, k in ends[grew]:
             if unmet & bit and nbhd[grew] & branches[k]:
@@ -292,6 +460,8 @@ def _search_from_seed(
             grown_nbhd = nbhd.copy()
             grown_nbhd[side] |= adjm[v]
             stack.append((grown, grown_nbhd, unmet, side, banned))
+    if popped is not None:
+        popped[0] += pops
     return None
 
 
@@ -301,7 +471,7 @@ def has_minor(
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
     check_cap(g.n, cap, MINOR_CAP, "minor-search")
-    adj, alive, bags, planar = _kernel(g)
+    adj, alive, bags, planar, automorphisms = _kernel(g)
     kn = alive.bit_count()
     km = sum(nb.bit_count() for nb in adj) // 2
     needed_edges = len(pairs)
@@ -311,8 +481,9 @@ def has_minor(
         return False, None
     if planar:
         return False, None  # planar graphs contain neither obstruction
-    for seed in _seed_sets(target, list(bits(alive))):
-        model = _search_from_seed(adj, alive, seed, target)
+    popped = [0]
+    for seed in _seeds(target, adj, alive, automorphisms, popped):
+        model = _search_from_seed(adj, alive, seed, target, popped)
         if model is not None:
             # Bags are disjoint, so their sum is their union.
             return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)

@@ -11,7 +11,11 @@ Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
 minor search also runs on the benchmark's two nonplanar kernels and on the
 subdivided K3,3, and from every seed of the Petersen graph (K5 and K3,3) and
-of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  Values and
+of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  The seed
+skip by automorphism runs, from the first seed and from its default start,
+against the loop over every seed on the nonplanar atlas graphs, Moebius
+ladders and relabelled symmetric graphs, and the automorphism finder
+against ``networkx`` on the whole atlas and on minor kernels.  Values and
 witnesses, every profile field and whole enumerations must be equal.  The
 solvers run in a fixed order, and in the reverse order, on one object of each
 atlas graph and of one graph per family kind, where each search starts at the
@@ -40,6 +44,7 @@ import reference_solver as ref
 from metricdim.families import _KINDS
 from metricdim.formulas import _recognize_multipartite
 from metricdim.graph import bits, components
+from metricdim import minor
 from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
 from metricdim.solver import _connected_hits, _prepare, _roots
 
@@ -239,6 +244,57 @@ def nx_graph(g: md.Graph) -> nx.Graph:
     return nxg
 
 
+def relabelled(g: md.Graph, seed: int) -> md.Graph:
+    """g with its vertices renamed by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return md.build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def unskipped_has_minor(g: md.Graph, target: str) -> tuple[bool, object]:
+    """``has_minor``'s seed loop over every seed of ``_seed_sets``, none skipped."""
+    adj, alive, bags = _kernelize(g.adj_bits)
+    for seed in _seed_sets(target, list(bits(alive))):
+        model = _search_from_seed(adj, alive, seed, target)
+        if model is not None:
+            return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)
+    return False, None
+
+
+def symmetric_minor_inputs() -> list[tuple[str, md.Graph]]:
+    """Nonplanar graphs with automorphisms: the nonplanar atlas graphs, three
+    shipped families, Moebius ladders, and relabelled symmetric graphs."""
+    graphs = [(f"atlas graph {i}", g) for i, g in enumerate(atlas())
+              if not nx.check_planarity(nx_graph(g))[0]]
+    graphs += [(spec, md.generate(spec)[0]) for spec in ("petersen", "k33sub", "kite:3")]
+    graphs += [(f"moebius:{n}", moebius_ladder(n)) for n in (8, 10, 12, 14)]
+    for spec in ("petersen", "multipartite:3,3,3", "complete:6"):
+        g = md.generate(spec)[0]
+        graphs += [(f"{spec} relabelled by {seed}", relabelled(g, seed)) for seed in range(5)]
+    return graphs
+
+
+@pytest.mark.parametrize("finder_after", [0, None], ids=["skip-from-the-first-seed", "default"])
+def test_seed_skip_keeps_every_answer_and_witness(monkeypatch, finder_after):
+    """With automorphisms looked for after the first seed, and at the default
+    start, ``has_minor`` must return what the loop over every seed returns,
+    on fresh objects, while searching fewer seeds in all."""
+    if finder_after is not None:
+        monkeypatch.setattr(minor, "_FINDER_AFTER", finder_after)
+    searched = []
+    search = minor._search_from_seed
+    monkeypatch.setattr(minor, "_search_from_seed", lambda *a: searched.append(a[2]) or search(*a))
+    everything = 0
+    for where, g in symmetric_minor_inputs():
+        for target in ("K5", "K33"):
+            want = unskipped_has_minor(g, target)
+            everything += len(searched)
+            searched.clear()
+            assert md.has_minor(distinct_copy(g), target, cap=g.n) == want, (where, target)
+            assert not want[0] or md.verify_minor_witness(g, target, want[1])
+    assert len(searched) < everything
+
+
 def test_atlas_cut_vertices_match_removal_oracle():
     assert sum(bool(md.cut_vertices(g)) for g in atlas()) > 100
     for i, g in enumerate(atlas()):
@@ -350,6 +406,56 @@ def test_planarity_matches_networkx_on_minor_kernels(spec):
     planar = planarity_matching_networkx([kernel])[0]
     # has_minor tests the kernel on the input's indices, removed vertices as zero masks.
     assert _is_planar(adj) == planar
+
+
+def automorphisms_checked(adj, alive: int) -> list[list[int]]:
+    """``minor._automorphisms`` of a kernel; asserts each map is a non-identity
+    automorphism, met once, that fixes every removed vertex."""
+    maps = minor._automorphisms(adj, alive)
+    edges = {(u, v) for u in bits(alive) for v in bits(adj[u])}
+    identity = list(range(len(adj)))
+    assert len({tuple(img) for img in maps}) == len(maps) <= minor._FINDER_CAP
+    for img in maps:
+        assert sorted(img) == identity and img != identity
+        assert all(img[v] == v for v in identity if not alive >> v & 1)
+        assert {(img[u], img[v]) for u, v in edges} == edges
+    return maps
+
+
+def networkx_automorphisms(adj, alive: int, limit: int) -> int:
+    """How many automorphisms, the identity included, networkx finds, up to ``limit``."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(bits(alive))
+    nxg.add_edges_from((u, v) for u in bits(alive) for v in bits(adj[u]) if u < v)
+    matches = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg).isomorphisms_iter()
+    return sum(1 for _ in itertools.islice(matches, limit))
+
+
+def test_automorphism_finder_matches_networkx_on_the_atlas():
+    """At most 7 vertices allow fewer partial maps than the finder's node cap,
+    so its count is exact below its map cap."""
+    cap, capped, symmetric = minor._FINDER_CAP, 0, 0
+    for i, g in enumerate(atlas()):
+        maps = automorphisms_checked(g.adj_bits, g.vertex_mask())
+        assert minor._automorphisms(distinct_copy(g).adj_bits, g.vertex_mask()) == maps, i
+        want = networkx_automorphisms(g.adj_bits, g.vertex_mask(), cap + 2)
+        if len(maps) < cap:
+            assert len(maps) == want - 1, i
+        else:
+            assert want > cap, i
+            capped += 1
+        symmetric += bool(maps)
+    assert capped > 0 and symmetric > 800
+
+
+@pytest.mark.parametrize("spec, count", [("k33sub", 71), ("petersen", 119), ("moebius:12", 23),
+                                         ("multipartite:3,3,3", 128), ("rand:16:0.3:3", 0)])
+def test_automorphism_finder_on_minor_kernels(spec, count):
+    g = moebius_ladder(12) if spec == "moebius:12" else md.generate(spec)[0]
+    adj, alive, _ = _kernelize(g.adj_bits)
+    maps = automorphisms_checked(adj, alive)
+    assert len(maps) == count
+    assert count == minor._FINDER_CAP or networkx_automorphisms(adj, alive, 10**4) == count + 1
 
 
 def kernel_matching_reference(g: md.Graph) -> int:

@@ -120,8 +120,11 @@ def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     """Seeds searched and states popped by ``has_minor`` on the 12- and
     16-vertex Moebius ladders and on ``rand:16:0.3:3``, the two minor graphs
     of the bench's ``search`` workload.  The ban rule pops no state twice,
-    and a weaker dead test pops more states and still finds the same first
-    model, so only this count shows either."""
+    a weaker dead test pops more states, and a weaker seed skip searches more
+    seeds, and each still finds the same first model, so only this count
+    shows them.  The ladders' queries look for automorphisms once past
+    ``minor._FINDER_AFTER`` pops; the last row asks K33 of a ladder whose K5
+    query found them, so it skips seeds from its first."""
     popped = []
 
     class CountingEnds(list):
@@ -135,13 +138,16 @@ def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     search = minor._search_from_seed
     seeds = []
     monkeypatch.setattr(minor, "_search_from_seed", lambda *a: seeds.append(a[2]) or search(*a))
+    ladder = moebius_ladder(12)
     for g, target, want in [
-        (moebius_ladder(12), "K5", (46, 1014)),
-        (moebius_ladder(12), "K33", (928, 2978)),
-        (moebius_ladder(16), "K5", (94, 9806)),
-        (moebius_ladder(16), "K33", (4296, 97389)),
+        (moebius_ladder(12), "K5", (27, 675)),
+        (moebius_ladder(12), "K33", (349, 979)),
+        (moebius_ladder(16), "K5", (46, 5497)),
+        (moebius_ladder(16), "K33", (1563, 26019)),
         (generate("rand:16:0.3:3")[0], "K5", (12, 126)),
         (generate("rand:16:0.3:3")[0], "K33", (54, 108)),
+        (ladder, "K5", (27, 675)),
+        (ladder, "K33", (309, 860)),
     ]:
         seeds.clear()
         popped.clear()
@@ -243,3 +249,18 @@ def test_one_graph_is_kernelized_and_planarity_tested_once(monkeypatch, spec):
     for _ in range(2):
         _answers(g)
     assert sorted(calls) == ["_is_planar", "_kernelize"]
+
+
+def test_automorphisms_are_looked_for_only_after_real_work(monkeypatch):
+    """No atlas graph and no small shipped family pops enough states to pay
+    for the finder; the K5, K33 and planarity queries of one Moebius ladder
+    object look for its automorphisms once and share them."""
+    calls = []
+    real = minor._automorphisms
+    monkeypatch.setattr(minor, "_automorphisms", lambda adj, alive: calls.append(alive) or real(adj, alive))
+    specs = ("petersen", "k33sub", "thetatails", "bouquet:3,4,5", "paddle:5,3", "kite:3", "fantail:7")
+    for g in list(atlas()) + [generate(spec)[0] for spec in specs]:
+        _answers(g)
+    assert calls == []
+    _answers(moebius_ladder(12))
+    assert len(calls) == 1
