@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Optional, Sequence, TextIO
 
 # Only these modules load with the command line; the commands that need
@@ -174,10 +175,6 @@ _REPORT_KEYS = (
 )
 
 
-def _blank_report() -> dict:
-    return {key: None for key in _REPORT_KEYS} | {"warnings": []}
-
-
 def _emit(report: dict, as_json: bool, out: TextIO) -> None:
     if as_json:
         out.write(json.dumps(report, separators=(",", ":"), sort_keys=False) + "\n")
@@ -225,8 +222,10 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
 # Command driver
 
 
-# Commands that refuse a family past their cap before the family is built.
-_FAMILY_CAPS = {
+# The cap of each command that refuses an input past it, and the cap's name in
+# the refusal.  planar-desk's cap is the minor search's, which applies only
+# where the order and size leave planarity open (``minor.planar_by_counts``).
+_CAPS = {
     "dim": (DIM_CAP, "solver"),
     "cdim": (DIM_CAP, "solver"),
     "cdim-at": (DIM_CAP, "solver"),
@@ -237,48 +236,61 @@ _FAMILY_CAPS = {
 }
 
 
-def _load_input(args) -> tuple[Graph, tuple[str, ...], str]:
-    if getattr(args, "family", None):
+def _admit(args, n: int, m: Optional[int]) -> Optional[bool]:
+    """Refuse an input of order n and size m (None if unknown) past the command's cap.
+
+    Returns planar-desk's answer where n and m settle it, else None.
+    """
+    if args.command == "planar-desk":
+        from .minor import planar_by_counts
+
+        return None if m is None else planar_by_counts(n, m, args.cap)
+    if args.command in _CAPS:
+        try:
+            check_cap(n, args.cap, *_CAPS[args.command])
+        except TooLarge as exc:
+            # Every check of verify needs an exact solver value.
+            if args.command == "verify":
+                raise MetricDimError(f"verify compared nothing: {exc}") from None
+            raise
+    return None
+
+
+def _load_input(args) -> tuple[dict, Optional[Graph], tuple[str, ...]]:
+    """The report, with its input and query filled in, and the admitted graph with its labels.
+
+    A family whose spec gives its order is admitted before it is built; a
+    graph file, or an fr family, once it is read or drawn.  When admission
+    answers the command, the answer is the report's value and the graph may
+    be None.
+    """
+    report = {key: None for key in _REPORT_KEYS} | {"query": args.command, "warnings": []}
+    if args.family:
         from . import families
 
         spec = families.parse_spec(args.family, default_seed=args.seed)
-        n = families.order(spec)
-        # Past MAX_ORDER, generate reports the library cap instead.
-        if args.command in _FAMILY_CAPS and n is not None and n <= MAX_ORDER:
-            try:
-                check_cap(n, args.cap, *_FAMILY_CAPS[args.command])
-            except TooLarge as exc:
-                # Every check of verify needs an exact solver value.
-                if args.command == "verify":
-                    raise MetricDimError(f"verify compared nothing: {exc}") from None
-                raise
-        g, labels = families.generate(spec)
-        return g, labels, spec.text()
-    if not getattr(args, "input", None):
+        source, fmt, n, m = spec.text(), "family", families.order(spec), families.size(spec)
+        build = partial(families.generate, spec)
+    elif getattr(args, "input", None):
+        source, fmt, n, m = args.input, args.format, None, None
+        build = partial(parse_graph_file, source, fmt)
+    else:
         raise MetricDimError("need a graph file or --family")
-    g, labels = parse_graph_file(args.input, args.format)
-    return g, labels, args.input
-
-
-def _planar_desk_unbuilt(args) -> Optional[dict]:
-    """The input report of a family that planar-desk answers from its order and size alone.
-
-    On n >= 3 vertices, more than 3n - 6 edges make a graph nonplanar (Euler),
-    and any other family of known size past the minor-search cap raises
-    TooLarge; neither is built.  None means the family is built and tested.
-    """
-    from . import families
-    from .minor import MINOR_CAP
-
-    spec = families.parse_spec(args.family, default_seed=args.seed)
-    n, m = families.order(spec), families.size(spec)
-    # Past MAX_ORDER, generate reports the library cap instead.
-    if n is None or m is None or not 3 <= n <= MAX_ORDER:
-        return None
-    if m > 3 * n - 6:
-        return {"source": spec.text(), "format": "family", "n": n, "m": m}
-    check_cap(n, args.cap, MINOR_CAP, "minor-search")
-    return None
+    g: Optional[Graph] = None
+    labels: tuple[str, ...] = ()
+    # A graph file and an fr family have no order until they are read or drawn;
+    # past MAX_ORDER, generate reports the library cap instead.
+    if n is None or n > MAX_ORDER:
+        g, labels = build()
+        n, m = g.n, g.m
+    report["value"] = _admit(args, n, m)
+    if g is None and report["value"] is None:
+        g, labels = build()
+        m = g.m  # rand's size is known only once drawn
+    report["input"] = {"source": source, "format": fmt, "n": n, "m": m}
+    if g is not None and g.had_duplicate_edges:
+        report["warnings"].append("duplicate edges collapsed")
+    return report, g, labels
 
 
 def _labelset(labels: Sequence[str], vertices: Sequence[int]) -> list[str]:
@@ -347,57 +359,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, out: TextIO) -> int:
     started = time.perf_counter()
-    report = _blank_report()
     if args.cap is not None and args.cap < 1:
         raise InvalidOption(f"--cap must be at least 1, got {args.cap}")
     if args.command == "cdim-at" and args.vertex is not None and args.anchor_set is not None:
         raise InvalidOption("cdim-at takes --vertex or --set, not both")
     if args.command == "formula" and args.vertex is not None and args.theorem != "cdim-at":
         raise InvalidOption(f"formula --theorem {args.theorem} takes no --vertex")
+    report, g, labels = _load_input(args)
+    # Admission answers planar-desk where the order and size settle it.
+    if report["value"] is None:
+        _run(args, report, g, labels, out)
+    report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
+    # Without --json, generate's output is its edge list, written by _run.
+    if args.command != "generate" or args.json:
+        _emit(report, args.json, out)
+    # verify's value is 0 when a closed form and a solver disagree.
+    return 2 if args.command == "verify" and report["value"] == 0 else 0
 
-    if args.command == "generate":
-        from . import families
 
-        spec = families.parse_spec(args.family, default_seed=args.seed)
-        g, labels = families.generate(spec)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    write_edgelist(g, labels, fh)
-            except OSError as exc:
-                raise MetricDimError(f"cannot write {args.out}: {exc.strerror or exc}") from None
-        if args.json:
-            report["input"] = {"source": spec.text(), "format": "family", "n": g.n, "m": g.m}
-            report["query"] = "generate"
-            report["case"] = args.out or "stdout"
-            report["elapsed_ms"] = _ms(started)
-            _emit(report, True, out)
-        elif not args.out:
-            write_edgelist(g, labels, out)
-        return 0
-
-    if args.command == "planar-desk" and args.family:
-        unbuilt = _planar_desk_unbuilt(args)
-        if unbuilt is not None:
-            report.update(input=unbuilt, query="planar-desk", value=False, elapsed_ms=_ms(started))
-            _emit(report, args.json, out)
-            return 0
-
-    g, labels, source = _load_input(args)
-    fmt = "family" if getattr(args, "family", None) else args.format
-    report["input"] = {"source": source, "format": fmt, "n": g.n, "m": g.m}
-    if g.had_duplicate_edges:
-        report["warnings"].append("duplicate edges collapsed")
+def _run(args, report: dict, g: Graph, labels: tuple[str, ...], out: TextIO) -> None:
+    """Answer the command on the admitted graph into ``report``."""
     cap = args.cap
-
     if args.command == "dim":
         res = dim_exact(g, cap=cap)
-        report["query"] = "dim"
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "cdim":
         res = cdim_exact(g, cap=cap)
-        report["query"] = "cdim"
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "cdim-at":
@@ -413,7 +401,6 @@ def _dispatch(args, out: TextIO) -> int:
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "profile":
         prof = vertex_profile(g, cap=cap)
-        report["query"] = "profile"
         report["value"] = prof.rrad
         report["per_vertex"] = {labels[v]: prof.per_vertex[v] for v in range(g.n)}
         report["profile"] = {
@@ -424,15 +411,11 @@ def _dispatch(args, out: TextIO) -> int:
         }
     elif args.command == "enumerate-min":
         sets = enumerate_min_resolving_sets(g, cap=cap)
-        report["query"] = "enumerate-min"
         report["value"] = len(sets[0]) if sets else 0
         report["sets"] = [[labels[v] for v in s] for s in sets]
     elif args.command == "classify":
         from .formulas import classify_extremes, fr_membership, unicyclic_cdim_eq_dim
 
-        # A graph file has no order before it is read: check it here.
-        check_cap(g.n, cap, DIM_CAP, "solver")
-        report["query"] = "classify"
         cls = classify_extremes(g)
         info = {
             "cdim=1": cls.cdim_is_one,
@@ -450,7 +433,6 @@ def _dispatch(args, out: TextIO) -> int:
     elif args.command == "planar-desk":
         from .minor import is_planar_desk
 
-        report["query"] = "planar-desk"
         report["value"] = is_planar_desk(g, cap=cap)
     elif args.command == "formula":
         from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
@@ -472,19 +454,20 @@ def _dispatch(args, out: TextIO) -> int:
         if all(c["match"] is None for c in checks):
             reasons = dict.fromkeys(c["skipped"] for c in checks)
             raise MetricDimError("verify compared nothing: " + "; ".join(reasons))
-        report["query"] = "verify"
         report["checks"] = checks
-        ok = all(c["match"] is not False for c in checks)
-        report["value"] = int(ok)
-        report["elapsed_ms"] = _ms(started)
-        _emit(report, args.json, out)
-        return 0 if ok else 2
+        report["value"] = int(all(c["match"] is not False for c in checks))
+    elif args.command == "generate":
+        report["case"] = args.out or "stdout"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    write_edgelist(g, labels, fh)
+            except OSError as exc:
+                raise MetricDimError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+        elif not args.json:
+            write_edgelist(g, labels, out)
     else:  # pragma: no cover
         raise MetricDimError(f"unknown command {args.command!r}")
-
-    report["elapsed_ms"] = _ms(started)
-    _emit(report, args.json, out)
-    return 0
 
 
 def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
@@ -523,10 +506,6 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
                 break
         compared(f"cdim-at:{v}", fv, prof.per_vertex[v])
     return checks
-
-
-def _ms(started: float) -> int:
-    return int((time.perf_counter() - started) * 1000)
 
 
 # Exit status when standard output closes before the report is written, as

@@ -513,16 +513,25 @@ def verify_minor_witness(g: Graph, target: str, witness: Witness) -> bool:
     return True
 
 
+def planar_by_counts(n: int, m: int, cap: Optional[int]) -> Optional[bool]:
+    """Planarity where the order n and size m settle it, else None.
+
+    Graphs on fewer than 3 vertices are planar and graphs with more than
+    3n - 6 edges are not (Euler), whatever their order; any other graph past
+    the minor-search cap raises TooLarge.
+    """
+    settled = n < 3 or m > 3 * n - 6
+    # A settled answer still rejects a cap below 1.
+    check_cap(0 if settled else n, cap, MINOR_CAP, "minor-search")
+    return n < 3 if settled else None
+
+
 def is_planar_desk(g: Graph, *, cap: Optional[int] = None) -> bool:
     """Exact planarity, with the minor search's order cap, for desk-scale inputs.
 
-    Graphs on fewer than 3 vertices are planar and graphs with more than
-    3n - 6 edges are not, whatever their order; any other graph past the cap
-    raises TooLarge.  By Kuratowski and Wagner the answer is the same as
+    ``planar_by_counts`` answers from the order and size where they settle
+    it.  Otherwise, by Kuratowski and Wagner, the answer is the same as
     having neither a K5 nor a K3,3 minor.
     """
-    if g.n < 3 or g.m > 3 * g.n - 6:
-        check_cap(0, cap, MINOR_CAP, "minor-search")
-        return g.n < 3
-    check_cap(g.n, cap, MINOR_CAP, "minor-search")
-    return _kernel(g)[3]
+    settled = planar_by_counts(g.n, g.m, cap)
+    return _kernel(g)[3] if settled is None else settled

@@ -29,9 +29,10 @@ candidates, past which no candidate is tried, and cuts the branch when r
 cannot suffice: either the twin deficit, the twin-class vertices still
 missing from the partial set, exceeds r, or a greedy packing finds more than
 r unhit masks that are pairwise disjoint on the vertices the branch may
-still add.  With two slots open, a node fills the last slot of each
-candidate itself, from the intersection of the unhit masks that the
-candidate misses, rather than calling the walker once more.  Every cut drops
+still add.  The pass runs at every node, though neither bound can cut while
+no more than r masks are unhit.  With two slots open, a node fills the last
+slot of each candidate itself, from the intersection of the unhit masks that
+the candidate misses, rather than calling the walker once more.  Every cut drops
 only branches without a hit, so the order in which hits are met is
 unchanged.
 
@@ -268,12 +269,13 @@ def _connected_hits(
     branch is cut when the vertices it may add and ``cur`` all lie in
     ``done[0]``, a mask the caller may grow between hits, or when a lower
     bound shows that r of those vertices cannot meet every unhit mask.  Two
-    bounds are tried, only while more than r masks are unhit, since neither
-    can exceed their number.  The twin deficit: every twin class needs all
-    but one of its vertices.  The packing: unhit masks that stay pairwise
-    disjoint on those vertices each need a vertex of their own; a greedy
-    pass over the masks, smallest first, stops once it has more than r.  The
-    same pass finds the lowest top vertex.  With two slots open, a node
+    bounds are tried at every node; neither can cut while no more than r
+    masks are unhit, since neither can exceed their number.  The twin
+    deficit: every twin class needs all but one of its vertices.  The
+    packing: unhit masks that stay pairwise disjoint on those vertices each
+    need a vertex of their own; a greedy pass over the masks, smallest
+    first, stops once it has more than r.  The same pass finds the lowest
+    top vertex.  With two slots open, a node
     fills the last slot of each candidate b itself: the choices are the new
     neighbors of the set that lie in every unhit mask b misses.
 
@@ -304,29 +306,24 @@ def _connected_hits(
     # candidates; a smaller mask has no higher top vertex.
     beyond = free & ~ext
     low = ext
-    if len(unhit) <= r:
-        for m in unhit:
-            if m & free < low and not m & beyond:
-                low = m & free
-    else:
-        need = 0
-        for c in twins:
-            gap = c.bit_count() - 1 - (c & cur).bit_count()
-            if gap > 0:
-                need += gap
-        if need > r:
-            return
-        used = 0
-        slack = r
-        for m in unhit:
-            m &= free
-            if m < low and not m & beyond:
-                low = m
-            if not m & used:
-                used |= m
-                slack -= 1
-                if slack < 0:
-                    return
+    need = 0
+    for c in twins:
+        gap = c.bit_count() - 1 - (c & cur).bit_count()
+        if gap > 0:
+            need += gap
+    if need > r:
+        return
+    used = 0
+    slack = r
+    for m in unhit:
+        m &= free
+        if m < low and not m & beyond:
+            low = m
+        if not m & used:
+            used |= m
+            slack -= 1
+            if slack < 0:
+                return
     ext &= (1 << low.bit_length()) - 1
     while ext:
         b = ext & -ext

@@ -274,6 +274,15 @@ def test_planar_desk_refuses_past_the_minor_cap_before_building(monkeypatch):
     assert err == "error: n=3000 exceeds the minor-search cap 20; pass cap=3000 to override\n"
 
 
+@pytest.mark.parametrize("spec", ["path:2", "complete:2", "star:2"])
+def test_planar_desk_answers_small_families_before_building(monkeypatch, spec):
+    _refuse_to_build(monkeypatch, spec.split(":")[0])
+    code, out, err = run_cli(["planar-desk", "--family", spec, "--json"])
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["value"] is True
+    assert report["input"] == {"source": spec, "format": "family", "n": 2, "m": 1}
+
+
 @pytest.mark.parametrize("spec", ["complete:21", "grid:5x5", "kite:4", "paddle:7,2", "multipartite:3,3,3"])
 def test_planar_desk_before_building_matches_the_built_graph(monkeypatch, spec):
     from metricdim import is_planar_desk
@@ -446,6 +455,29 @@ def test_classify_checks_the_cap_on_a_graph_file(tmp_path):
     assert err == "error: n=25 exceeds the solver cap 24; pass cap=25 to override\n"
     code, out, _ = run_cli(["classify", str(path), "--cap", "25", "--json"])
     assert code == 0 and json.loads(out)["input"]["n"] == 25
+
+
+FILE_CAP_MESSAGES = [
+    ("dim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("cdim", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("cdim-at", ["--vertex", "3"], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("profile", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("enumerate-min", [], "n=25 exceeds the enumeration cap 16; pass cap=25 to override"),
+    ("classify", [], "n=25 exceeds the solver cap 24; pass cap=25 to override"),
+    ("planar-desk", [], "n=25 exceeds the minor-search cap 20; pass cap=25 to override"),
+]
+
+
+@pytest.mark.parametrize("command, extra, message", FILE_CAP_MESSAGES)
+def test_every_capped_command_refuses_a_graph_file_once_read(tmp_path, command, extra, message):
+    from metricdim.cli import _CAPS
+
+    # verify reads no graph file; planar-desk's cap is the minor search's.
+    assert {c for c, _, _ in FILE_CAP_MESSAGES} == set(_CAPS) - {"verify"} | {"planar-desk"}
+    path = tmp_path / "path25.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(24)))
+    code, out, err = run_cli([command, str(path), *extra])
+    assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
 def test_unknown_label_error():

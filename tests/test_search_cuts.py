@@ -5,7 +5,8 @@ and drops every mask that contains another.
 The growth search tries candidates only up to the lowest top vertex of an
 unhit mask they cover, starts no root past the lowest top vertex of a mask,
 and cuts a branch when its open slots cannot cover the twin deficit or a
-packing of disjoint unhit masks.  Each cut may only remove branches without a hit,
+packing of disjoint unhit masks.  Both bounds run at every node; neither can
+cut while no more than r masks are unhit.  Each cut may only remove branches without a hit,
 so for every k from the lower bound to one past the connected answer, growth
 on the complete graph must yield exactly the resolving k-sets in
 lexicographic order, and growth from ``_roots`` exactly the connected ones,
