@@ -200,64 +200,44 @@ def fr_graph(levels: Sequence[FrLevel]) -> Labeled:
     index: dict[str, int] = {"u": 0, "w": 1}
     edges: list[tuple[int, int]] = [(0, 1)]
 
-    def add_vertex(name: str) -> None:
+    def add(name: str, *below: str) -> None:
         index[name] = len(labels)
         labels.append(name)
+        edges.extend((index[name], index[b]) for b in below)
 
-    def add_edge(a: str, b: str) -> None:
-        edges.append((index[a], index[b]))
-
-    present: dict[str, bool] = {}
     for a, level in enumerate(levels, start=1):
-        for role, flag in (("x", level.x), ("y", level.y), ("z", level.z)):
-            present[f"{role}{a}"] = flag
-        if level.x:
-            if a == 1:
-                add_vertex("x1")
-                add_edge("x1", "u")
-            elif present.get(f"x{a - 1}"):
-                add_vertex(f"x{a}")
-                add_edge(f"x{a}", f"x{a - 1}")
-            else:
-                raise RuleViolation("R5", f"x{a} needs x{a - 1} present")
-        if level.z:
-            if a == 1:
-                add_vertex("z1")
-                add_edge("z1", "w")
-            elif present.get(f"z{a - 1}"):
-                add_vertex(f"z{a}")
-                add_edge(f"z{a}", f"z{a - 1}")
-            else:
-                raise RuleViolation("R6", f"z{a} needs z{a - 1} present")
+        # Level 1 stands on the anchors: x1 on u, z1 on w and y1 on both,
+        # whatever its y_attach.
+        sides = ("u", "w") if a == 1 else (f"x{a - 1}", f"z{a - 1}")
+        for role, flag, below, rule in zip("xz", (level.x, level.z), sides, ("R5", "R6")):
+            if flag:
+                if below not in index:
+                    raise RuleViolation(rule, f"{role}{a} needs {below} present")
+                add(f"{role}{a}", below)
         if level.y:
-            add_vertex(f"y{a}")
-            if a == 1:
-                add_edge("y1", "u")
-                add_edge("y1", "w")
-            else:
-                steps_ok = present.get(f"x{a - 1}") and present.get(f"z{a - 1}")
-                prev_ok = present.get(f"y{a - 1}")
-                attach = level.y_attach
-                if attach == "auto":
-                    attach = "steps" if steps_ok else "prev"
-                if attach in ("steps", "both"):
-                    if not steps_ok:
-                        raise RuleViolation("R7", f"y{a} needs x{a - 1} and z{a - 1}")
-                    add_edge(f"y{a}", f"x{a - 1}")
-                    add_edge(f"y{a}", f"z{a - 1}")
-                if attach in ("prev", "both"):
-                    if not prev_ok:
-                        raise RuleViolation("R7", f"y{a} needs y{a - 1}")
-                    add_edge(f"y{a}", f"y{a - 1}")
-                if attach not in ("steps", "prev", "both"):
-                    raise RuleViolation("R7", f"unknown y_attach {attach!r}")
+            steps_ok = all(side in index for side in sides)
+            attach = level.y_attach if a > 1 else "steps"
+            if attach == "auto":
+                attach = "steps" if steps_ok else "prev"
+            if attach not in ("steps", "prev", "both"):
+                raise RuleViolation("R7", f"unknown y_attach {attach!r}")
+            below: list[str] = []
+            if attach != "prev":
+                if not steps_ok:
+                    raise RuleViolation("R7", f"y{a} needs {sides[0]} and {sides[1]}")
+                below += sides
+            if attach != "steps":
+                if f"y{a - 1}" not in index:
+                    raise RuleViolation("R7", f"y{a} needs y{a - 1}")
+                below.append(f"y{a - 1}")
+            add(f"y{a}", *below)
         for pair in sorted(level.intra):
             if pair not in ("xy", "xz", "yz"):
                 raise RuleViolation("R8", f"unknown intra-level edge {pair!r}")
             p, q = f"{pair[0]}{a}", f"{pair[1]}{a}"
-            if not (present.get(p) and present.get(q)):
+            if p not in index or q not in index:
                 raise RuleViolation("R8", f"intra edge {pair} at level {a} needs both endpoints")
-            add_edge(p, q)
+            edges.append((index[p], index[q]))
     return build_graph(len(labels), edges), tuple(labels)
 
 

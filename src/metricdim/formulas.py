@@ -16,7 +16,6 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import (
-    InvalidOption,
     IsAPath,
     MetricDimError,
     NotATree,
@@ -24,7 +23,7 @@ from .errors import (
     TooMany,
     Unsupported,
 )
-from .graph import DistanceMatrix, Graph, all_pairs_distances, bits, blocks, remember_last_graph
+from .graph import Graph, all_pairs_distances, bits, blocks, remember_last_graph
 from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
@@ -575,68 +574,22 @@ class FrMembership(NamedTuple):
     refutations: Optional[dict[tuple[int, int], tuple[int, int]]]
 
 
-def _verify_fr_roles(g: Graph, u: int, w: int, roles: dict[int, str]) -> bool:
-    """Independent structural check of the layered rules against the role map.
-
-    A role names an anchor-code pair: x_a = (a, a+1), y_a = (a, a), and
-    z_a = (a+1, a).  An edge is admissible iff both code coordinates differ by
-    at most one; each vertex must reach both anchors through mandatory
-    down-edges (the side chains, and for y_a either the two side vertices
-    below it or the middle vertex below it, in any combination).
-    """
-    pair_of = {"u": (0, 1), "w": (1, 0)}
-
-    def code_of(name: str) -> tuple[int, int]:
-        if name in pair_of:
-            return pair_of[name]
-        a = int(name[1:])
-        return {"x": (a, a + 1), "y": (a, a), "z": (a + 1, a)}[name[0]]
-
-    by_name = {name: v for v, name in roles.items()}
-    for a, b in g.edges():
-        ca, cb = code_of(roles[a]), code_of(roles[b])
-        if abs(ca[0] - cb[0]) > 1 or abs(ca[1] - cb[1]) > 1:
-            return False
-    for v, name in roles.items():
-        if name in pair_of:
-            continue
-        role, a = name[0], int(name[1:])
-        if role == "x":
-            below = u if a == 1 else by_name.get(f"x{a - 1}")
-            if below is None or not g.has_edge(v, below):
-                return False
-        elif role == "z":
-            below = w if a == 1 else by_name.get(f"z{a - 1}")
-            if below is None or not g.has_edge(v, below):
-                return False
-        else:  # y: one step closer to each anchor, via a side or the middle
-            if a == 1:
-                if not (g.has_edge(v, u) and g.has_edge(v, w)):
-                    return False
-                continue
-            xs, zs, yp = (by_name.get(f"{r}{a - 1}") for r in ("x", "z", "y"))
-            toward_u = (xs is not None and g.has_edge(v, xs)) or (
-                yp is not None and g.has_edge(v, yp)
-            )
-            toward_w = (zs is not None and g.has_edge(v, zs)) or (
-                yp is not None and g.has_edge(v, yp)
-            )
-            if not (toward_u and toward_w):
-                return False
-    return True
-
-
-def fr_membership(g: Graph, dm: Optional[DistanceMatrix] = None) -> FrMembership:
+def fr_membership(g: Graph) -> FrMembership:
     """Whether some adjacent vertex pair resolves the graph, with role labels.
 
-    Decided two ways that must agree: directly checking every adjacent pair,
-    and structurally validating the role labeling implied by the codes.
-    ``dm`` must be g's own; one of another order raises InvalidOption.
+    The edges (u, w), u < w, are tried in order; each pair that fails is
+    refuted by the smallest pair of vertices sharing a code, and the first
+    that resolves g is the base pair.  Every other vertex v takes its role
+    from its code (d(v, u), d(v, w)): with a the smaller distance, x_a for
+    (a, a + 1), y_a for (a, a) and z_a for (a + 1, a).  These are the only
+    codes, since u ~ w puts the two distances at most one apart.  So no
+    further check is needed: every v other than u has a neighbour one step
+    closer to u, and every v other than w one step closer to w, which gives
+    the down-edges that rules R2-R7 of ``families.fr_graph`` require, and
+    any edge joins codes at most one apart in each coordinate, by the
+    triangle inequality alone.
     """
-    if dm is None:
-        dm = all_pairs_distances(g)
-    elif dm.n != g.n:
-        raise InvalidOption(f"the distance matrix has order {dm.n}, the graph {g.n}")
+    dm = all_pairs_distances(g)
     refutations: dict[tuple[int, int], tuple[int, int]] = {}
     for u, w in g.edges():
         cert = check_resolving(g, dm, (u, w))
@@ -644,27 +597,9 @@ def fr_membership(g: Graph, dm: Optional[DistanceMatrix] = None) -> FrMembership
             refutations[(u, w)] = cert.witness_pair
             continue
         roles: dict[int, str] = {u: "u", w: "w"}
-        r = 0
-        for v in range(g.n):
-            if v in (u, w):
-                continue
-            du, dw = dm.d(v, u), dm.d(v, w)
-            a = min(du, dw)
-            r = max(r, a)
-            if du == a and dw == a + 1:
-                roles[v] = f"x{a}"
-            elif du == dw == a:
-                roles[v] = f"y{a}"
-            elif du == a + 1 and dw == a:
-                roles[v] = f"z{a}"
-            else:
-                raise MetricDimError(
-                    "internal: adjacent resolving pair with non-adjacent code spread"
-                )
-        if not _verify_fr_roles(g, u, w, roles):
-            raise MetricDimError(
-                "internal: resolving adjacent pair fails the structural rules"
-            )
+        for v, (du, dw) in cert.codes.items():  # dw - du is -1, 0 or 1
+            roles.setdefault(v, f"{'zyx'[dw - du + 1]}{min(du, dw)}")
+        r = max(min(code) for code in cert.codes.values())
         return FrMembership(True, r, (u, w), roles, None)
     return FrMembership(False, None, None, None, refutations)
 

@@ -289,7 +289,7 @@ def test_criterion_10_fr_and_planarity():
             dm = md.all_pairs_distances(g)
             cdim = md.cdim_exact(g, dm)
             assert cdim.value <= 2, seed
-            assert md.fr_membership(g, dm).member, seed
+            assert md.fr_membership(g).member, seed
             assert md.is_planar_desk(g, cap=max(20, g.n)), seed
             touch(f"fr:{r}:{seed}", g, dm, None, cdim)
         for k in range(3, 7):
@@ -307,7 +307,7 @@ def test_criterion_10_fr_and_planarity():
         u2, u3 = labels.index("u2"), labels.index("u3")
         assert md.check_resolving(g, dm, (u2, u3)).resolving
         assert dm.d(u2, u3) == 2
-        assert not md.fr_membership(g, dm).member  # no adjacent pair resolves
+        assert not md.fr_membership(g).member  # no adjacent pair resolves
         found, witness = md.has_minor(g, "K33")
         assert found and md.verify_minor_witness(g, "K33", witness)
         touch("k33sub", g, dm, dim)

@@ -79,6 +79,6 @@ def test_every_small_connected_graph_matches_its_characterizations():
             cls = md.classify_extremes(g, v)
             assert cls.cdim_at_is_one == (per_vertex[v] == 1), (edges, v)
             assert cls.cdim_at_is_n_minus_one == (per_vertex[v] == top), (edges, v)
-        assert md.fr_membership(g, dm).member == (cdim <= 2), edges
+        assert md.fr_membership(g).member == (cdim <= 2), edges
         if cdim == 2:
             assert md.is_planar_desk(g), edges

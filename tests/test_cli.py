@@ -95,6 +95,19 @@ def test_second_dimacs_problem_line_is_a_parse_error(tmp_path):
     assert err.startswith("error: line 4: second problem line")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p edge 3\n", "line 1: bad problem line 'p edge 3'"),
+    ("p edge 3 x\n", "line 1: bad problem line 'p edge 3 x'"),
+    ("p edge 3 1\ne 1 x\n", "line 2: bad edge line 'e 1 x'"),
+    ("p edge 3 1\ne 1\n", "line 2: bad edge line 'e 1'"),
+    ("p edge 3 1\ne 1 1\n", "line 2: self-loop at 1"),
+], ids=["problem-fields", "problem-count", "edge-endpoint", "edge-fields", "self-loop"])
+def test_malformed_dimacs_lines_exit_one(tmp_path, text, message):
+    path = tmp_path / "bad.dimacs"
+    path.write_text(text)
+    assert run_cli(["dim", str(path), "--format", "dimacs"]) == (1, "", f"error: {message}\n")
+
+
 def test_cdim_command_json(tmp_path):
     path = tmp_path / "petersen.el"
     code, out, _ = run_cli(["generate", "--family", "petersen", "--out", str(path)])

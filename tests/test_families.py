@@ -144,18 +144,30 @@ def test_fr_sample_r_zero_is_single_edge():
 
 
 def test_fr_graph_rule_violations_named():
-    with pytest.raises(RuleViolation) as exc:
-        fr_graph([FrLevel(), FrLevel(x=True)])
-    assert exc.value.rule == "R5"
-    with pytest.raises(RuleViolation) as exc:
-        fr_graph([FrLevel(), FrLevel(z=True)])
-    assert exc.value.rule == "R6"
-    with pytest.raises(RuleViolation) as exc:
-        fr_graph([FrLevel(x=True), FrLevel(y=True, y_attach="prev")])
-    assert exc.value.rule == "R7"
-    with pytest.raises(RuleViolation) as exc:
-        fr_graph([FrLevel(x=True, intra=frozenset({"xy"}))])
-    assert exc.value.rule == "R8"
+    cases = [
+        ([FrLevel(), FrLevel(x=True)], "R5: x2 needs x1 present"),
+        ([FrLevel(), FrLevel(z=True)], "R6: z2 needs z1 present"),
+        ([FrLevel(x=True), FrLevel(y=True, y_attach="prev")], "R7: y2 needs y1"),
+        ([FrLevel(x=True), FrLevel(y=True, y_attach="steps")], "R7: y2 needs x1 and z1"),
+        ([FrLevel(y=True), FrLevel(y=True, y_attach="both")], "R7: y2 needs x1 and z1"),
+        ([FrLevel(x=True, z=True), FrLevel(y=True, y_attach="up")], "R7: unknown y_attach 'up'"),
+        ([FrLevel(x=True, intra=frozenset({"xw"}))], "R8: unknown intra-level edge 'xw'"),
+        ([FrLevel(x=True, intra=frozenset({"xy"}))],
+         "R8: intra edge xy at level 1 needs both endpoints"),
+    ]
+    for levels, message in cases:
+        with pytest.raises(RuleViolation) as exc:
+            fr_graph(levels)
+        assert (exc.value.rule, str(exc.value)) == (message[:2], message), levels
+
+
+def test_fr_graph_auto_attach_prefers_steps_then_prev():
+    g, labels = fr_graph([FrLevel(y=True), FrLevel(y=True)])
+    assert labels == ("u", "w", "y1", "y2")
+    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    g, labels = fr_graph([FrLevel(x=True, z=True), FrLevel(y=True)])
+    assert labels == ("u", "w", "x1", "z1", "y2")
+    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
 
 
 def test_random_connected_golden_and_determinism():

@@ -10,7 +10,9 @@ from metricdim import (
     MetricDimError,
     NotATree,
     NotUnicyclic,
+    TooMany,
     Unsupported,
+    all_pairs_distances,
     build_graph,
     cdim_at_set,
     cdim_at_vertex_formula,
@@ -406,6 +408,28 @@ def test_fr_membership_sample_round_trip():
     assert cdim_exact(g).value <= 2
 
 
+def test_fr_membership_reads_every_generated_role():
+    # fr_graph states the layered rules and fr_membership reads the roles off
+    # the anchor codes: on every sample the two agree vertex by vertex.
+    for r in range(9):
+        for seed in range(60):
+            g, labels = generate(f"fr:{r}:{seed}")
+            res = fr_membership(g)
+            assert res.base_pair == (0, 1), (r, seed)
+            assert res.roles == dict(enumerate(labels)), (r, seed)
+
+
+def test_fr_membership_reads_the_graph_alone():
+    # The answer is about g, so no caller's matrix enters it: a star's would
+    # refute every edge of path:5.
+    for spec in ("path:5", "path:6"):
+        res = fr_membership(generate(spec)[0])
+        assert (res.member, res.base_pair) == (True, (0, 1)), spec
+    g = generate("path:5")[0]
+    with pytest.raises(TypeError):
+        fr_membership(g, all_pairs_distances(generate("star:5")[0]))
+
+
 def test_fr_membership_matches_cdim_threshold():
     for spec in ("rand:7:0.3:5", "rand:7:0.5:6", "randtree:8:2", "grid:3x3",
                  "paddle:3,2", "sun:5:1,1,0,0,0", "bouquet:3,3"):
@@ -535,6 +559,13 @@ def test_tree_min_sets_match_brute_force_on_random_trees():
 def test_tree_min_sets_rejects_paths():
     with pytest.raises(IsAPath):
         tree_min_resolving_sets(path_graph(6))
+
+
+def test_tree_min_sets_past_the_cap_are_refused():
+    # Five legs of 30 vertices: 5 * 30**4 = 4,050,000 minimum resolving sets.
+    spider = build_graph(151, [(0 if i % 30 == 1 else i - 1, i) for i in range(1, 151)])
+    with pytest.raises(TooMany, match=f"more than {formulas.TREE_ENUM_CAP} minimum resolving sets"):
+        tree_min_resolving_sets(spider)
 
 
 def test_tree_min_sets_equal_enumeration():

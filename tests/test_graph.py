@@ -16,7 +16,7 @@ from metricdim import (
     is_planar_desk,
     twin_partition,
 )
-from metricdim.graph import check_cap
+from metricdim.graph import MAX_ORDER, check_cap
 
 from conftest import naive_all_pairs, naive_cut_vertices
 
@@ -52,6 +52,8 @@ def test_build_rejects_self_loop_and_small_order():
         build_graph(3, [(0, 5)])
     with pytest.raises(TooSmall):
         build_graph(1, [])
+    with pytest.raises(TooLarge):
+        build_graph(MAX_ORDER + 1, [])
 
 
 def test_without_edge_keeps_the_order():
@@ -98,6 +100,8 @@ def test_distances_match_independent_bfs(spec):
 
 def test_cut_vertices_examples():
     assert cut_vertices(path_graph(5)) == {1, 2, 3}
+    with pytest.raises(NotConnected):
+        cut_vertices(build_graph(4, [(0, 1), (2, 3)]))
     b2, labels = generate("bouquet:3,3")
     assert cut_vertices(b2) == {labels.index("w")}
     c6, _ = generate("cycle:6")

@@ -169,6 +169,20 @@ def test_witness_verifier_rejects_bad_models():
     broken = list(witness)
     broken[4] = broken[4] + (g.n,)  # a vertex outside the graph
     assert not verify_minor_witness(g, "K5", tuple(broken))
+    assert not verify_minor_witness(g, "K5", ((),) + witness[1:])  # an empty branch set
+    # Branch (0,) is no longer adjacent to branch (4,): s was the subdivision vertex between them.
+    assert witness[0] == (0, 5) and witness[4] == (4,)
+    assert not verify_minor_witness(g, "K5", ((0,),) + witness[1:])
+    # K6 less the edge 4-5: every required pair touches, but branch (4, 5) is disconnected.
+    k6 = build_graph(6, [p for p in itertools.combinations(range(6), 2) if p != (4, 5)])
+    assert verify_minor_witness(k6, "K5", ((0,), (1,), (2,), (3,), (4,)))
+    assert not verify_minor_witness(k6, "K5", ((0,), (1,), (2,), (3,), (4, 5)))
+    # Without a2 the branch of u2 is still connected but no longer reaches w2.
+    g, labels = generate("k33sub")
+    u1, u2, u3, w1, w2, w3, a1, a2, b1, b2 = map(labels.index, "u1 u2 u3 w1 w2 w3 a1 a2 b1 b2".split())
+    witness = ((u1,), (u2, a1, a2), (u3, b1, b2), (w1,), (w2,), (w3,))
+    assert verify_minor_witness(g, "K33", witness)
+    assert not verify_minor_witness(g, "K33", ((u1,), (u2, a1), (u3, b1, b2), (w1,), (w2,), (w3,)))
 
 
 # Witnesses of the unpruned branch-set search (tests/reference_minor.py) on

@@ -15,7 +15,6 @@ from metricdim import (
     dim_exact,
     dim_floor_from_diameter,
     enumerate_min_resolving_sets,
-    fr_membership,
     generate,
     twin_partition,
     vertex_profile,
@@ -75,6 +74,13 @@ def test_check_resolving_rejects_empty_set():
         check_resolving(g, all_pairs_distances(g), set())
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_check_resolving_rejects_a_vertex_out_of_range(bad):
+    g = path_graph(3)
+    with pytest.raises(InvalidAnchor, match=r"not all within 0\.\.2"):
+        check_resolving(g, all_pairs_distances(g), [0, bad])
+
+
 @pytest.mark.parametrize("other", [3, 7])
 def test_distance_matrix_of_another_order_is_an_invalid_option(other):
     # A shorter matrix must not be indexed past its rows, and a longer one
@@ -83,11 +89,6 @@ def test_distance_matrix_of_another_order_is_an_invalid_option(other):
     dm = all_pairs_distances(path_graph(other))
     with pytest.raises(InvalidOption, match="order"):
         check_resolving(g, dm, [0])
-    with pytest.raises(InvalidOption, match="order"):
-        fr_membership(g, dm)
-    # With no edge, fr_membership checks no pair, so it must check the order itself.
-    with pytest.raises(InvalidOption, match="order"):
-        fr_membership(build_graph(2, []), dm)
 
 
 # ---------------------------------------------------------------------------
