@@ -24,18 +24,9 @@ from functools import partial
 from typing import Optional, Sequence, TextIO
 
 # Only these modules load with the command line; the commands that need
-# families, formulas or minor import them where they run.
+# solver, families, formulas or minor import them where they run.
 from .errors import HeaderMismatch, InvalidOption, MetricDimError, ParseError, TooLarge
 from .graph import MAX_ORDER, Graph, build_graph, check_cap
-from .solver import (
-    DIM_CAP,
-    ENUM_CAP,
-    cdim_at_set,
-    cdim_exact,
-    dim_exact,
-    enumerate_min_resolving_sets,
-    vertex_profile,
-)
 
 
 def parse_graph_file(
@@ -222,17 +213,17 @@ def _emit(report: dict, as_json: bool, out: TextIO) -> None:
 # Command driver
 
 
-# The cap of each command that refuses an input past it, and the cap's name in
-# the refusal.  planar-desk's cap is the minor search's, which applies only
-# where the order and size leave planarity open (``minor.planar_by_counts``).
+# The cap (a name in ``graph.CAPS``) of each command that refuses an input past
+# it.  planar-desk's cap is the minor search's, which applies only where the
+# order and size leave planarity open (``minor.planar_by_counts``).
 _CAPS = {
-    "dim": (DIM_CAP, "solver"),
-    "cdim": (DIM_CAP, "solver"),
-    "cdim-at": (DIM_CAP, "solver"),
-    "profile": (DIM_CAP, "solver"),
-    "enumerate-min": (ENUM_CAP, "enumeration"),
-    "verify": (DIM_CAP, "solver"),
-    "classify": (DIM_CAP, "solver"),
+    "dim": "solver",
+    "cdim": "solver",
+    "cdim-at": "solver",
+    "profile": "solver",
+    "enumerate-min": "enumeration",
+    "verify": "solver",
+    "classify": "solver",
 }
 
 
@@ -247,7 +238,7 @@ def _admit(args, n: int, m: Optional[int]) -> Optional[bool]:
         return None if m is None else planar_by_counts(n, m, args.cap)
     if args.command in _CAPS:
         try:
-            check_cap(n, args.cap, *_CAPS[args.command])
+            check_cap(n, args.cap, _CAPS[args.command])
         except TooLarge as exc:
             # Every check of verify needs an exact solver value.
             if args.command == "verify":
@@ -380,15 +371,15 @@ def _dispatch(args, out: TextIO) -> int:
 def _run(args, report: dict, g: Graph, labels: tuple[str, ...], out: TextIO) -> None:
     """Answer the command on the admitted graph into ``report``."""
     cap = args.cap
-    if args.command == "dim":
-        res = dim_exact(g, cap=cap)
-        report["value"] = res.value
-        report["witness"] = _labelset(labels, res.witness)
-    elif args.command == "cdim":
-        res = cdim_exact(g, cap=cap)
+    if args.command in ("dim", "cdim"):
+        from .solver import cdim_exact, dim_exact
+
+        res = (dim_exact if args.command == "dim" else cdim_exact)(g, cap=cap)
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "cdim-at":
+        from .solver import cdim_at_set
+
         if args.vertex is not None:
             anchor = _to_indices(labels, "--vertex", args.vertex)
         elif args.anchor_set is not None:
@@ -400,6 +391,8 @@ def _run(args, report: dict, g: Graph, labels: tuple[str, ...], out: TextIO) -> 
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "profile":
+        from .solver import vertex_profile
+
         prof = vertex_profile(g, cap=cap)
         report["value"] = prof.rrad
         report["per_vertex"] = {labels[v]: prof.per_vertex[v] for v in range(g.n)}
@@ -410,6 +403,8 @@ def _run(args, report: dict, g: Graph, labels: tuple[str, ...], out: TextIO) -> 
             "rp": _labelset(labels, prof.rp),
         }
     elif args.command == "enumerate-min":
+        from .solver import enumerate_min_resolving_sets
+
         sets = enumerate_min_resolving_sets(g, cap=cap)
         report["value"] = len(sets[0]) if sets else 0
         report["sets"] = [[labels[v] for v in s] for s in sets]
@@ -476,6 +471,7 @@ def _verify_family(g: Graph, cap: Optional[int]) -> list[dict]:
     A check that cannot run keeps ``"match": None`` and says why in ``skipped``.
     """
     from .formulas import cdim_at_vertex_formula, cdim_formula, dim_formula
+    from .solver import cdim_exact, dim_exact, vertex_profile
 
     checks: list[dict] = []
 

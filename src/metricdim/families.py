@@ -207,7 +207,7 @@ def fr_graph(levels: Sequence[FrLevel]) -> Labeled:
 
     for a, level in enumerate(levels, start=1):
         # Level 1 stands on the anchors: x1 on u, z1 on w and y1 on both,
-        # whatever its y_attach.
+        # whatever its valid y_attach.
         sides = ("u", "w") if a == 1 else (f"x{a - 1}", f"z{a - 1}")
         for role, flag, below, rule in zip("xz", (level.x, level.z), sides, ("R5", "R6")):
             if flag:
@@ -215,12 +215,12 @@ def fr_graph(levels: Sequence[FrLevel]) -> Labeled:
                     raise RuleViolation(rule, f"{role}{a} needs {below} present")
                 add(f"{role}{a}", below)
         if level.y:
-            steps_ok = all(side in index for side in sides)
-            attach = level.y_attach if a > 1 else "steps"
-            if attach == "auto":
-                attach = "steps" if steps_ok else "prev"
-            if attach not in ("steps", "prev", "both"):
+            attach = level.y_attach
+            if attach not in ("auto", "steps", "prev", "both"):
                 raise RuleViolation("R7", f"unknown y_attach {attach!r}")
+            steps_ok = all(side in index for side in sides)
+            if a == 1 or attach == "auto":
+                attach = "steps" if steps_ok else "prev"
             below: list[str] = []
             if attach != "prev":
                 if not steps_ok:
@@ -231,7 +231,8 @@ def fr_graph(levels: Sequence[FrLevel]) -> Labeled:
                     raise RuleViolation("R7", f"y{a} needs y{a - 1}")
                 below.append(f"y{a - 1}")
             add(f"y{a}", *below)
-        for pair in sorted(level.intra):
+        # Sorting by str keeps a non-string entry for the name check below.
+        for pair in sorted(level.intra, key=str):
             if pair not in ("xy", "xz", "yz"):
                 raise RuleViolation("R8", f"unknown intra-level edge {pair!r}")
             p, q = f"{pair[0]}{a}", f"{pair[1]}{a}"

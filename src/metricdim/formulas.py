@@ -24,7 +24,6 @@ from .errors import (
     Unsupported,
 )
 from .graph import Graph, all_pairs_distances, bits, blocks, remember_last_graph
-from .solver import check_resolving
 
 TREE_ENUM_CAP = 10**6
 
@@ -493,12 +492,8 @@ class ExtremesClassification(NamedTuple):
 def _star_center(g: Graph) -> Optional[int]:
     if g.m != g.n - 1 or g.n < 3:
         return None
-    centers = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(centers) == 1 and all(
-        g.degree(v) == 1 for v in range(g.n) if v != centers[0]
-    ):
-        return centers[0]
-    return None
+    # With m = n - 1, a vertex of degree n - 1 holds every edge: the rest are its leaves.
+    return next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
 
 
 def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
@@ -511,20 +506,16 @@ def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
     path = [v, *passed]
     if g.degree(q) < 3:
         return None
+    # q has degree >= 3 and one tail neighbour, so head holds two vertices or
+    # more; inner tail vertices have degree two, so every edge off the tail
+    # joins two vertices of head + [q], and no edge count is needed.
     tail = set(path)
     head = [u for u in range(g.n) if u != q and u not in tail]
-    if len(head) < 2:
-        return None
-    r = len(path) + 1
     if all(g.degree(u) == 1 and g.has_edge(u, q) for u in head):
-        if g.m == (r - 1) + len(head):
-            return "fork-u1"
-        return None
+        return "fork-u1"
     block = head + [q]
     if all(g.has_edge(a, b) for a, b in itertools.combinations(block, 2)):
-        expected = (r - 1) + len(block) * (len(block) - 1) // 2
-        if g.m == expected:
-            return "paddle-u1"
+        return "paddle-u1"
     return None
 
 
@@ -589,6 +580,8 @@ def fr_membership(g: Graph) -> FrMembership:
     any edge joins codes at most one apart in each coordinate, by the
     triangle inequality alone.
     """
+    from .solver import check_resolving
+
     dm = all_pairs_distances(g)
     refutations: dict[tuple[int, int], tuple[int, int]] = {}
     for u, w in g.edges():
@@ -664,14 +657,11 @@ def unicyclic_cdim_eq_dim(g: Graph) -> UnicyclicClassification:
     if legs is None:
         return UnicyclicClassification(False, "not-a-sun", cyc)
     degs = [g.degree(v) for v in cyc]
-    if all(d == 2 for d in degs):
-        run = m
-    else:
-        run = best = 0
-        for d in degs + degs:  # circular runs
-            best = best + 1 if d == 2 else 0
-            run = max(run, best)
-        run = min(run, m)
+    run = best = 0
+    for d in degs + degs:  # circular runs; a cycle of degree-two vertices gives 2m
+        best = best + 1 if d == 2 else 0
+        run = max(run, best)
+    run = min(run, m)
     need = m - 3 if m % 2 else m - 2
     if run >= need:
         return UnicyclicClassification(True, "U1" if m % 2 else "U2", cyc)

@@ -17,12 +17,15 @@ _T = TypeVar("_T")
 # and every exact solver saturates far below this anyway.
 MAX_ORDER = 4096
 
+# The default order cap of each exact search, by the name its refusal gives it.
+CAPS = {"solver": 24, "enumeration": 16, "minor-search": 20}
 
-def check_cap(n: int, cap: Optional[int], default_cap: int, what: str) -> None:
-    """Reject a cap below 1, and an order ``n`` past the cap (``default_cap`` if None)."""
+
+def check_cap(n: int, cap: Optional[int], what: str) -> None:
+    """Reject a cap below 1, and an order ``n`` past the cap (``CAPS[what]`` if None)."""
     if cap is not None and cap < 1:
         raise InvalidOption(f"cap must be at least 1, got {cap}")
-    effective_cap = default_cap if cap is None else cap
+    effective_cap = CAPS[what] if cap is None else cap
     if n > effective_cap:
         raise TooLarge(
             f"n={n} exceeds the {what} cap {effective_cap}; pass cap={n} to override"

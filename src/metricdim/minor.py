@@ -104,7 +104,6 @@ from typing import Iterator, Optional, Sequence
 from .errors import InvalidSpec
 from .graph import Graph, bits, blocks, check_cap, components, remember_last_graph
 
-MINOR_CAP = 20
 
 # The seed loop looks for automorphisms once its failed searches have popped
 # more than _FINDER_AFTER states; the finder stops after _FINDER_CAP maps or
@@ -470,7 +469,7 @@ def has_minor(
 ) -> tuple[bool, Optional[Witness]]:
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     h, pairs = _target(target)
-    check_cap(g.n, cap, MINOR_CAP, "minor-search")
+    check_cap(g.n, cap, "minor-search")
     adj, alive, bags, planar, automorphisms = _kernel(g)
     kn = alive.bit_count()
     km = sum(nb.bit_count() for nb in adj) // 2
@@ -522,7 +521,7 @@ def planar_by_counts(n: int, m: int, cap: Optional[int]) -> Optional[bool]:
     """
     settled = n < 3 or m > 3 * n - 6
     # A settled answer still rejects a cap below 1.
-    check_cap(0 if settled else n, cap, MINOR_CAP, "minor-search")
+    check_cap(0 if settled else n, cap, "minor-search")
     return n < 3 if settled else None
 
 

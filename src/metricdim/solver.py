@@ -79,9 +79,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import EmptySet, InvalidAnchor, InvalidOption
 from .graph import DistanceMatrix, Graph, bits, check_cap, distance_levels, remember_last_graph
 
-DIM_CAP = 24
-ENUM_CAP = 16
-
 
 class SolveResult(NamedTuple):
     value: int
@@ -158,7 +155,6 @@ def _pair_masks(levels: Sequence[Sequence[int]], full: int) -> list[int]:
 def _prepare(
     g: Graph,
     cap: Optional[int],
-    default_cap: int,
     workers: int = 1,
     what: str = "solver",
 ) -> tuple[list[int], tuple[int, ...], Sequence[int], int]:
@@ -169,7 +165,7 @@ def _prepare(
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
-    check_cap(g.n, cap, default_cap, what)
+    check_cap(g.n, cap, what)
     levels = distance_levels(g.adj_bits)
     masks = _pair_masks(levels, g.vertex_mask())
     # Only twins have a mask of size two, and twinhood is an equivalence, so
@@ -401,7 +397,7 @@ def dim_exact(
     The search starts at dim(G) once a call on the same Graph object has
     proved it, and records the value it finds.  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, workers)
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
         for hit in _plain_hits(masks, twins, g.n, k, up):
@@ -431,7 +427,7 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, workers)
     proved = _proved(g)
     start = max(floor, len(anchor_set), proved[1] or proved[0],
                 *[proved[v + 2] for v in anchor_set])
@@ -499,7 +495,7 @@ def vertex_profile(
     at cdim(G) (or dim(G)) once a call on the same Graph object has proved
     it, and records cdim(G) and every cdim_G(v).  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, cap, DIM_CAP, workers)
+    masks, twins, up, floor = _prepare(g, cap, workers)
     proved = _proved(g)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
@@ -539,7 +535,7 @@ def enumerate_min_resolving_sets(
     """All minimum resolving sets, in lexicographic order."""
     # The search starts at dim(G) once a call on the same Graph object has
     # proved it, and records the value it finds.  ``dm`` is never read.
-    masks, twins, up, floor = _prepare(g, cap, ENUM_CAP, what="enumeration")
+    masks, twins, up, floor = _prepare(g, cap, what="enumeration")
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
         hits = _plain_hits(masks, twins, g.n, k, up)

@@ -18,8 +18,8 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from metricdim import Graph, InvalidSpec, TooLarge
-from metricdim.graph import bits
-from metricdim.minor import MINOR_CAP, Witness, _TARGETS
+from metricdim.graph import CAPS, bits
+from metricdim.minor import Witness, _TARGETS
 
 
 def _kernelize(g: Graph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
@@ -123,7 +123,7 @@ def has_minor(
     """Exact minor test for K5 or K33, with connected branch sets as witness."""
     if target not in _TARGETS:
         raise InvalidSpec(f"unknown minor target {target!r}; expected K5 or K33")
-    effective_cap = MINOR_CAP if cap is None else cap
+    effective_cap = CAPS["minor-search"] if cap is None else cap
     if g.n > effective_cap:
         raise TooLarge(
             f"n={g.n} exceeds the minor-search cap {effective_cap}; pass cap={g.n} to override"

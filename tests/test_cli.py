@@ -209,8 +209,8 @@ def test_verify_that_compares_nothing_exits_one(spec):
 
 
 def test_verify_skips_are_visible(monkeypatch):
-    import metricdim.cli as cli_mod
     import metricdim.formulas as formulas
+    import metricdim.solver as solver
     from metricdim import TooLarge, Unsupported
 
     real = formulas.cdim_at_vertex_formula
@@ -234,7 +234,7 @@ def test_verify_skips_are_visible(monkeypatch):
         raise TooLarge("profile cap")
 
     monkeypatch.setattr(formulas, "cdim_at_vertex_formula", real)
-    monkeypatch.setattr(cli_mod, "vertex_profile", profile_too_large)
+    monkeypatch.setattr(solver, "vertex_profile", profile_too_large)
     code, out, _ = run_cli(["verify", "--family", "wheel:9", "--json"])
     report = json.loads(out)
     assert code == 0 and report["value"] == 1
@@ -607,11 +607,25 @@ def test_cap_below_one_exits_one(cap):
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    # Commands import families, formulas and minor only where they run.
+    # Commands import solver, families, formulas and minor only where they run.
     probe = "import sys, metricdim.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     loaded = run_python(probe, "networkx", "metricdim.families", "metricdim.formulas",
-                        "metricdim.minor")
+                        "metricdim.minor", "metricdim.solver")
     assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, solver_loaded", [
+    (["generate", "--family", "wheel:5"], False),
+    (["planar-desk", "--family", "k33sub"], False),
+    (["formula", "--family", "wheel:9", "--theorem", "cdim"], False),
+    (["dim", "--family", "wheel:5"], True),
+])
+def test_only_searching_commands_load_the_solver(argv, solver_loaded):
+    probe = ("import io, sys\n"
+             "from metricdim.cli import run\n"
+             "code = run(sys.argv[1:], io.StringIO())\n"
+             "print(code, 'metricdim.solver' in sys.modules)")
+    assert run_python(probe, *argv).split() == ["0", str(solver_loaded)]
 
 
 def test_planar_desk_leaves_networkx_unloaded():

@@ -169,7 +169,7 @@ def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
 @pytest.mark.parametrize("spec", WALKER_SPECS)
 def test_walker_yields_the_reference_hits_in_order(spec):
     g, _ = md.generate(spec)
-    masks, twins, up, floor = _prepare(g, g.n, g.n)
+    masks, twins, up, floor = _prepare(g, g.n)
     anchors = [1 << v for v in range(g.n)]
     anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
     hits = 0

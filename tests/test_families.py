@@ -161,6 +161,23 @@ def test_fr_graph_rule_violations_named():
         assert (exc.value.rule, str(exc.value)) == (message[:2], message), levels
 
 
+def test_fr_graph_checks_y_attach_at_level_one():
+    with pytest.raises(RuleViolation) as exc:
+        fr_graph([FrLevel(y=True, y_attach="up")])
+    assert (exc.value.rule, str(exc.value)) == ("R7", "R7: unknown y_attach 'up'")
+    # Every valid value puts y1 on both anchors.
+    for attach in ("auto", "steps", "prev", "both"):
+        g, labels = fr_graph([FrLevel(y=True, y_attach=attach)])
+        assert labels == ("u", "w", "y1") and sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_fr_graph_names_a_non_string_intra_entry():
+    for intra, bad in (({"xy", 1}, "1"), ({None}, "None"), (("xy", ("x", "y")), "('x', 'y')")):
+        with pytest.raises(RuleViolation) as exc:
+            fr_graph([FrLevel(x=True, y=True, intra=frozenset(intra))])
+        assert (exc.value.rule, str(exc.value)) == ("R8", f"R8: unknown intra-level edge {bad}")
+
+
 def test_fr_graph_auto_attach_prefers_steps_then_prev():
     g, labels = fr_graph([FrLevel(y=True), FrLevel(y=True)])
     assert labels == ("u", "w", "y1", "y2")

@@ -327,6 +327,28 @@ def test_petersen_recognizer_refuses_four_cycles():
         assert recognize(g) is None
 
 
+@pytest.mark.parametrize("n, edges", [
+    # Disconnected.
+    (4, [(0, 1), (2, 3)]),
+    # Petersen's order and size, not cubic.
+    (10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 2), (0, 5), (3, 7), (4, 8), (6, 9)]),
+    # Cubic on 10 vertices, with a triangle.
+    (10, [(0, 1), (0, 6), (0, 8), (1, 2), (1, 3), (2, 5), (2, 6), (3, 7), (3, 8), (4, 5), (4, 7),
+          (4, 9), (5, 9), (6, 9), (7, 8)]),
+    # Four corners, and n and m of a 3 x 3 grid; a coordinate of the wrong parity.
+    (9, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6), (5, 7), (5, 8),
+         (7, 8)]),
+    # Four corners, and n and m of a 4 x 3 grid; coordinates in range that repeat.
+    (12, [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (4, 8), (5, 6), (5, 9),
+          (6, 8), (6, 10), (7, 9), (7, 11), (9, 10), (10, 11)]),
+])
+def test_recognizer_rejections_have_no_closed_form(n, edges):
+    g = build_graph(n, edges)
+    assert recognize(g) is None
+    with pytest.raises(Unsupported):
+        dim_formula(g)
+
+
 def test_recognizer_handles_equivalent_families():
     g, _ = generate("wheel:3")  # this is the complete graph on four vertices
     assert recognize(g).kind == "complete"

@@ -154,6 +154,6 @@ def test_every_library_cap_reports_the_same_way():
         with pytest.raises(TooLarge) as info:
             call()
         assert str(info.value) == message
-    check_cap(25, 25, 1, "solver")
+    check_cap(25, 25, "solver")
     with pytest.raises(InvalidOption, match="^cap must be at least 1, got 0$"):
-        check_cap(2, 0, 24, "solver")
+        check_cap(2, 0, "solver")

@@ -14,6 +14,7 @@ import itertools
 import pytest
 
 import metricdim as md
+from metricdim.graph import CAPS
 
 optimize = pytest.importorskip("scipy.optimize")
 np = pytest.importorskip("numpy")
@@ -44,5 +45,5 @@ def test_milp_dim_matches_the_closed_form(spec):
     value, chosen = milp_dim(g, dm)
     assert value == md.dim_formula(g).value
     assert md.check_resolving(g, dm, chosen).resolving
-    if g.n <= md.solver.DIM_CAP:
+    if g.n <= CAPS["solver"]:
         assert value == md.dim_exact(g, dm).value

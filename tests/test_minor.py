@@ -13,6 +13,7 @@ from metricdim import (
     verify_minor_witness,
 )
 from metricdim import minor
+from metricdim.graph import CAPS
 from metricdim.minor import _seed_sets
 
 from conftest import atlas, distinct_copy, moebius_ladder
@@ -235,7 +236,7 @@ SHIPPED_SPECS = (
 
 
 def _answers(g):
-    cap = max(minor.MINOR_CAP, g.n)
+    cap = max(CAPS["minor-search"], g.n)
     return has_minor(g, "K5", cap=cap), has_minor(g, "K33", cap=cap), is_planar_desk(g, cap=cap)
 
 

@@ -72,7 +72,7 @@ def check_prepare(where, g):
     dm = md.all_pairs_distances(g)
     every = naive_masks(naive_all_pairs(g), g.n)
     minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
-    masks, twins, up, floor = _prepare(g, g.n, g.n)
+    masks, twins, up, floor = _prepare(g, g.n)
     assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
     tp = md.twin_partition(g)
     classes = [c for c in tp.classes if len(c) > 1]
@@ -121,7 +121,7 @@ def test_disconnected_input_raises_not_connected(name, text):
 def test_cuts_keep_every_hit_and_its_order():
     for where, g in graphs():
         dists = naive_all_pairs(g)
-        masks, twins, _, floor = _prepare(g, g.n, g.n)
+        masks, twins, _, floor = _prepare(g, g.n)
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
@@ -150,7 +150,7 @@ def test_twin_rule_keeps_exactly_the_prefix_sets():
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, g.n, g.n)
+        masks, twins, up, floor = _prepare(g, g.n)
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             leaders = [c for c in itertools.combinations(range(g.n), k)
@@ -170,7 +170,7 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, g.n, g.n)
+        masks, twins, up, floor = _prepare(g, g.n)
         if not up:
             continue
         adj, full = g.adj_bits, g.vertex_mask()
