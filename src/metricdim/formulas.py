@@ -291,15 +291,21 @@ def _recognize_grid(g: Graph) -> Optional[tuple[int, int, tuple[tuple[int, int],
         dj = dm.d(c, v) - dm.d(b, v) + t + 1
         if di % 2 or dj % 2:
             return None
-        i, j = di // 2, dj // 2
-        if not (1 <= i <= s and 1 <= j <= t):
-            return None
-        coords.append((i, j))
-    if len(set(coords)) != g.n or any(
-        abs(coords[u][0] - coords[v][0]) + abs(coords[u][1] - coords[v][1]) != 1
-        for u, v in g.edges()
-    ):
+        coords.append((di // 2, dj // 2))
+    if len(set(coords)) != g.n:
         return None
+    # Distinct coordinates make g the grid.  The triangle inequality at a and
+    # b puts each (i, j) in 1..s x 1..t, so the n = st of them fill it.  Let
+    # h(v) = d(c, v) - (i + j - 2), which by the formulas for i and j is also
+    # d(a, v) - (s - i + j - 1).  Along an edge d(c, .), d(a, .) and d(b, .)
+    # change by at most 1, and i and j stay integers, so all three change by
+    # 1 (all staying would keep (i, j)), and i and j each change by -1, 0 or 1.
+    # A step towards c lowers i and j by 0 or 1 each, not both by 0, so h
+    # does not fall on it, and h(v) <= h(c) = 0.  A step towards a lowers
+    # s - i + j by 0 or 1, so h does not rise on it, and h(v) >= h(a).  The
+    # vertex at (s, 1) has d(a, .) = h <= 0, so it is a, and h(a) = 0.  So
+    # h = 0: d(c, v) = i + j - 2 changes by exactly 1 along an edge, which
+    # thus joins grid neighbours.
     return s, t, tuple(coords)
 
 

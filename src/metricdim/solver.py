@@ -56,17 +56,23 @@ never a silent approximation.
 
 The solvers of one graph share the values they have proved.  ``_proved``
 keeps, for the last Graph object a solver was given, the exact dim(G),
-cdim(G) and cdim_G(v) found so far.  The chain dim(G) <= cdim(G) <=
-cdim_G(v) <= cdim_G(A) for v in A, since a set containing A contains v,
-turns them into floors: dim and enumeration start at dim(G), cdim and the
-profile at cdim(G) (at dim(G) while cdim(G) is unknown), and cdim_G(A) at
-the largest of those and of cdim_G(v) for each v in A.  A search that ended
-at k proved every level below k empty, so starting there skips only levels
-without a hit, and every value and witness is unchanged.  A solver records
-its value once its search has found it: dim and enumeration write dim(G),
-an empty anchor cdim(G), a singleton anchor its cdim_G(v), and the profile
-cdim(G) (its ``rrad``) and every cdim_G(v).  A call that raises writes
-nothing.  ``_prepare`` still runs on every call.
+cdim(G), the witness W of cdim(G) and cdim_G(v) found so far.  The chain
+dim(G) <= cdim(G) <= cdim_G(v) <= cdim_G(A) for v in A, since a set
+containing A contains v, turns the values into floors: dim and enumeration
+start at dim(G), cdim and the profile at cdim(G) (at dim(G) while cdim(G)
+is unknown), and cdim_G(A) at the largest of those and of cdim_G(v) for
+each v in A.  A search that ended at k proved every level below k empty, so
+starting there skips only levels without a hit, and every value and witness
+is unchanged.  W answers an anchor inside it with no search: W is the
+lexicographically smallest connected resolving set of size cdim(G), and
+cdim(G) <= cdim_G(A) <= |W| for A in W, so W is also the smallest such set
+containing A.  On wheel:17, once ``cdim_exact`` has found W = (0, 1, 3, 6,
+8, 11, 13, 17), the hub query ``cdim_at_set(g, (17,))`` returns (8, W)
+without calling the walker.  A solver records its value once its search
+has found it: dim and enumeration write dim(G), an empty anchor cdim(G) and
+W, a singleton anchor its cdim_G(v) (also when W answers it), and the
+profile cdim(G) (its ``rrad``) and every cdim_G(v).  A call that raises
+writes nothing.  ``_prepare`` still runs on every call.
 """
 
 from __future__ import annotations
@@ -190,14 +196,19 @@ def _prepare(
 
 @remember_last_graph
 def _proved(g: Graph) -> list[int]:
-    """The exact values proved so far on ``g``: [dim, cdim, cdim_G(0), ..., cdim_G(n-1)].
+    """The exact values proved so far on ``g``: [dim, cdim, W, cdim_G(0), ..., cdim_G(n-1)].
 
-    0 stands for unknown.  One record is kept, for the last Graph object a
-    solver was given, so an equal copy starts with an empty one.  A solver
-    reads it for the level its search starts at, and writes a value only
-    once its search has found it, so every entry is proved.
+    W is the bitmask of the witness of cdim(G).  0 stands for unknown.  One
+    record is kept, for the last Graph object a solver was given, so an
+    equal copy starts with an empty one.  A solver reads it for the level
+    its search starts at, and writes a value only once its search has found
+    it, so every entry is proved.  Only a ``cdim_at_set`` call with an empty
+    anchor writes W, from its own search; an anchor A inside W is answered
+    by (cdim, W), since cdim(G) <= cdim_G(A) <= |W| and W is the smallest
+    connected resolving set of that size.  On wheel:17 the hub query
+    ``cdim_at_set(g, (17,))`` after ``cdim_exact(g)`` is answered so.
     """
-    return [0] * (g.n + 2)
+    return [0] * (g.n + 3)
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -417,21 +428,31 @@ def cdim_at_set(
     """Minimum connected resolving set containing ``anchor`` (may be empty).
 
     An empty anchor computes the plain connected metric dimension; a singleton
-    anchor the connected metric dimension at that vertex.  The search starts
-    at the largest value proved on the same Graph object that bounds the
-    answer from below: cdim(G) (or dim(G) while cdim(G) is unknown), and
-    cdim_G(v) for each v in the anchor, since a set containing the anchor
-    contains v.  An empty or singleton anchor records the value it finds.
-    ``dm`` is never read.
+    anchor the connected metric dimension at that vertex.  Once a call on the
+    same Graph object has found the witness W of cdim(G), an anchor inside W
+    is answered by (cdim(G), W) with no search: cdim(G) <= cdim_G(A) <= |W|,
+    and W is the smallest connected resolving set of size cdim(G), so it is
+    also the smallest one containing A.  On wheel:17 the hub query
+    ``cdim_at_set(g, (17,))`` after ``cdim_exact(g)`` is one of these.
+    Otherwise the search starts at the largest value proved on the same
+    Graph object that bounds the answer from below: cdim(G) (or dim(G) while
+    cdim(G) is unknown), and cdim_G(v) for each v in the anchor, since a set
+    containing the anchor contains v.  An empty anchor records the value and
+    W it finds, a singleton anchor its value.  ``dm`` is never read.
     """
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
     masks, twins, up, floor = _prepare(g, cap, workers)
     proved = _proved(g)
-    start = max(floor, len(anchor_set), proved[1] or proved[0],
-                *[proved[v + 2] for v in anchor_set])
     anchor_mask = sum(1 << v for v in anchor_set)
+    witness = proved[2]
+    if witness and not anchor_mask & ~witness:
+        if len(anchor_set) == 1:
+            proved[min(anchor_set) + 3] = proved[1]
+        return SolveResult(proved[1], tuple(bits(witness)))
+    start = max(floor, len(anchor_set), proved[1] or proved[0],
+                *[proved[v + 3] for v in anchor_set])
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
     free = g.vertex_mask() ^ anchor_mask
@@ -454,8 +475,10 @@ def cdim_at_set(
                 # Sets from later roots have larger minima.
                 break
         if best:
-            if len(anchor_set) <= 1:
-                proved[min(anchor_set) + 2 if anchor_set else 1] = k
+            if not anchor_set:
+                proved[1:3] = k, best
+            elif len(anchor_set) == 1:
+                proved[min(anchor_set) + 3] = k
             best = tuple(bits(best))
             return SolveResult(k, best)
     raise AssertionError("unreachable: the full vertex set resolves any connected graph")
@@ -471,7 +494,8 @@ def cdim_exact(
     """Exact connected metric dimension with its lexicographically smallest witness.
 
     The search starts at cdim(G), or else dim(G), once a call on the same
-    Graph object has proved it, and records the value it finds.  ``dm`` is
+    Graph object has proved it, and records the value and witness it finds;
+    a later call on that object returns them with no search.  ``dm`` is
     never read.
     """
     return cdim_at_set(g, (), dm, cap=cap, workers=workers)
@@ -519,7 +543,7 @@ def vertex_profile(
     per_vertex = tuple(values)
     rrad = min(per_vertex)
     proved[1] = rrad
-    proved[2:] = per_vertex
+    proved[3:] = per_vertex
     rdiam = max(per_vertex)
     rc = tuple(v for v in range(g.n) if per_vertex[v] == rrad)
     rp = tuple(v for v in range(g.n) if per_vertex[v] == rdiam)

@@ -20,7 +20,9 @@ witnesses, every profile field and whole enumerations must be equal.  The
 solvers run in a fixed order, and in the reverse order, on one object of each
 atlas graph and of one graph per family kind, where each search starts at the
 values the earlier calls proved; every result must equal the same call on an
-equal copy that no solver has seen.  The
+equal copy that no solver has seen; so must every anchor that the proved
+cdim witness answers, on the atlas graphs, the shipped families of the
+benchmark's catalog plan and wheel:12.  The
 walker runs on nine family and seeded graphs from every root start and from
 single- and two-vertex anchors.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
 planar graphs with one edge added or moved, and nonplanar minor kernels.  The
@@ -133,6 +135,30 @@ def test_solvers_sharing_a_graph_object_match_fresh_copies(reverse):
         shared = [call(g) for _, call in calls]
         for (name, call), got in zip(calls, shared):
             assert got == call(distinct_copy(g)), (i, name)
+
+
+# The shipped families of the benchmark's catalog plan, and wheel:12.
+WITNESS_SPECS = ("petersen", "k33sub", "thetatails", "bouquet:3,4,5", "paddle:5,3", "fork:3,7",
+                 "sun:4:1,0,2,0", "kite:3", "fantail:7", "wheel:12")
+
+
+def test_anchors_answered_by_the_proved_witness_match_fresh_copies():
+    """After ``cdim_exact`` has found W on one object, ``cdim_at_set`` answers every
+    anchor inside W from W alone: the empty anchor, every vertex and pair of W, and
+    W itself.  Each vertex outside W is still searched, from the floors the calls
+    before it proved.  Every result must equal the same call on an equal graph
+    that no solver has seen."""
+    graphs = list(atlas()) + [md.generate(spec)[0] for spec in WITNESS_SPECS]
+    anchors = 0
+    for i, g in enumerate(graphs):
+        w = md.cdim_exact(g).witness
+        inside = [()] + [(v,) for v in w] + list(itertools.combinations(w, 2)) + [w]
+        outside = [(v,) for v in range(g.n) if v not in w]
+        for anchor in inside + outside:
+            got = md.cdim_at_set(g, anchor)
+            assert got == md.cdim_at_set(distinct_copy(g), anchor), (i, anchor)
+        anchors += len(inside) + len(outside)
+    assert (len(graphs), anchors) == (1005, 12300)
 
 
 WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3", "paddle:5,3",

@@ -341,8 +341,31 @@ def test_calls_that_raise_record_nothing():
         cdim_at_set(g, [1], workers=0)
     with pytest.raises(InvalidOption):
         vertex_profile(g, workers=0)
-    assert solver._proved(g) == [0] * (g.n + 2)
+    assert solver._proved(g) == [0] * (g.n + 3)
     assert all_solvers(g) == all_solvers(distinct_copy(g))
+
+
+def test_calls_that_raise_after_the_witness_is_proved_record_nothing():
+    # The checks run before the proved witness answers an anchor inside it.
+    g, _ = generate("wheel:9")
+    w = cdim_exact(g).witness
+    record = list(solver._proved(g))
+    with pytest.raises(TooLarge):
+        cdim_at_set(g, w[:1], cap=3)
+    with pytest.raises(InvalidOption):
+        cdim_at_set(g, w[:1], workers=0)
+    with pytest.raises(InvalidAnchor):
+        cdim_at_set(g, [g.n])
+    assert solver._proved(g) == record
+
+
+def test_the_proved_witness_answers_anchors_inside_it(monkeypatch):
+    g, _ = generate("wheel:17")
+    cdim = cdim_exact(g)
+    assert cdim == (8, (0, 1, 3, 6, 8, 11, 13, 17))
+    monkeypatch.setattr(solver, "_connected_hits", None)
+    assert cdim_at_set(g, (17,)) == cdim_at_set(g, cdim.witness) == cdim_exact(g) == cdim
+    assert solver._proved(g)[17 + 3] == 8
 
 
 def test_calls_with_and_without_a_distance_matrix_share_one_record():
