@@ -387,7 +387,7 @@ def _run(args, report: dict, g: Graph, labels: tuple[str, ...], out: TextIO) -> 
         else:
             raise MetricDimError("cdim-at needs --vertex or --set")
         res = cdim_at_set(g, anchor, cap=cap)
-        report["query"] = f"cdim-at:{','.join(sorted(labels[v] for v in anchor))}"
+        report["query"] = f"cdim-at:{','.join(sorted({labels[v] for v in anchor}))}"
         report["value"] = res.value
         report["witness"] = _labelset(labels, res.witness)
     elif args.command == "profile":

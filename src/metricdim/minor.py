@@ -49,14 +49,15 @@ branches: branches grow only into free vertices, so they can become adjacent
 only through a path whose interior lies in one free component.  Dead states
 are not expanded.  No model extends a dead state, so the prune changes
 neither the answer nor the first model found.  A stack entry holds only
-per-move state: the branches and their neighbourhoods, its parent's unmet
-pairs (a mask), the branch that grew, and the bans.  A pop re-tests only
-the grown branch's pairs, the only ones its move can meet.  It then splits
-the free vertices into components afresh: the branches are disjoint, so
-their sum is the set of used vertices.  Each component's signature, the
-branches whose neighbourhoods meet it, indexes a static table of the pairs
-it covers.  The split stops once the components found cover every unmet
-pair, and the state is dead when its unmet mask leaves a pair uncovered.
+per-move state: the branches and their neighbourhoods, the used vertices
+(their union), its parent's unmet pairs (a mask), the branch that grew, and
+the bans.  A pop re-tests only the grown branch's pairs, the only ones its
+move can meet.  It then splits the free vertices into components afresh.
+Each component's signature, the branches whose neighbourhoods meet it,
+indexes a static table of the pairs it covers.  The split stops once the
+components found cover every unmet pair, and the state is dead when its
+unmet mask leaves a pair uncovered.  A live state's moves are two masks,
+side i's and side j's, cleared of the bans with one AND each.
 
 Seeds that an automorphism of the kernel maps onto an earlier seed are
 skipped.  A seed's search is complete for it, and a model of seed S maps
@@ -94,6 +95,20 @@ verified automorphisms keeps this true.
   way canon(σS) comes before S.  Skipping a prefix skips a whole run of
   ``itertools.combinations``, and a few integer operations test a prefix
   against every map at once (``_skipping_seeds``).
+
+``has_minor`` starts each seed's search with a root ban: bit ``k * n + v``
+for every v < seed[k], so branch k never grows below its seed vertex.  Let
+M be a model at seed S and T the least vertex of each of its branches, so
+T_k <= S_k for every k.  If T != S, canon(T) comes before S: for K5,
+sorted(T) is elementwise at most S and differs from it; for K3,3 with the
+least vertex of T on side A, sorted(T_A) <= S_A and then sorted(T_B) <=
+S_B; with it on side B, canon(T) starts with min(T_B) < S[0].  M, its
+branches reordered within the sides, is also a model of seed canon(T).  No
+seed before S* has a model, so at every seed up to S* each model has T = S:
+no branch holds a vertex below its seed vertex.  The ban then drops only
+states that no model extends, each seed up to S* gets the same answer, and
+the first model found is unchanged.  Past S* the banned and unbanned
+searches may differ, so ``_search_from_seed`` bans nothing unless asked.
 """
 
 from __future__ import annotations
@@ -268,9 +283,24 @@ def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
             for u in earlier[k + 1]:
                 want |= 1 << img[u]
                 fits &= adj[img[u]]
-            options.append(sum(1 << c for c in bits(fits) if adj[c] & used == want))
-        elif img != identity and all(sum(1 << img[u] for u in bits(adj[v])) == adj[img[v]] for v in order):
-            maps.append(img.copy())
+            fit = 0
+            while fits:
+                c = fits & -fits
+                fits ^= c
+                if adj[c.bit_length() - 1] & used == want:
+                    fit |= c
+            options.append(fit)
+        elif img != identity:
+            for v in order:
+                nb, mapped = adj[v], 0
+                while nb:
+                    c = nb & -nb
+                    nb ^= c
+                    mapped |= 1 << img[c.bit_length() - 1]
+                if mapped != adj[img[v]]:
+                    break
+            else:
+                maps.append(img.copy())
     return maps
 
 
@@ -406,27 +436,38 @@ def _kernel(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...], bool, list
 
 
 def _search_from_seed(
-    adjm: Sequence[int], alive: int, seed: tuple[int, ...], target: str, popped: Optional[list[int]] = None
+    adjm: Sequence[int],
+    alive: int,
+    seed: tuple[int, ...],
+    target: str,
+    popped: Optional[list[int]] = None,
+    ban: int = 0,
 ) -> Optional[tuple[int, ...]]:
-    """The first model whose branch k holds seed[k], or None; a failed search
+    """The first model whose branch k holds seed[k] and avoids the root ban
+    ``ban`` (bit ``k * n + v`` bars v from branch k), or None; a failed search
     adds the number of states it popped to ``popped[0]``."""
     pairs, (ends, covered_by) = _TARGETS[target][1], _TABLES[target]
-    start = [1 << v for v in seed]
-    nbhd = [adjm[v] for v in seed]
-    unmet = sum(1 << p for p, (i, j) in enumerate(pairs) if not nbhd[i] & start[j])
+    start, nbhd, used = [], [], 0
+    for v in seed:
+        start.append(1 << v)
+        nbhd.append(adjm[v])
+        used |= 1 << v
+    unmet = 0
+    for p, (i, j) in enumerate(pairs):
+        if not nbhd[i] >> seed[j] & 1:
+            unmet |= 1 << p
     n = len(adjm)
     # The start counts branch 0 as grown; its pairs are already tested.
-    stack = [(start, nbhd, unmet, 0, 0)]
+    stack = [(start, nbhd, used, unmet, 0, ban)]
     pops = 0
     while stack:
         pops += 1
-        branches, nbhd, unmet, grew, banned = stack.pop()
+        branches, nbhd, used, unmet, grew, banned = stack.pop()
         for bit, k in ends[grew]:
             if unmet & bit and nbhd[grew] & branches[k]:
                 unmet ^= bit
         if not unmet:
             return tuple(branches)
-        used = sum(branches)  # branches are disjoint, so their sum is their union
         free = alive & ~used
         covered = 0  # the pairs that some free component touches at both ends
         while free and unmet & ~covered:
@@ -441,27 +482,41 @@ def _search_from_seed(
                 frontier = reach & free & ~comp
                 comp |= frontier
             free ^= comp
-            sig = 0
-            for k, nb in enumerate(nbhd):
+            sig, bit = 0, 1
+            for nb in nbhd:
                 if nb & comp:
-                    sig |= 1 << k
+                    sig |= bit
+                bit <<= 1
             covered |= covered_by[sig]
         if unmet & ~covered:
             continue
         i, j = pairs[(unmet & -unmet).bit_length() - 1]
-        moves = [(side, v) for side in (i, j) for v in bits(nbhd[side] & ~used & ~(banned >> side * n))]
-        banned |= sum(1 << side * n + v for side, v in moves)
-        for side, v in moves:
-            banned ^= 1 << side * n + v  # a child is barred from the moves pushed after it
-            # Each child owns its lists; nothing mutates them after the push.
-            grown = branches.copy()
-            grown[side] |= 1 << v
-            grown_nbhd = nbhd.copy()
-            grown_nbhd[side] |= adjm[v]
-            stack.append((grown, grown_nbhd, unmet, side, banned))
+        moves_i = nbhd[i] & ~used & ~(banned >> i * n)
+        moves_j = nbhd[j] & ~used & ~(banned >> j * n)
+        banned |= moves_i << i * n | moves_j << j * n
+        for side, moves in ((i, moves_i), (j, moves_j)):
+            shift = side * n
+            while moves:
+                b = moves & -moves
+                moves ^= b
+                banned ^= b << shift  # a child is barred from the moves pushed after it
+                # Each child owns its lists; nothing mutates them after the push.
+                grown = branches.copy()
+                grown[side] |= b
+                grown_nbhd = nbhd.copy()
+                grown_nbhd[side] |= adjm[b.bit_length() - 1]
+                stack.append((grown, grown_nbhd, used | b, unmet, side, banned))
     if popped is not None:
         popped[0] += pops
     return None
+
+
+def _root_ban(seed: tuple[int, ...], n: int) -> int:
+    """The ban that bars from branch k every vertex below seed[k]."""
+    ban = 0
+    for k, v in enumerate(seed):
+        ban |= (1 << v) - 1 << k * n
+    return ban
 
 
 def has_minor(
@@ -481,8 +536,9 @@ def has_minor(
     if planar:
         return False, None  # planar graphs contain neither obstruction
     popped = [0]
+    n = len(adj)
     for seed in _seeds(target, adj, alive, automorphisms, popped):
-        model = _search_from_seed(adj, alive, seed, target, popped)
+        model = _search_from_seed(adj, alive, seed, target, popped, _root_ban(seed, n))
         if model is not None:
             # Bags are disjoint, so their sum is their union.
             return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,6 +150,17 @@ def test_cdim_at_with_set(tmp_path):
     # the twin class u1..u5 forces four clique vertices, plus the anchor u0
     code, out, _ = run_cli(["cdim-at", str(path), "--set", "u0,u1", "--json"])
     assert code == 0 and json.loads(out)["value"] == 5
+
+
+def test_cdim_at_names_a_repeated_set_label_once():
+    """A label given twice in ``--set`` names the same anchor set as given once."""
+    outputs = []
+    for anchors in ("w,w,u1", "u1,w"):
+        code, out, _ = run_cli(["cdim-at", "--family", "wheel:5", "--set", anchors, "--json"])
+        assert code == 0
+        outputs.append(re.sub(r'"elapsed_ms":[^,}]*', '"elapsed_ms":0', out))
+    assert json.loads(outputs[0])["query"] == "cdim-at:u1,w"
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

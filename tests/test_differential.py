@@ -11,8 +11,10 @@ Inputs are all 995 connected graphs on 2-7 vertices from the networkx graph
 atlas and random connected graphs from the shared hypothesis strategy; the
 minor search also runs on the benchmark's two nonplanar kernels and on the
 subdivided K3,3, and from every seed of the Petersen graph (K5 and K3,3) and
-of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  The seed
-skip by automorphism runs, from the first seed and from its default start,
+of the 12-vertex Moebius ladder (K5; every tenth seed for K3,3).  The root
+ban runs against the unbanned search from every seed up to the first model
+of the Petersen graph, the subdivided K3,3 and K5 and the 12-vertex Moebius
+ladder.  The seed skip by automorphism runs, from the first seed and from its default start,
 against the loop over every seed on the nonplanar atlas graphs, Moebius
 ladders and relabelled symmetric graphs, and the automorphism finder
 against ``networkx`` on the whole atlas and on minor kernels.  Values and
@@ -261,6 +263,32 @@ def test_every_seed_search_matches_reference(spec, target):
         assert model == ref_minor._search_from_seed(adj, seed, pairs), (spec, target, seed)
         models += model is not None
     assert 0 < models < len(seeds)
+
+
+@pytest.mark.parametrize("target", ["K5", "K33"])
+def test_root_ban_keeps_every_seed_up_to_the_first_model(target):
+    """The root ban bars every vertex below seed[k] from branch k.  A model
+    with such a vertex is also a model of an earlier seed, so from the first
+    seed up to the first seed with a model the banned search must return what
+    the unbanned one does.  Past that seed the two may differ, and on the
+    Petersen graph's K5 seeds they do: only ``has_minor``, which stops at its
+    first model, sets the ban."""
+    differ = 0
+    for spec in ("petersen", "k33sub", "kite:3", "moebius:12"):
+        g = moebius_ladder(12) if spec == "moebius:12" else md.generate(spec)[0]
+        adj, alive, _ = _kernelize(g.adj_bits)
+        found = False
+        for seed in _seed_sets(target, list(bits(alive))):
+            banned = _search_from_seed(adj, alive, seed, target, None, minor._root_ban(seed, len(adj)))
+            unbanned = _search_from_seed(adj, alive, seed, target)
+            if found:
+                differ += banned != unbanned
+                continue
+            assert banned == unbanned, (spec, target, seed)
+            found = unbanned is not None
+            if found and spec != "petersen":
+                break
+    assert differ > 0 or target == "K33"
 
 
 def nx_graph(g: md.Graph) -> nx.Graph:

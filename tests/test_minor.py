@@ -119,11 +119,12 @@ def test_k33_seeds_skip_the_swapped_sides():
 
 def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     """Seeds searched and states popped by ``has_minor`` on the 12- and
-    16-vertex Moebius ladders and on ``rand:16:0.3:3``, the two minor graphs
-    of the bench's ``search`` workload.  The ban rule pops no state twice,
-    a weaker dead test pops more states, and a weaker seed skip searches more
-    seeds, and each still finds the same first model, so only this count
-    shows them.  The ladders' queries look for automorphisms once past
+    16-vertex Moebius ladders and on ``rand:16:0.3:3``; the 12-vertex ladder
+    and ``rand:16:0.3:3`` are the two minor graphs of the bench's ``search``
+    workload.  The ban rule pops no state twice, the root ban keeps each
+    branch at or above its seed vertex, a weaker dead test pops more states,
+    and a weaker seed skip searches more seeds, and each still finds the
+    same first model, so only this count shows them.  The ladders' queries look for automorphisms once past
     ``minor._FINDER_AFTER`` pops; the last row asks K33 of a ladder whose K5
     query found them, so it skips seeds from its first."""
     popped = []
@@ -141,14 +142,14 @@ def test_search_work_pinned_on_moebius_ladder(monkeypatch):
     monkeypatch.setattr(minor, "_search_from_seed", lambda *a: seeds.append(a[2]) or search(*a))
     ladder = moebius_ladder(12)
     for g, target, want in [
-        (moebius_ladder(12), "K5", (27, 675)),
-        (moebius_ladder(12), "K33", (349, 979)),
-        (moebius_ladder(16), "K5", (46, 5497)),
-        (moebius_ladder(16), "K33", (1563, 26019)),
-        (generate("rand:16:0.3:3")[0], "K5", (12, 126)),
-        (generate("rand:16:0.3:3")[0], "K33", (54, 108)),
-        (ladder, "K5", (27, 675)),
-        (ladder, "K33", (309, 860)),
+        (moebius_ladder(12), "K5", (27, 531)),
+        (moebius_ladder(12), "K33", (349, 836)),
+        (moebius_ladder(16), "K5", (46, 4361)),
+        (moebius_ladder(16), "K33", (1563, 16028)),
+        (generate("rand:16:0.3:3")[0], "K5", (12, 103)),
+        (generate("rand:16:0.3:3")[0], "K33", (54, 96)),
+        (ladder, "K5", (27, 531)),
+        (ladder, "K33", (309, 751)),
     ]:
         seeds.clear()
         popped.clear()
