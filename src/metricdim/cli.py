@@ -354,6 +354,8 @@ def _dispatch(args, out: TextIO) -> int:
         raise InvalidOption(f"--cap must be at least 1, got {args.cap}")
     if args.command == "cdim-at" and args.vertex is not None and args.anchor_set is not None:
         raise InvalidOption("cdim-at takes --vertex or --set, not both")
+    if getattr(args, "input", None) is not None and args.family:
+        raise InvalidOption(f"{args.command} takes a graph file or --family, not both")
     if args.command == "formula" and args.vertex is not None and args.theorem != "cdim-at":
         raise InvalidOption(f"formula --theorem {args.theorem} takes no --vertex")
     report, g, labels = _load_input(args)

@@ -247,15 +247,14 @@ def fr_sample(r: int, seed: int) -> Labeled:
     repaired downward so the construction rules always hold."""
     rng = random.Random(seed)
     levels: list[FrLevel] = []
-    prev = FrLevel(x=True, y=True, z=True)  # level-0 stand-in: u and w support anything
-    for a in range(1, r + 1):
-        x = rng.random() < 0.7 and (a == 1 or prev.x)
-        z = rng.random() < 0.7 and (a == 1 or prev.z)
+    prev = FrLevel(x=True, y=True, z=True)  # level 0 (u, w) supports anything: level 1 passes each test
+    for _ in range(r):
+        x = rng.random() < 0.7 and prev.x
+        z = rng.random() < 0.7 and prev.z
         y_want = rng.random() < 0.6
-        steps_ok = a == 1 or (prev.x and prev.z)
-        prev_ok = a == 1 or prev.y
-        y = y_want and (steps_ok or prev_ok)
-        if y and steps_ok and prev_ok:
+        steps_ok = prev.x and prev.z
+        y = y_want and (steps_ok or prev.y)
+        if y and steps_ok and prev.y:
             attach = rng.choice(["steps", "prev", "both"])
         elif y and steps_ok:
             attach = "steps"
@@ -390,26 +389,23 @@ def _bfs_relabel(g: Graph) -> Graph:
 def random_tree(n: int, seed: int) -> Labeled:
     """Uniform random labeled tree via a random vertex sequence decode."""
     rng = random.Random(seed)
-    if n == 2:
-        edges = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        import heapq
+    # At n = 2 the sequence is empty: no draw, leaves {0, 1}, one edge (0, 1).
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    import heapq
 
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u, w = sorted(leaves)
-        edges.append((u, w))
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append(tuple(sorted(leaves)))
     return _bfs_relabel(build_graph(n, edges)), tuple(f"v{i + 1}" for i in range(n))
 
 

@@ -213,7 +213,8 @@ def _is_petersen(g: Graph) -> bool:
 
 def _recognize_wheel(g: Graph) -> Optional[int]:
     hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(hubs) != 1 or g.n < 5:
+    # No n < 5 gets through: recognize answers n <= 3 (a path or K3), and at n = 4 a degree-3 rim is K4.
+    if len(hubs) != 1:
         return None
     hub = hubs[0]
     rim = g.vertex_mask() & ~(1 << hub)
@@ -696,13 +697,6 @@ def tree_min_resolving_sets(t: Graph) -> list[tuple[int, ...]]:
     per_major: list[list[tuple[int, ...]]] = []
     for major in sk.exterior_major():
         chains = sk.legs[major]
-        choices: list[tuple[int, ...]] = []
-        for omit in range(len(chains)):
-            kept = [c for j, c in enumerate(chains) if j != omit]
-            for combo in itertools.product(*kept):
-                choices.append(tuple(combo))
-        per_major.append(sorted(set(choices)))
-    out = set()
-    for combo in itertools.product(*per_major):
-        out.add(tuple(sorted(v for grp in combo for v in grp)))
-    return sorted(out)
+        per_major.append([c for j in range(len(chains)) for c in itertools.product(*chains[:j], *chains[j + 1 :])])
+    # Choices miss distinct chains of one major, and majors' chains are disjoint: nothing repeats.
+    return sorted(tuple(sorted(v for grp in combo for v in grp)) for combo in itertools.product(*per_major))

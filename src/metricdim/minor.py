@@ -68,13 +68,15 @@ S and canon(σS) both succeed or both fail.  Let S* be the first seed, in
 canon(σS*) comes before S*, and S* is never skipped; every skipped seed
 fails anyway.  So the first model, and with it every answer and witness, is
 unchanged, and only the number of seeds searched goes down.  Any set of
-verified automorphisms keeps this true.
+automorphisms keeps this true.
 
 - **The finder.** ``_automorphisms`` backtracks over a BFS order of the
   kernel vertices.  A vertex may map to an unused vertex of the same degree
   and sorted neighbour degrees that is adjacent to the images of its mapped
   neighbours and to no other image.  It stops after ``_FINDER_CAP`` maps or
-  ``_FINDER_NODES`` nodes, and it checks each map edge by edge.
+  ``_FINDER_NODES`` nodes.  Each completed map is an automorphism unchecked:
+  every edge goes to an edge once its later end is placed, and a bijection
+  that maps the finite edge set into itself maps it onto itself.
 - **Lazy start.** A graph's seed loop looks for automorphisms only once its
   failed searches have popped more than ``_FINDER_AFTER`` states, then
   resumes with the skipping enumerator after the current seed.  The maps
@@ -241,8 +243,10 @@ def _skipping_seeds(target: str, vertices: Sequence[int], maps: list[list[int]])
 def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
     """Non-identity automorphisms of the kernel as image lists, in a fixed order.
 
-    At most ``_FINDER_CAP`` maps, found in at most ``_FINDER_NODES`` nodes;
-    each is checked edge by edge.  Removed vertices map to themselves.
+    At most ``_FINDER_CAP`` maps, found in at most ``_FINDER_NODES`` nodes.
+    Removed vertices map to themselves and have no edges.  Each map is an
+    automorphism by construction (see the module docstring): ``fits`` puts an
+    image next to the images of its earlier neighbours; ``want`` only prunes.
     """
     deg = [nb.bit_count() for nb in adj]
     kind = [sorted(deg[u] for u in bits(nb)) for nb in adj]  # its length is the degree
@@ -290,17 +294,8 @@ def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
                 if adj[c.bit_length() - 1] & used == want:
                     fit |= c
             options.append(fit)
-        elif img != identity:
-            for v in order:
-                nb, mapped = adj[v], 0
-                while nb:
-                    c = nb & -nb
-                    nb ^= c
-                    mapped |= 1 << img[c.bit_length() - 1]
-                if mapped != adj[img[v]]:
-                    break
-            else:
-                maps.append(img.copy())
+        elif img != identity:  # every edge went to an edge as its later end was placed
+            maps.append(img.copy())
     return maps
 
 

@@ -191,7 +191,8 @@ def _prepare(
     # A resolving set holds all but one vertex of every twin class.
     floor = len(classes) - len(twins)
     diam = max(map(len, levels))
-    return _minimal(masks), twins, up, max(1, floor, dim_floor_from_diameter(g.n, diam))
+    # dim_floor_from_diameter is at least 1, so the floor is too.
+    return _minimal(masks), twins, up, max(floor, dim_floor_from_diameter(g.n, diam))
 
 
 @remember_last_graph

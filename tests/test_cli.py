@@ -69,6 +69,11 @@ def test_parse_edgelist_malformed_line_number():
     assert exc.value.line_no == 2
 
 
+def test_parse_graph_file_refuses_an_unknown_format():
+    with pytest.raises(MetricDimError, match="unknown format 'xml'"):
+        parse_graph_file(io.StringIO("a b\n"), "xml")
+
+
 def test_parse_dimacs_k5():
     lines = ["c complete graph", "p edge 5 10"]
     lines += [f"e {u} {v}" for u in range(1, 6) for v in range(u + 1, 6)]
@@ -169,6 +174,7 @@ def test_cdim_at_names_a_repeated_set_label_once():
         (["cdim-at", "--vertex", "w", "--set", "u1,u2"], "cdim-at takes --vertex or --set, not both"),
         (["formula", "--theorem", "dim", "--vertex", "w"], "formula --theorem dim takes no --vertex"),
         (["formula", "--theorem", "cdim", "--vertex", "w"], "formula --theorem cdim takes no --vertex"),
+        (["dim", "missing.el"], "dim takes a graph file or --family, not both"),
     ],
 )
 def test_conflicting_flags_exit_one(argv, message):
@@ -336,6 +342,14 @@ def test_formula_command():
     assert code == 0
     report = json.loads(out)
     assert report["value"] == 5 and report["case"].startswith("wheel-cdim")
+
+
+def test_formula_command_cdim_at_a_vertex():
+    argv = ["formula", "--family", "wheel:9", "--theorem", "cdim-at", "--vertex", "w", "--json"]
+    code, out, _ = run_cli(argv)
+    report = json.loads(out)
+    assert code == 0 and report["query"] == "formula:cdim-at"
+    assert report["value"] == 5 and report["case"] == "wheel-cdim-at:vertex-uniform"
 
 
 def test_formula_command_builds_the_family_once(monkeypatch):

@@ -512,6 +512,18 @@ def test_automorphism_finder_on_minor_kernels(spec, count):
     assert count == minor._FINDER_CAP or networkx_automorphisms(adj, alive, 10**4) == count + 1
 
 
+def test_automorphism_finder_on_relabelled_and_ladder_kernels():
+    """The finder's maps on the kernels of the shipped, ladder and relabelled
+    inputs of the seed-skip test are automorphisms, and below the map cap
+    they are all of them."""
+    for where, g in symmetric_minor_inputs():
+        if where.startswith("atlas graph"):
+            continue  # the atlas test checks these
+        adj, alive, _ = _kernelize(g.adj_bits)
+        maps = automorphisms_checked(adj, alive)
+        assert len(maps) == minor._FINDER_CAP or networkx_automorphisms(adj, alive, 10**4) == len(maps) + 1, where
+
+
 def kernel_matching_reference(g: md.Graph) -> int:
     """The kernel's order; asserts the bitmask kernel equals the reference's dict-of-sets one."""
     adj, alive, bags = _kernelize(g.adj_bits)

@@ -245,6 +245,18 @@ def test_random_generators_pinned():
     assert hashlib.sha256(repr(found).encode()).hexdigest() == RANDOM_DIGEST
 
 
+FR_SAMPLE_DIGEST = "d0dce66452bf284f158ef85167fe3fda1017612b19bea7e1247bf24683c4235b"
+
+
+def test_fr_sample_pinned():
+    found = []
+    for r in range(9):
+        for seed in range(20):
+            g, labels = fr_sample(r, seed)
+            found.append((r, seed, g.n, g.adj_bits, tuple(g.edges()), labels))
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == FR_SAMPLE_DIGEST
+
+
 def test_random_tree_is_tree_and_deterministic():
     for seed in range(5):
         g, _ = generate(f"randtree:10:{seed}")
