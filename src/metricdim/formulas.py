@@ -539,6 +539,8 @@ def classify_extremes(g: Graph, v: Optional[int] = None) -> ExtremesClassificati
     )
     if v is None:
         return ExtremesClassification(cdim_one, cdim_top, graph_case)
+    if not (0 <= v < g.n):
+        raise MetricDimError(f"vertex {v} out of range")
 
     at_one = is_path and v in ends
     at_top = False

@@ -129,6 +129,8 @@ class Graph(_Frozen):
         return self.n == 0 or self.is_connected_subset(self.vertex_mask())
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidEdge(f"edge ({u},{v}) out of range for n={self.n}")
         if not self.has_edge(u, v):
             raise InvalidEdge(f"no edge {u}-{v} to delete")
         edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]

@@ -13,6 +13,8 @@ that contains another, since a set meeting the smaller one meets both
 (Weihe, "Covering trains by stations or the power of data reduction", 1998).
 Only twin pairs have a mask of size two, and those masks give the twin
 classes and the twin-class lower bound; the diameter floor is the other one.
+The vertices the twin rule forces (below) join the masks as one-vertex
+masks, which drop every mask holding one of them.
 
 Every solver runs one walker, ``_connected_hits``, for each cardinality k
 ascending from that bound: seeded growth with a per-branch ban set, which
@@ -25,31 +27,32 @@ hit is the lexicographically smallest witness; for connected sets the
 smallest hit is kept.  The walker carries the masks its partial set
 has not hit yet.  With r slots still open, one pass over them finds the
 lowest top vertex of an unhit mask whose addable vertices are all
-candidates, past which no candidate is tried, and cuts the branch when r
-cannot suffice: either the twin deficit, the twin-class vertices still
-missing from the partial set, exceeds r, or a greedy packing finds more than
-r unhit masks that are pairwise disjoint on the vertices the branch may
-still add.  The pass runs at every node, though neither bound can cut while
-no more than r masks are unhit.  With two slots open, a node fills the last
-slot of each candidate itself, from the intersection of the unhit masks that
-the candidate misses, rather than calling the walker once more.  Every cut drops
-only branches without a hit, so the order in which hits are met is
-unchanged.
+candidates, past which no candidate is tried, and cuts the branch when a
+greedy packing finds more than r unhit masks that are pairwise disjoint on
+the vertices the branch may still add.  The pass runs at every node, though
+the packing cannot cut while no more than r masks are unhit.  With two slots
+open, a node fills the last slot of each candidate itself, from the
+intersection of the unhit masks that the candidate misses, rather than
+calling the walker once more.  Every cut drops only branches without a hit,
+so the order in which hits are met is unchanged.
 
 Swapping two twins is an automorphism, and it keeps a set resolving and
 connected.  So the lexicographically smallest hit meets every twin class in
 a prefix of it, in vertex order: the lex-leader predicate of Crawford,
 Ginsberg, Luks and Roy ("Symmetry-breaking predicates for search problems",
 1996), on the twin classes (Hernando, Mora, Pelayo, Seara and Wood, 2010).
-The walker keeps to such sets.  Once a candidate's subtree is done, it bans
-the candidate's class-mates above it too, and a root start skips a root with
-a class-mate below it.  Twins enter the candidates together, so exactly the
-prefix sets are met, still in order.  An anchor's vertices are never
-candidates, so with an anchor the rule covers only the swaps that fix it.
-``vertex_profile`` marks the whole class of each vertex it marks, since twins
-have equal values.  ``enumerate_min_resolving_sets`` expands each prefix set
-to its orbit: a resolving set misses at most one vertex of a class, so the
-orbit trades that class's missing top vertex for any one of its vertices.
+A resolving set holds all but one vertex of every class, so the prefix sets
+are the sets that hold all of each class but its top vertex.  ``_prepare``
+forces those vertices as one-vertex masks, and the cuts above carry the
+rule: the top-vertex bound stops the candidates at the lowest missing
+forced vertex among them, the roots stop at the lowest forced vertex, and
+the packing counts every missing forced vertex.  With an anchor, the
+forced vertices are those of each class's part outside the anchor, which
+covers the swaps that fix it.  ``vertex_profile`` marks the whole class of
+each vertex it marks, since twins have equal values.
+``enumerate_min_resolving_sets`` expands each prefix set to its orbit: a
+resolving set misses at most one vertex of a class, so the orbit trades
+that class's missing top vertex for any one of its vertices.
 The search is sequential: ``workers`` is checked but never changes the work
 done, and ``dm`` is accepted but never read.  Exceeding a cap is an error,
 never a silent approximation.
@@ -163,11 +166,15 @@ def _prepare(
     cap: Optional[int],
     workers: int = 1,
     what: str = "solver",
-) -> tuple[list[int], tuple[int, ...], Sequence[int], int]:
-    """Checked arguments to (inclusion-minimal masks, twin classes, class-mates above each
-    vertex, lower bound on the answer).
+    anchor: int = 0,
+) -> tuple[list[int], tuple[int, ...], int]:
+    """Checked arguments to (masks, twin classes, lower bound on the answer).
 
-    The third item is ``()`` when the graph has no twins.
+    The masks are the inclusion-minimal ones among the distinguisher masks
+    and a one-vertex mask for each vertex the twin rule forces: all but the
+    top vertex of each twin class's part outside ``anchor``.  A set holding
+    ``anchor`` meets them all exactly when it resolves g and meets that part
+    of every class in a prefix.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
@@ -183,16 +190,18 @@ def _prepare(
         for b in (m & -m, m & (m - 1)):
             classes[b] = classes.get(b, b) | m
     twins = tuple(set(classes.values()))
-    up: Sequence[int] = ()
-    if classes:
-        up = [0] * g.n
-        for b, c in classes.items():
-            up[b.bit_length() - 1] = c & -(b << 1)
-    # A resolving set holds all but one vertex of every twin class.
+    # A resolving set holds all but one vertex of every twin class, so a
+    # prefix set holds all of its part outside the anchor but the top vertex.
+    forced = 0
+    for c in twins:
+        c &= ~anchor
+        forced |= c ^ 1 << c.bit_length() >> 1
+    # Every pair mask holds its pair, so the one-vertex masks come first.
+    masks = _minimal([1 << v for v in bits(forced)] + masks)
     floor = len(classes) - len(twins)
     diam = max(map(len, levels))
     # dim_floor_from_diameter is at least 1, so the floor is too.
-    return _minimal(masks), twins, up, max(floor, dim_floor_from_diameter(g.n, diam))
+    return masks, twins, max(floor, dim_floor_from_diameter(g.n, diam))
 
 
 @remember_last_graph
@@ -233,37 +242,29 @@ def _minimal(masks: list[int]) -> list[int]:
 _Start = tuple[int, int, int]
 
 
-def _roots(
-    adj: Sequence[int], masks: list[int], k: int, up: Sequence[int] = ()
-) -> Iterator[_Start]:
+def _roots(adj: Sequence[int], masks: list[int], k: int) -> Iterator[_Start]:
     """Starts for anchor-free growth of k-sets: one per root, root = subset minimum.
 
-    A set whose minimum lies past the top vertex of a mask cannot meet it.
-    With ``up``, the class-mates above each vertex, a start also bans the
-    class-mates above every vertex below its root, and a root above a
-    class-mate below it is skipped: a set without the lower twin is not the
-    class's lex-leader.
+    A set whose minimum lies past the top vertex of a mask cannot meet it;
+    a one-vertex mask of a forced vertex stops the roots at that vertex.
     """
     n = len(adj)
     last = min(n - k + 1, min(map(int.bit_length, masks), default=n))
     free = (1 << n) - 1
     for root in range(last):
         b = 1 << root
-        if b & free:
-            yield b, free ^ b, adj[root]
-        free &= ~(b | up[root] if up else b)
+        free ^= b
+        yield b, free, adj[root]
 
 
 def _connected_hits(
     adj: Sequence[int],
-    twins: tuple[int, ...],
     unhit: list[int],
     cur: int,
     r: int,
     free: int,
     nb: int,
     done: Sequence[int],
-    up: Sequence[int] = (),
 ) -> Iterator[int]:
     """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
 
@@ -273,25 +274,18 @@ def _connected_hits(
     exhausted yields each extension exactly once.  Candidates stop at the
     lowest top vertex of an unhit mask whose addable vertices are all
     candidates, since once it is banned no later sibling can meet that mask;
-    so no branch is entered with an unhit mask it can no longer meet.  A
-    branch is cut when the vertices it may add and ``cur`` all lie in
-    ``done[0]``, a mask the caller may grow between hits, or when a lower
-    bound shows that r of those vertices cannot meet every unhit mask.  Two
-    bounds are tried at every node; neither can cut while no more than r
-    masks are unhit, since neither can exceed their number.  The twin
-    deficit: every twin class needs all but one of its vertices.  The
-    packing: unhit masks that stay pairwise disjoint on those vertices each
-    need a vertex of their own; a greedy pass over the masks, smallest
-    first, stops once it has more than r.  The same pass finds the lowest
-    top vertex.  With two slots open, a node
-    fills the last slot of each candidate b itself: the choices are the new
-    neighbors of the set that lie in every unhit mask b misses.
-
-    With ``up``, the class-mates above each vertex, a candidate's are banned
-    and dropped from the candidates along with it, the last slot included.
-    Twins enter the candidates together and are tried in ascending order, so
-    this yields exactly the extensions that add, from each twin class, a
-    prefix of its free vertices.
+    so no branch is entered with an unhit mask it can no longer meet, and
+    none skips a missing forced vertex that is a candidate.  A branch is cut
+    when the vertices it may add and ``cur`` all lie in ``done[0]``, a mask
+    the caller may grow between hits, or when a packing shows that r of
+    those vertices cannot meet every unhit mask: unhit masks that stay
+    pairwise disjoint on them each need a vertex of their own, so every
+    missing forced vertex needs one.  A greedy pass over the masks, smallest
+    first, stops once it has more than r; it cannot cut while no more than r
+    masks are unhit.  The same pass finds the lowest top vertex.  With two
+    slots open, a node fills the last slot of each candidate b itself: the
+    choices are the new neighbors of the set that lie in every unhit mask b
+    misses.
     """
     if r == 0:
         if not unhit:
@@ -305,8 +299,6 @@ def _connected_hits(
             b = ext & -ext
             yield cur | b
             ext ^= b
-            if up:
-                ext &= ~up[b.bit_length() - 1]
         return
     if not (cur | free) & ~done[0]:
         return
@@ -314,13 +306,6 @@ def _connected_hits(
     # candidates; a smaller mask has no higher top vertex.
     beyond = free & ~ext
     low = ext
-    need = 0
-    for c in twins:
-        gap = c.bit_count() - 1 - (c & cur).bit_count()
-        if gap > 0:
-            need += gap
-    if need > r:
-        return
     used = 0
     slack = r
     for m in unhit:
@@ -340,8 +325,7 @@ def _connected_hits(
         v = b.bit_length() - 1
         if r > 2:
             yield from _connected_hits(
-                adj, twins, [m for m in unhit if not m & b], new_cur, r - 1, free ^ b,
-                nb | adj[v], done, up,
+                adj, [m for m in unhit if not m & b], new_cur, r - 1, free ^ b, nb | adj[v], done,
             )
         else:
             # The last slot: a new neighbor of the set in every unhit mask b misses.
@@ -355,46 +339,34 @@ def _connected_hits(
                 c = last & -last
                 yield new_cur | c
                 last ^= c
-                if up:
-                    last &= ~up[c.bit_length() - 1]
-        if up:
-            b |= up[v]
-            ext &= ~b
-        free &= ~b
+        free ^= b
 
 
 def _searches(
     adj: Sequence[int],
     masks: list[int],
-    twins: tuple[int, ...],
     k: int,
     starts: Optional[Iterable[_Start]] = None,
     done: Sequence[int] = (0,),
-    up: Sequence[int] = (),
 ) -> Iterator[Iterator[int]]:
     """The connected k-sets meeting every mask, as one hit stream per growth start.
 
-    The starts are the roots in ascending order unless given.  With ``up``,
-    only the sets that meet every twin class in a prefix of it.
+    The starts are the roots in ascending order unless given.
     """
-    for cur, free, nb in starts or _roots(adj, masks, k, up):
+    for cur, free, nb in starts or _roots(adj, masks, k):
         unhit = [m for m in masks if not m & cur]
-        r = k - cur.bit_count()
-        yield _connected_hits(adj, twins, unhit, cur, r, free, nb, done, up)
+        yield _connected_hits(adj, unhit, cur, k - cur.bit_count(), free, nb, done)
 
 
-def _plain_hits(
-    masks: list[int], twins: tuple[int, ...], n: int, k: int, up: Sequence[int] = ()
-) -> Iterator[int]:
+def _plain_hits(masks: list[int], n: int, k: int) -> Iterator[int]:
     """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
 
     These are the connected k-sets of the complete graph, where growth tries
-    vertices in ascending order.  With ``up``, only those that meet every
-    twin class in a prefix of it.
+    vertices in ascending order.
     """
     full = (1 << n) - 1
     adj = [full ^ 1 << v for v in range(n)]
-    return chain.from_iterable(_searches(adj, masks, twins, k, up=up))
+    return chain.from_iterable(_searches(adj, masks, k))
 
 
 def dim_exact(
@@ -409,10 +381,10 @@ def dim_exact(
     The search starts at dim(G) once a call on the same Graph object has
     proved it, and records the value it finds.  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, cap, workers)
+    masks, _, floor = _prepare(g, cap, workers)
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
-        for hit in _plain_hits(masks, twins, g.n, k, up):
+        for hit in _plain_hits(masks, g.n, k):
             proved[0] = k
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
@@ -444,9 +416,9 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
-    masks, twins, up, floor = _prepare(g, cap, workers)
-    proved = _proved(g)
     anchor_mask = sum(1 << v for v in anchor_set)
+    masks, _, floor = _prepare(g, cap, workers, anchor=anchor_mask)
+    proved = _proved(g)
     witness = proved[2]
     if witness and not anchor_mask & ~witness:
         if len(anchor_set) == 1:
@@ -461,10 +433,9 @@ def cdim_at_set(
 
     for k in range(start, g.n + 1):
         best = 0
-        # Anchor vertices are never candidates, so the twin rule only bans a
-        # candidate's class-mates outside the anchor: a prefix rule for the
-        # twin swaps that fix the anchor, under which the smallest hit is kept.
-        for hits in _searches(g.adj_bits, masks, twins, k, starts, up=up):
+        # The masks force a prefix of each twin class outside the anchor: the
+        # twin swaps that fix the anchor keep the smallest hit among those.
+        for hits in _searches(g.adj_bits, masks, k, starts):
             for hit in hits:
                 if need_check and not g.is_connected_subset(hit):
                     continue
@@ -520,7 +491,7 @@ def vertex_profile(
     at cdim(G) (or dim(G)) once a call on the same Graph object has proved
     it, and records cdim(G) and every cdim_G(v).  ``dm`` is never read.
     """
-    masks, twins, up, floor = _prepare(g, cap, workers)
+    masks, twins, floor = _prepare(g, cap, workers)
     proved = _proved(g)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
@@ -531,7 +502,7 @@ def vertex_profile(
         if marked[0] == full:
             break
         before = marked[0]
-        for hits in _searches(g.adj_bits, masks, twins, k, done=marked, up=up):
+        for hits in _searches(g.adj_bits, masks, k, done=marked):
             for hit in hits:
                 new = hit & ~marked[0]
                 if new:
@@ -560,10 +531,10 @@ def enumerate_min_resolving_sets(
     """All minimum resolving sets, in lexicographic order."""
     # The search starts at dim(G) once a call on the same Graph object has
     # proved it, and records the value it finds.  ``dm`` is never read.
-    masks, twins, up, floor = _prepare(g, cap, what="enumeration")
+    masks, twins, floor = _prepare(g, cap, what="enumeration")
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
-        hits = _plain_hits(masks, twins, g.n, k, up)
+        hits = _plain_hits(masks, g.n, k)
         if twins:
             # Each hit stands for its orbit under twin swaps.  It meets every
             # class in all of it or all but its top vertex, and the orbit puts

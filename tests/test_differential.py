@@ -25,7 +25,8 @@ values the earlier calls proved; every result must equal the same call on an
 equal copy that no solver has seen; so must every anchor that the proved
 cdim witness answers, on the atlas graphs, the shipped families of the
 benchmark's catalog plan and wheel:12.  The
-walker runs on nine family and seeded graphs from every root start and from
+walker runs on nine family and seeded graphs, on the plain masks and on the
+masks with the vertices the twin rule forces, from every root start and from
 single- and two-vertex anchors.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
 planar graphs with one edge added or moved, and nonplanar minor kernels.  The
 kernel sees every atlas graph, disconnected ones included, and seeded random
@@ -47,10 +48,10 @@ import reference_minor as ref_minor
 import reference_solver as ref
 from metricdim.families import _KINDS
 from metricdim.formulas import _recognize_multipartite
-from metricdim.graph import bits, components
+from metricdim.graph import bits, components, distance_levels
 from metricdim import minor
 from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
-from metricdim.solver import _connected_hits, _prepare, _roots
+from metricdim.solver import _connected_hits, _minimal, _pair_masks, _prepare, _roots
 
 from conftest import atlas, connected_graphs, distinct_copy, moebius_ladder, naive_cut_vertices
 
@@ -167,22 +168,23 @@ WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3",
                 "rand:14:0.3:1", "rand:14:0.3:2", "rand:14:0.3:3", "randtree:14:1")
 
 
-def reference_walker(adj, twins, unhit, cur, r, free, nb, done, up):
-    """The reference walker called as the solver's: it takes the full mask and
-    the banned vertices, those neither free nor in the set, for ``free``."""
+def reference_walker(adj, unhit, cur, r, free, nb, done):
+    """The reference walker called as the solver's, with no twin rule of its own: it
+    takes the full mask and the banned vertices, those neither free nor in the set,
+    for ``free``."""
     full = (1 << len(adj)) - 1
-    return ref._connected_hits(adj, full, twins, unhit, cur, r, full & ~(free | cur), nb, done, up)
+    return ref._connected_hits(adj, full, (), unhit, cur, r, full & ~(free | cur), nb, done)
 
 
-def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
-    """The hits of ``walker`` from each start, in order.  With ``grow_done``, the
-    ``done`` mask grows after each hit as ``vertex_profile`` grows it."""
+def hit_streams(walker, g, twins, k, starts, grow_done):
+    """The hits of ``walker`` from each (masks, start), in order.  With ``grow_done``,
+    the ``done`` mask grows after each hit as ``vertex_profile`` grows it."""
     done = [0]
     streams = []
-    for cur, free, nb in starts:
+    for masks, (cur, free, nb) in starts:
         unhit = [m for m in masks if not m & cur]
         stream = []
-        for hit in walker(g.adj_bits, twins, unhit, cur, k - cur.bit_count(), free, nb, done, up):
+        for hit in walker(g.adj_bits, unhit, cur, k - cur.bit_count(), free, nb, done):
             stream.append(hit)
             new = hit & ~done[0]
             if grow_done and new:
@@ -196,20 +198,25 @@ def hit_streams(walker, g, masks, twins, k, starts, up, grow_done):
 
 @pytest.mark.parametrize("spec", WALKER_SPECS)
 def test_walker_yields_the_reference_hits_in_order(spec):
+    """On the plain masks and on the masks with the vertices the twin rule forces,
+    from the roots and from anchors (forced off each anchor)."""
     g, _ = md.generate(spec)
-    masks, twins, up, floor = _prepare(g, g.n)
+    forced, twins, floor = _prepare(g, g.n)
+    plain = _minimal(_pair_masks(distance_levels(g.adj_bits), g.vertex_mask()))
     anchors = [1 << v for v in range(g.n)]
     anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
+    anchored = {a: _prepare(g, g.n, anchor=a)[0] for a in anchors}
     hits = 0
     for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
-        for rule in ((), up):
-            starts = list(_roots(g.adj_bits, masks, k, rule))
-            starts += [(a, g.vertex_mask() ^ a, g.neighborhood_of_set(a))
+        for masks in (plain, forced):
+            starts = [(masks, start) for start in _roots(g.adj_bits, masks, k)]
+            starts += [(masks if masks is plain else anchored[a],
+                        (a, g.vertex_mask() ^ a, g.neighborhood_of_set(a)))
                        for a in anchors if a.bit_count() <= k]
             for grow_done in (False, True):
-                got = hit_streams(_connected_hits, g, masks, twins, k, starts, rule, grow_done)
-                want = hit_streams(reference_walker, g, masks, twins, k, starts, rule, grow_done)
-                assert got == want, (spec, k, bool(rule), grow_done)
+                got = hit_streams(_connected_hits, g, twins, k, starts, grow_done)
+                want = hit_streams(reference_walker, g, twins, k, starts, grow_done)
+                assert got == want, (spec, k, masks is forced, grow_done)
                 hits += sum(map(len, got))
     assert hits
 

@@ -406,6 +406,14 @@ def test_classify_fork_tail_end():
     assert cdim_at_set(g, [v]).value == g.n - 1
 
 
+@pytest.mark.parametrize("spec, v", [("path:4", -1), ("fork:3,7", 7), ("fork:3,7", -1),
+                                     ("complete:4", 9)])
+def test_classify_refuses_a_vertex_outside_the_graph(spec, v):
+    g, _ = generate(spec)
+    with pytest.raises(MetricDimError, match=f"^vertex {v} out of range$"):
+        classify_extremes(g, v)
+
+
 # ---------------------------------------------------------------------------
 # membership in the layered two-anchor family
 

@@ -63,6 +63,12 @@ def test_without_edge_keeps_the_order():
         g.without_edge(0, 1)
 
 
+@pytest.mark.parametrize("u, v", [(-1, 0), (7, 0), (0, 4)])
+def test_without_edge_refuses_an_endpoint_outside_the_graph(u, v):
+    with pytest.raises(InvalidEdge, match=rf"^edge \({u},{v}\) out of range for n=4$"):
+        generate("cycle:4")[0].without_edge(u, v)
+
+
 def test_distances_path():
     dm = all_pairs_distances(path_graph(4))
     assert dm.d(0, 3) == 3

@@ -1,12 +1,13 @@
 """The solver's hitting-set search against exhaustive subset searches.
 
-``_prepare`` builds the distinguisher masks from BFS level sets of the graph
-and drops every mask that contains another.
+``_prepare`` builds the distinguisher masks from BFS level sets of the graph,
+adds a one-vertex mask for each vertex the twin rule forces, and drops every
+mask that contains another.
 The growth search tries candidates only up to the lowest top vertex of an
 unhit mask they cover, starts no root past the lowest top vertex of a mask,
-and cuts a branch when its open slots cannot cover the twin deficit or a
-packing of disjoint unhit masks.  Both bounds run at every node; neither can
-cut while no more than r masks are unhit.  Each cut may only remove branches without a hit,
+and cuts a branch when its open slots cannot cover a packing of disjoint
+unhit masks.  The packing runs at every node; it cannot cut while no more
+than r masks are unhit.  Each cut may only remove branches without a hit,
 so for every k from the lower bound to one past the connected answer, growth
 on the complete graph must yield exactly the resolving k-sets in
 lexicographic order, and growth from ``_roots`` exactly the connected ones,
@@ -15,10 +16,11 @@ graphs; larger graphs pin the values, witnesses, profiles and enumerations
 the solvers returned before these cuts, and the walker's call counts, which
 alone show a cut that was weakened.
 
-Given ``up``, the class-mates above each vertex, the same searches keep only
-the lex-leaders under twin swaps: the sets that meet every twin class in a
-prefix of it.  Grown from an anchor, they keep the sets that meet the part
-of every class outside the anchor in a prefix of that part.
+On the masks with the forced vertices, the same searches keep only the
+lex-leaders under twin swaps: the sets that meet every twin class in a
+prefix of it.  Grown from an anchor, with the vertices forced off it, they
+keep the sets that meet the part of every class outside the anchor in a
+prefix of that part.
 """
 
 from __future__ import annotations
@@ -68,17 +70,26 @@ def check_levels(where, g):
     assert distance_levels(g.adj_bits) == naive_levels(g), where
 
 
+def naive_minimal(every) -> list[int]:
+    """The masks of ``every`` that contain no other one, smallest first."""
+    minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
+    return sorted(minimal, key=lambda m: (m.bit_count(), m))
+
+
+def naive_forced(classes, anchor=()) -> set[int]:
+    """One-vertex masks of every vertex but the top one of each class's part outside ``anchor``."""
+    return {1 << v for c in classes for v in [v for v in c if v not in anchor][:-1]}
+
+
 def check_prepare(where, g):
     dm = md.all_pairs_distances(g)
     every = naive_masks(naive_all_pairs(g), g.n)
-    minimal = [m for m in every if not any(o != m and o & m == o for o in every)]
-    masks, twins, up, floor = _prepare(g, g.n)
-    assert masks == sorted(minimal, key=lambda m: (m.bit_count(), m)), where
     tp = md.twin_partition(g)
+    for anchor in ((), (0,), (g.n - 1,)):
+        masks, twins, floor = _prepare(g, g.n, anchor=sum(1 << v for v in anchor))
+        assert masks == naive_minimal(every | naive_forced(tp.classes, anchor)), (where, anchor)
     classes = [c for c in tp.classes if len(c) > 1]
     assert sorted(twins) == sorted(sum(1 << v for v in c) for c in classes), where
-    above = [sum(1 << w for c in classes if v in c for w in c if w > v) for v in range(g.n)]
-    assert list(up) == (above if classes else []), where
     assert floor == max(1, tp.lower_bound(), md.dim_floor_from_diameter(g.n, dm.diam)), where
 
 
@@ -121,17 +132,18 @@ def test_disconnected_input_raises_not_connected(name, text):
 def test_cuts_keep_every_hit_and_its_order():
     for where, g in graphs():
         dists = naive_all_pairs(g)
-        masks, twins, _, floor = _prepare(g, g.n)
+        masks = naive_minimal(naive_masks(dists, g.n))
+        floor = _prepare(g, g.n)[2]
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
                          if naive_resolves(dists, c, g.n)]
-            got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k)]
+            got = [tuple(bits(hit)) for hit in _plain_hits(masks, g.n, k)]
             assert got == resolving, (where, k)
             grown = []
             for cur, free, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, twins, unhit, cur, k - 1, free, nb, [0])
+                hits = _connected_hits(adj, unhit, cur, k - 1, free, nb, [0])
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in resolving if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -150,17 +162,17 @@ def test_twin_rule_keeps_exactly_the_prefix_sets():
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, g.n)
+        masks, _, floor = _prepare(g, g.n)
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             leaders = [c for c in itertools.combinations(range(g.n), k)
                        if meets_in_prefixes(c, classes) and naive_resolves(dists, c, g.n)]
-            got = [tuple(bits(hit)) for hit in _plain_hits(masks, twins, g.n, k, up)]
+            got = [tuple(bits(hit)) for hit in _plain_hits(masks, g.n, k)]
             assert got == leaders, (where, k)
             grown = []
-            for cur, free, nb in _roots(adj, masks, k, up):
+            for cur, free, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, twins, unhit, cur, k - 1, free, nb, [0], up)
+                hits = _connected_hits(adj, unhit, cur, k - 1, free, nb, [0])
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in leaders if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -170,15 +182,15 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, twins, up, floor = _prepare(g, g.n)
-        if not up:
+        _, twins, floor = _prepare(g, g.n)
+        if not twins:
             continue
         adj, full = g.adj_bits, g.vertex_mask()
         for a in range(g.n):
             cur = 1 << a
-            unhit = [m for m in masks if not m & cur]
+            unhit = [m for m in _prepare(g, g.n, anchor=cur)[0] if not m & cur]
             for k in range(max(floor, 1), min(md.cdim_at_set(g, (a,)).value + 1, g.n) + 1):
-                hits = _connected_hits(adj, twins, unhit, cur, k - 1, full ^ cur, adj[a], [0], up)
+                hits = _connected_hits(adj, unhit, cur, k - 1, full ^ cur, adj[a], [0])
                 grown = sorted(tuple(bits(hit)) for hit in hits)
                 want = [c for c in itertools.combinations(range(g.n), k)
                         if a in c and meets_in_prefixes(c, classes, (a,))
@@ -257,8 +269,10 @@ NODE_PINS = [
     ("profile", "wheel:17", 445),
     ("enum", "wheel:17", 727),
     ("cdim", "grid:7x7", 1493),
-    ("cdim", "randtree:40:3", 31249),
+    ("cdim", "randtree:40:3", 30875),
     ("cdim", "multipartite:4,4,4,4,4,4", 21),
+    ("dim", "bouquet:4,4,4,4,4,4,4", 535),
+    ("profile", "bouquet:4,4,4,4,4,4,4", 363),
 ]
 CAPPED = {"dim": md.dim_exact, "cdim": md.cdim_exact, "profile": md.vertex_profile,
           "enum": md.enumerate_min_resolving_sets}
