@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .errors import InvalidEdge, InvalidOption, NotConnected, TooLarge, TooSmall
+from .errors import InvalidAnchor, InvalidEdge, InvalidOption, NotConnected, TooLarge, TooSmall
 
 _T = TypeVar("_T")
 
@@ -30,6 +30,13 @@ def check_cap(n: int, cap: Optional[int], what: str) -> None:
         raise TooLarge(
             f"n={n} exceeds the {what} cap {effective_cap}; pass cap={n} to override"
         )
+
+
+def _checked_mask(n: int, mask: int) -> int:
+    """``mask``, if it is a vertex set of a graph of order ``n``; else InvalidAnchor."""
+    if mask < 0 or mask >> n:
+        raise InvalidAnchor(f"mask {mask} holds a vertex outside 0..{n - 1}")
+    return mask
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -100,9 +107,13 @@ class Graph(_Frozen):
         init(self, "had_duplicate_edges", had_duplicate_edges)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise InvalidAnchor(f"vertex {v} not within 0..{self.n - 1}")
         return self.adj_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidEdge(f"edge ({u},{v}) out of range for n={self.n}")
         return bool(self.adj_bits[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -117,20 +128,21 @@ class Graph(_Frozen):
     def neighborhood_of_set(self, mask: int) -> int:
         """Union of neighborhoods of the vertices in ``mask``, minus the set."""
         nb = 0
-        for v in bits(mask):
+        for v in bits(_checked_mask(self.n, mask)):
             nb |= self.adj_bits[v]
         return nb & ~mask
 
     def is_connected_subset(self, mask: int) -> bool:
-        """Whether the induced subgraph on ``mask`` is connected (empty set: True)."""
-        return mask == 0 or next(components(self.adj_bits, mask)) == mask
+        """Whether the induced subgraph on ``mask`` is connected.
+
+        The empty mask is connected: it has no two vertices to separate.
+        """
+        return _checked_mask(self.n, mask) == 0 or next(components(self.adj_bits, mask)) == mask
 
     def is_connected(self) -> bool:
         return self.n == 0 or self.is_connected_subset(self.vertex_mask())
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidEdge(f"edge ({u},{v}) out of range for n={self.n}")
         if not self.has_edge(u, v):
             raise InvalidEdge(f"no edge {u}-{v} to delete")
         edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
@@ -211,6 +223,8 @@ class DistanceMatrix(_Frozen):
         init(self, "diam", diam)
 
     def d(self, u: int, v: int) -> int:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidAnchor(f"vertices ({u},{v}) not both within 0..{self.n - 1}")
         return self.rows[u][v]
 
 

@@ -12,9 +12,10 @@ comparison per vertex.  It sorts them smallest first and drops every mask
 that contains another, since a set meeting the smaller one meets both
 (Weihe, "Covering trains by stations or the power of data reduction", 1998).
 Only twin pairs have a mask of size two, and those masks give the twin
-classes and the twin-class lower bound; the diameter floor is the other one.
-The vertices the twin rule forces (below) join the masks as one-vertex
-masks, which drop every mask holding one of them.
+classes.  The vertices the twin rule forces (below) join the masks as
+one-vertex masks, which drop every mask holding one of them.  Every set the
+search grows holds them and the anchor, so their number is one lower bound
+on the answer; the diameter floor is the other one.
 
 Every solver runs one walker, ``_connected_hits``, for each cardinality k
 ascending from that bound: seeded growth with a per-branch ban set, which
@@ -48,8 +49,9 @@ rule: the top-vertex bound stops the candidates at the lowest missing
 forced vertex among them, the roots stop at the lowest forced vertex, and
 the packing counts every missing forced vertex.  With an anchor, the
 forced vertices are those of each class's part outside the anchor, which
-covers the swaps that fix it.  ``vertex_profile`` marks the whole class of
-each vertex it marks, since twins have equal values.
+covers the swaps that fix it.  Every hit holds a forced vertex of every
+class, so ``vertex_profile`` marks every class with its first hit, since
+twins have equal values.
 ``enumerate_min_resolving_sets`` expands each prefix set to its orbit: a
 resolving set misses at most one vertex of a class, so the orbit trades
 that class's missing top vertex for any one of its vertices.
@@ -174,7 +176,9 @@ def _prepare(
     and a one-vertex mask for each vertex the twin rule forces: all but the
     top vertex of each twin class's part outside ``anchor``.  A set holding
     ``anchor`` meets them all exactly when it resolves g and meets that part
-    of every class in a prefix.
+    of every class in a prefix.  The bound is the larger of the diameter
+    floor and the number of forced and anchor vertices, which every such set
+    holds; with no anchor that number is the twin-class lower bound.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
@@ -198,10 +202,9 @@ def _prepare(
         forced |= c ^ 1 << c.bit_length() >> 1
     # Every pair mask holds its pair, so the one-vertex masks come first.
     masks = _minimal([1 << v for v in bits(forced)] + masks)
-    floor = len(classes) - len(twins)
     diam = max(map(len, levels))
     # dim_floor_from_diameter is at least 1, so the floor is too.
-    return masks, twins, max(floor, dim_floor_from_diameter(g.n, diam))
+    return masks, twins, max((forced | anchor).bit_count(), dim_floor_from_diameter(g.n, diam))
 
 
 @remember_last_graph
@@ -424,8 +427,7 @@ def cdim_at_set(
         if len(anchor_set) == 1:
             proved[min(anchor_set) + 3] = proved[1]
         return SolveResult(proved[1], tuple(bits(witness)))
-    start = max(floor, len(anchor_set), proved[1] or proved[0],
-                *[proved[v + 3] for v in anchor_set])
+    start = max(floor, proved[1] or proved[0], *[proved[v + 3] for v in anchor_set])
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
     free = g.vertex_mask() ^ anchor_mask
@@ -485,13 +487,15 @@ def vertex_profile(
     A vertex's value is the smallest k for which some connected resolving
     k-set contains it, so marking members of every resolving set found while
     k ascends yields the whole table without per-vertex searches.  Only sets
-    that meet every twin class in a prefix are grown, and a hit marks the
-    whole class of each vertex it newly marks, since twins have equal values.
-    Branches that can only mark marked vertices are cut.  The sweep starts
-    at cdim(G) (or dim(G)) once a call on the same Graph object has proved
-    it, and records cdim(G) and every cdim_G(v).  ``dm`` is never read.
+    that meet every twin class in a prefix are grown.  Each of them holds a
+    vertex of every class, so the first hit marks every class's vertices,
+    since twins have equal values.  Branches that can only mark marked
+    vertices are cut.  The sweep starts at cdim(G) (or dim(G)) once a call
+    on the same Graph object has proved it, and records cdim(G) and every
+    cdim_G(v).  ``dm`` is never read.
     """
     masks, twins, floor = _prepare(g, cap, workers)
+    paired = reduce(or_, twins, 0)
     proved = _proved(g)
     full = g.vertex_mask()
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
@@ -504,12 +508,7 @@ def vertex_profile(
         before = marked[0]
         for hits in _searches(g.adj_bits, masks, k, done=marked):
             for hit in hits:
-                new = hit & ~marked[0]
-                if new:
-                    marked[0] |= hit
-                    for c in twins:
-                        if c & new:
-                            marked[0] |= c
+                marked[0] |= hit | paired
         for v in bits(marked[0] & ~before):
             values[v] = k
     per_vertex = tuple(values)
@@ -534,22 +533,18 @@ def enumerate_min_resolving_sets(
     masks, twins, floor = _prepare(g, cap, what="enumeration")
     proved = _proved(g)
     for k in range(max(floor, proved[0]), g.n):
-        hits = _plain_hits(masks, g.n, k)
-        if twins:
-            # Each hit stands for its orbit under twin swaps.  It meets every
-            # class in all of it or all but its top vertex, and the orbit puts
-            # that top vertex back in place of any one vertex of the class.
-            orbits = []
-            for hit in hits:
-                orbit = [hit]
-                for c in twins:
-                    top = c & ~hit
-                    if top:
-                        orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
-                orbits += orbit
-            hits = orbits
-        sets = [tuple(bits(hit)) for hit in hits]
-        if sets:
+        # Each hit stands for its orbit under twin swaps.  It meets every
+        # class in all of it or all but its top vertex, and the orbit puts
+        # that top vertex back in place of any one vertex of the class.
+        orbits = []
+        for hit in _plain_hits(masks, g.n, k):
+            orbit = [hit]
+            for c in twins:
+                top = c & ~hit
+                if top:
+                    orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
+            orbits += orbit
+        if orbits:
             proved[0] = k
-            return sorted(sets) if twins else sets
+            return sorted(tuple(bits(hit)) for hit in orbits)
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")

@@ -186,12 +186,8 @@ def hit_streams(walker, g, twins, k, starts, grow_done):
         stream = []
         for hit in walker(g.adj_bits, unhit, cur, k - cur.bit_count(), free, nb, done):
             stream.append(hit)
-            new = hit & ~done[0]
-            if grow_done and new:
-                done[0] |= hit
-                for c in twins:
-                    if c & new:
-                        done[0] |= c
+            if grow_done:
+                done[0] |= hit | sum(twins)
         streams.append(stream)
     return streams
 

@@ -1,6 +1,7 @@
 import pytest
 
 from metricdim import (
+    InvalidAnchor,
     InvalidEdge,
     InvalidOption,
     NotConnected,
@@ -67,6 +68,40 @@ def test_without_edge_keeps_the_order():
 def test_without_edge_refuses_an_endpoint_outside_the_graph(u, v):
     with pytest.raises(InvalidEdge, match=rf"^edge \({u},{v}\) out of range for n=4$"):
         generate("cycle:4")[0].without_edge(u, v)
+
+
+# Every public call that takes a vertex, a pair or a mask, with the error it raises and
+# the values it is fed on path:4: -1, n and 1 << n (n alone is a mask, of vertex 2).
+OUT_OF_RANGE = {
+    "has_edge(bad, 0)": (lambda g, dm, bad: g.has_edge(bad, 0), InvalidEdge, (-1, 4, 16)),
+    "has_edge(0, bad)": (lambda g, dm, bad: g.has_edge(0, bad), InvalidEdge, (-1, 4, 16)),
+    "degree(bad)": (lambda g, dm, bad: g.degree(bad), InvalidAnchor, (-1, 4, 16)),
+    "dm.d(bad, 0)": (lambda g, dm, bad: dm.d(bad, 0), InvalidAnchor, (-1, 4, 16)),
+    "dm.d(0, bad)": (lambda g, dm, bad: dm.d(0, bad), InvalidAnchor, (-1, 4, 16)),
+    "neighborhood_of_set(bad)": (lambda g, dm, bad: g.neighborhood_of_set(bad), InvalidAnchor,
+                                 (-1, 16)),
+    "is_connected_subset(bad)": (lambda g, dm, bad: g.is_connected_subset(bad), InvalidAnchor,
+                                 (-1, 16)),
+}
+
+
+@pytest.mark.parametrize("call, bad", [(call, bad) for call, (_, _, values) in OUT_OF_RANGE.items()
+                                       for bad in values])
+def test_public_calls_refuse_a_vertex_outside_the_graph(call, bad):
+    run, error, _ = OUT_OF_RANGE[call]
+    g = path_graph(4)
+    with pytest.raises(error):
+        run(g, all_pairs_distances(g), bad)
+
+
+def test_has_edge_refuses_like_build_graph():
+    with pytest.raises(InvalidEdge, match=r"^edge \(0,-1\) out of range for n=4$"):
+        path_graph(4).has_edge(0, -1)
+
+
+def test_empty_mask_is_connected():
+    g = path_graph(4)
+    assert g.is_connected_subset(0) and g.neighborhood_of_set(0) == 0
 
 
 def test_distances_path():

@@ -87,10 +87,13 @@ def check_prepare(where, g):
     tp = md.twin_partition(g)
     for anchor in ((), (0,), (g.n - 1,)):
         masks, twins, floor = _prepare(g, g.n, anchor=sum(1 << v for v in anchor))
-        assert masks == naive_minimal(every | naive_forced(tp.classes, anchor)), (where, anchor)
+        forced = naive_forced(tp.classes, anchor)
+        assert masks == naive_minimal(every | forced), (where, anchor)
+        # Every set grown holds the anchor and the forced vertices.
+        assert floor == max(len(anchor) + len(forced),
+                            md.dim_floor_from_diameter(g.n, dm.diam)), (where, anchor)
     classes = [c for c in tp.classes if len(c) > 1]
     assert sorted(twins) == sorted(sum(1 << v for v in c) for c in classes), where
-    assert floor == max(1, tp.lower_bound(), md.dim_floor_from_diameter(g.n, dm.diam)), where
 
 
 def test_distance_levels_match_a_plain_bfs():
