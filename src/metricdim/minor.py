@@ -268,7 +268,8 @@ def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
     identity = list(range(len(adj)))
     img = identity.copy()
     maps: list[list[int]] = []
-    options = [like[order[0]]]  # options[k]: the images still to try for order[k]
+    # options[k]: the images still to try for order[k]; an empty kernel has none.
+    options = [like[order[0]]] if order else []
     used = nodes = 0  # used: the images of order[:len(options) - 1]
     while options and len(maps) < _FINDER_CAP and nodes < _FINDER_NODES:
         k = len(options) - 1

@@ -17,22 +17,25 @@ one-vertex masks, which drop every mask holding one of them.  Every set the
 search grows holds them and the anchor, so their number is one lower bound
 on the answer; the diameter floor is the other one.
 
-Every solver runs one walker, ``_connected_hits``, for each cardinality k
-ascending from that bound: seeded growth with a per-branch ban set, which
-meets each connected k-set exactly once.  A node keeps one free mask, the
-vertices neither in its partial set nor banned, and tries the free
-neighbors of the set.  Plain resolving sets are the connected sets of the
-complete graph, where growth from the ascending roots tries vertices in
-ascending order, so it meets k-sets in lexicographic order and its first
-hit is the lexicographically smallest witness; for connected sets the
-smallest hit is kept.  The walker carries the masks its partial set
-has not hit yet.  With r slots still open, one pass over them finds the
-lowest top vertex of an unhit mask whose addable vertices are all
+Every solver builds one walker, a ``_Walker``, per call, and runs its
+``_Walker.hits`` for each cardinality k ascending from that bound: seeded
+growth with a per-branch ban set, which meets each connected k-set exactly
+once.  The walker's fields are the adjacency and ``done``, a mask that cuts
+every branch whose set and addable vertices all lie in it; ``done`` starts
+at 0, which cuts nothing, and only ``vertex_profile`` grows it.  A node
+keeps one free mask, the vertices neither in its partial set nor banned,
+and tries the free neighbors of the set.  Plain resolving sets are the
+connected sets of the complete graph, where growth from the ascending roots
+tries vertices in ascending order, so it meets k-sets in lexicographic
+order and its first hit is the lexicographically smallest witness; for
+connected sets the smallest hit is kept.  The walker carries the masks its
+partial set has not hit yet.  With r slots still open, one pass over them
+finds the lowest top vertex of an unhit mask whose addable vertices are all
 candidates, past which no candidate is tried, and cuts the branch when a
 greedy packing finds more than r unhit masks that are pairwise disjoint on
 the vertices the branch may still add.  The pass runs at every node, though
-the packing cannot cut while no more than r masks are unhit.  With two slots
-open, a node fills the last slot of each candidate itself, from the
+the packing cannot cut while no more than r masks are unhit.  With two
+slots open, a node fills the last slot of each candidate itself, from the
 intersection of the unhit masks that the candidate misses, rather than
 calling the walker once more.  Every cut drops only branches without a hit,
 so the order in which hits are met is unchanged.
@@ -260,116 +263,110 @@ def _roots(adj: Sequence[int], masks: list[int], k: int) -> Iterator[_Start]:
         yield b, free, adj[root]
 
 
-def _connected_hits(
-    adj: Sequence[int],
-    unhit: list[int],
-    cur: int,
-    r: int,
-    free: int,
-    nb: int,
-    done: Sequence[int],
-) -> Iterator[int]:
-    """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
+class _Walker:
+    """The growth walker of one solver call, over one adjacency.
 
-    ``free`` holds the vertices neither in ``cur`` nor banned, and the
-    candidates are the free vertices of ``nb``, the set's neighborhood.
-    Banning a candidate, taking it out of ``free``, once its subtree is
-    exhausted yields each extension exactly once.  Candidates stop at the
-    lowest top vertex of an unhit mask whose addable vertices are all
-    candidates, since once it is banned no later sibling can meet that mask;
-    so no branch is entered with an unhit mask it can no longer meet, and
-    none skips a missing forced vertex that is a candidate.  A branch is cut
-    when the vertices it may add and ``cur`` all lie in ``done[0]``, a mask
-    the caller may grow between hits, or when a packing shows that r of
-    those vertices cannot meet every unhit mask: unhit masks that stay
-    pairwise disjoint on them each need a vertex of their own, so every
-    missing forced vertex needs one.  A greedy pass over the masks, smallest
-    first, stops once it has more than r; it cannot cut while no more than r
-    masks are unhit.  The same pass finds the lowest top vertex.  With two
-    slots open, a node fills the last slot of each candidate b itself: the
-    choices are the new neighbors of the set that lie in every unhit mask b
-    misses.
+    ``done`` starts at 0, which cuts nothing; only ``vertex_profile`` grows
+    it, between hits.  ``dim_exact`` and ``enumerate_min_resolving_sets``
+    walk the complete graph.
     """
-    if r == 0:
-        if not unhit:
-            yield cur
-        return
-    ext = nb & free
-    if r == 1:
+
+    __slots__ = ("adj", "done")
+
+    def __init__(self, adj: Sequence[int]) -> None:
+        self.adj = adj
+        self.done = 0
+
+    def streams(
+        self, masks: list[int], k: int, starts: Optional[Iterable[_Start]] = None
+    ) -> Iterator[Iterator[int]]:
+        """The connected k-sets meeting every mask, as one hit stream per growth start.
+
+        The starts are the roots in ascending order unless given.  On the
+        complete graph the streams chained are every k-set meeting the masks,
+        in lexicographic order, since growth there tries vertices in
+        ascending order.
+        """
+        for cur, free, nb in starts or _roots(self.adj, masks, k):
+            unhit = [m for m in masks if not m & cur]
+            yield self.hits(unhit, cur, k - cur.bit_count(), free, nb)
+
+    def hits(self, unhit: list[int], cur: int, r: int, free: int, nb: int) -> Iterator[int]:
+        """Extensions of ``cur`` by r neighbors-of-the-set that meet every ``unhit`` mask.
+
+        ``free`` holds the vertices neither in ``cur`` nor banned, and the
+        candidates are the free vertices of ``nb``, the set's neighborhood.
+        Banning a candidate, taking it out of ``free``, once its subtree is
+        exhausted yields each extension exactly once.  Candidates stop at the
+        lowest top vertex of an unhit mask whose addable vertices are all
+        candidates, since once it is banned no later sibling can meet that
+        mask; so no branch is entered with an unhit mask it can no longer
+        meet, and none skips a missing forced vertex that is a candidate.  A
+        branch is cut when the vertices it may add and ``cur`` all lie in
+        ``self.done``, or when a packing shows that r of those vertices
+        cannot meet every unhit mask: unhit masks that stay pairwise disjoint
+        on them each need a vertex of their own, so every missing forced
+        vertex needs one.  A greedy pass over the masks, smallest first,
+        stops once it has more than r; it cannot cut while no more than r
+        masks are unhit.  The same pass finds the lowest top vertex.  With
+        two slots open, a node fills the last slot of each candidate b
+        itself: the choices are the new neighbors of the set that lie in
+        every unhit mask b misses.
+        """
+        if r == 0:
+            if not unhit:
+                yield cur
+            return
+        ext = nb & free
+        if r == 1:
+            for m in unhit:
+                ext &= m
+            while ext:
+                b = ext & -ext
+                yield cur | b
+                ext ^= b
+            return
+        if not (cur | free) & ~self.done:
+            return
+        # The lowest top vertex of an unhit mask whose addable vertices are all
+        # candidates; a smaller mask has no higher top vertex.
+        beyond = free & ~ext
+        low = ext
+        used = 0
+        slack = r
         for m in unhit:
-            ext &= m
+            m &= free
+            if m < low and not m & beyond:
+                low = m
+            if not m & used:
+                used |= m
+                slack -= 1
+                if slack < 0:
+                    return
+        ext &= (1 << low.bit_length()) - 1
+        adj = self.adj
         while ext:
             b = ext & -ext
-            yield cur | b
             ext ^= b
-        return
-    if not (cur | free) & ~done[0]:
-        return
-    # The lowest top vertex of an unhit mask whose addable vertices are all
-    # candidates; a smaller mask has no higher top vertex.
-    beyond = free & ~ext
-    low = ext
-    used = 0
-    slack = r
-    for m in unhit:
-        m &= free
-        if m < low and not m & beyond:
-            low = m
-        if not m & used:
-            used |= m
-            slack -= 1
-            if slack < 0:
-                return
-    ext &= (1 << low.bit_length()) - 1
-    while ext:
-        b = ext & -ext
-        ext ^= b
-        new_cur = cur | b
-        v = b.bit_length() - 1
-        if r > 2:
-            yield from _connected_hits(
-                adj, [m for m in unhit if not m & b], new_cur, r - 1, free ^ b, nb | adj[v], done,
-            )
-        else:
-            # The last slot: a new neighbor of the set in every unhit mask b misses.
-            last = (nb | adj[v]) & free & ~b
-            for m in unhit:
-                if not m & b:
-                    last &= m
-                    if not last:
-                        break
-            while last:
-                c = last & -last
-                yield new_cur | c
-                last ^= c
-        free ^= b
-
-
-def _searches(
-    adj: Sequence[int],
-    masks: list[int],
-    k: int,
-    starts: Optional[Iterable[_Start]] = None,
-    done: Sequence[int] = (0,),
-) -> Iterator[Iterator[int]]:
-    """The connected k-sets meeting every mask, as one hit stream per growth start.
-
-    The starts are the roots in ascending order unless given.
-    """
-    for cur, free, nb in starts or _roots(adj, masks, k):
-        unhit = [m for m in masks if not m & cur]
-        yield _connected_hits(adj, unhit, cur, k - cur.bit_count(), free, nb, done)
-
-
-def _plain_hits(masks: list[int], n: int, k: int) -> Iterator[int]:
-    """Every k-subset of range(n) meeting all ``masks``, as bitmasks, in lexicographic order.
-
-    These are the connected k-sets of the complete graph, where growth tries
-    vertices in ascending order.
-    """
-    full = (1 << n) - 1
-    adj = [full ^ 1 << v for v in range(n)]
-    return chain.from_iterable(_searches(adj, masks, k))
+            new_cur = cur | b
+            v = b.bit_length() - 1
+            if r > 2:
+                yield from self.hits(
+                    [m for m in unhit if not m & b], new_cur, r - 1, free ^ b, nb | adj[v]
+                )
+            else:
+                # The last slot: a new neighbor of the set in every unhit mask b misses.
+                last = (nb | adj[v]) & free & ~b
+                for m in unhit:
+                    if not m & b:
+                        last &= m
+                        if not last:
+                            break
+                while last:
+                    c = last & -last
+                    yield new_cur | c
+                    last ^= c
+            free ^= b
 
 
 def dim_exact(
@@ -386,8 +383,9 @@ def dim_exact(
     """
     masks, _, floor = _prepare(g, cap, workers)
     proved = _proved(g)
+    walker = _Walker([g.vertex_mask() ^ 1 << v for v in range(g.n)])
     for k in range(max(floor, proved[0]), g.n):
-        for hit in _plain_hits(masks, g.n, k):
+        for hit in chain.from_iterable(walker.streams(masks, k)):
             proved[0] = k
             return SolveResult(k, tuple(bits(hit)))
     raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
@@ -432,12 +430,13 @@ def cdim_at_set(
     need_check = not g.is_connected_subset(anchor_mask)
     free = g.vertex_mask() ^ anchor_mask
     starts = [(anchor_mask, free, g.neighborhood_of_set(anchor_mask))] if anchor_mask else None
+    walker = _Walker(g.adj_bits)
 
     for k in range(start, g.n + 1):
         best = 0
         # The masks force a prefix of each twin class outside the anchor: the
         # twin swaps that fix the anchor keep the smallest hit among those.
-        for hits in _searches(g.adj_bits, masks, k, starts):
+        for hits in walker.streams(masks, k, starts):
             for hit in hits:
                 if need_check and not g.is_connected_subset(hit):
                     continue
@@ -501,15 +500,15 @@ def vertex_profile(
     # Deleting any fixed non-cut vertex leaves a connected resolving set, so
     # every vertex is marked by k = n-1 at the latest.
     values = [g.n - 1] * g.n
-    marked = [0]
+    walker = _Walker(g.adj_bits)
     for k in range(max(floor, proved[1] or proved[0]), g.n):
-        if marked[0] == full:
+        if walker.done == full:
             break
-        before = marked[0]
-        for hits in _searches(g.adj_bits, masks, k, done=marked):
+        before = walker.done
+        for hits in walker.streams(masks, k):
             for hit in hits:
-                marked[0] |= hit | paired
-        for v in bits(marked[0] & ~before):
+                walker.done |= hit | paired
+        for v in bits(walker.done & ~before):
             values[v] = k
     per_vertex = tuple(values)
     rrad = min(per_vertex)
@@ -532,12 +531,13 @@ def enumerate_min_resolving_sets(
     # proved it, and records the value it finds.  ``dm`` is never read.
     masks, twins, floor = _prepare(g, cap, what="enumeration")
     proved = _proved(g)
+    walker = _Walker([g.vertex_mask() ^ 1 << v for v in range(g.n)])
     for k in range(max(floor, proved[0]), g.n):
         # Each hit stands for its orbit under twin swaps.  It meets every
         # class in all of it or all but its top vertex, and the orbit puts
         # that top vertex back in place of any one vertex of the class.
         orbits = []
-        for hit in _plain_hits(masks, g.n, k):
+        for hit in chain.from_iterable(walker.streams(masks, k)):
             orbit = [hit]
             for c in twins:
                 top = c & ~hit

@@ -51,7 +51,7 @@ from metricdim.formulas import _recognize_multipartite
 from metricdim.graph import bits, components, distance_levels
 from metricdim import minor
 from metricdim.minor import _TARGETS, _is_planar, _kernelize, _search_from_seed, _seed_sets
-from metricdim.solver import _connected_hits, _minimal, _pair_masks, _prepare, _roots
+from metricdim.solver import _minimal, _pair_masks, _prepare, _roots, _Walker
 
 from conftest import atlas, connected_graphs, distinct_copy, moebius_ladder, naive_cut_vertices
 
@@ -168,26 +168,42 @@ WALKER_SPECS = ("wheel:12", "wheel:17", "bouquet:3,4,5", "multipartite:3,3,3,3",
                 "rand:14:0.3:1", "rand:14:0.3:2", "rand:14:0.3:3", "randtree:14:1")
 
 
-def reference_walker(adj, unhit, cur, r, free, nb, done):
-    """The reference walker called as the solver's, with no twin rule of its own: it
-    takes the full mask and the banned vertices, those neither free nor in the set,
-    for ``free``."""
-    full = (1 << len(adj)) - 1
-    return ref._connected_hits(adj, full, (), unhit, cur, r, full & ~(free | cur), nb, done)
+class ReferenceWalker:
+    """The reference walker behind the solver walker's ``hits`` and ``done``, with no
+    twin rule of its own.  It reads ``done`` from a one-element list, and takes the
+    full mask and the banned vertices, those neither free nor in the set, for
+    ``free``."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.box = [0]
+
+    @property
+    def done(self):
+        return self.box[0]
+
+    @done.setter
+    def done(self, mask):
+        self.box[0] = mask
+
+    def hits(self, unhit, cur, r, free, nb):
+        full = (1 << len(self.adj)) - 1
+        return ref._connected_hits(self.adj, full, (), unhit, cur, r, full & ~(free | cur), nb,
+                                   self.box)
 
 
-def hit_streams(walker, g, twins, k, starts, grow_done):
-    """The hits of ``walker`` from each (masks, start), in order.  With ``grow_done``,
-    the ``done`` mask grows after each hit as ``vertex_profile`` grows it."""
-    done = [0]
+def hit_streams(walker, twins, k, starts, grow_done):
+    """The hits of a fresh ``walker`` from each (masks, start), in order.  With
+    ``grow_done``, its ``done`` mask grows after each hit as ``vertex_profile`` grows
+    it."""
     streams = []
     for masks, (cur, free, nb) in starts:
         unhit = [m for m in masks if not m & cur]
         stream = []
-        for hit in walker(g.adj_bits, unhit, cur, k - cur.bit_count(), free, nb, done):
+        for hit in walker.hits(unhit, cur, k - cur.bit_count(), free, nb):
             stream.append(hit)
             if grow_done:
-                done[0] |= hit | sum(twins)
+                walker.done |= hit | sum(twins)
         streams.append(stream)
     return streams
 
@@ -210,8 +226,8 @@ def test_walker_yields_the_reference_hits_in_order(spec):
                         (a, g.vertex_mask() ^ a, g.neighborhood_of_set(a)))
                        for a in anchors if a.bit_count() <= k]
             for grow_done in (False, True):
-                got = hit_streams(_connected_hits, g, twins, k, starts, grow_done)
-                want = hit_streams(reference_walker, g, twins, k, starts, grow_done)
+                got = hit_streams(_Walker(g.adj_bits), twins, k, starts, grow_done)
+                want = hit_streams(ReferenceWalker(g.adj_bits), twins, k, starts, grow_done)
                 assert got == want, (spec, k, masks is forced, grow_done)
                 hits += sum(map(len, got))
     assert hits

@@ -4,11 +4,16 @@ from metricdim import (
     InvalidAnchor,
     InvalidEdge,
     InvalidOption,
+    MetricDimError,
     NotConnected,
     TooLarge,
     TooSmall,
     all_pairs_distances,
     build_graph,
+    cdim_at_set,
+    cdim_at_vertex_formula,
+    check_resolving,
+    classify_extremes,
     cut_vertices,
     dim_exact,
     enumerate_min_resolving_sets,
@@ -16,6 +21,7 @@ from metricdim import (
     has_minor,
     is_planar_desk,
     twin_partition,
+    verify_minor_witness,
 )
 from metricdim.graph import MAX_ORDER, check_cap
 
@@ -70,8 +76,9 @@ def test_without_edge_refuses_an_endpoint_outside_the_graph(u, v):
         generate("cycle:4")[0].without_edge(u, v)
 
 
-# Every public call that takes a vertex, a pair or a mask, with the error it raises and
-# the values it is fed on path:4: -1, n and 1 << n (n alone is a mask, of vertex 2).
+# Every public call that takes a vertex, a pair, a vertex set or a mask, with the error
+# it raises and the values it is fed on path:4: -1, n and 1 << n (n alone is a mask, of
+# vertex 2).  ``verify_minor_witness`` answers instead; its test follows.
 OUT_OF_RANGE = {
     "has_edge(bad, 0)": (lambda g, dm, bad: g.has_edge(bad, 0), InvalidEdge, (-1, 4, 16)),
     "has_edge(0, bad)": (lambda g, dm, bad: g.has_edge(0, bad), InvalidEdge, (-1, 4, 16)),
@@ -82,6 +89,15 @@ OUT_OF_RANGE = {
                                  (-1, 16)),
     "is_connected_subset(bad)": (lambda g, dm, bad: g.is_connected_subset(bad), InvalidAnchor,
                                  (-1, 16)),
+    "without_edge(bad, 0)": (lambda g, dm, bad: g.without_edge(bad, 0), InvalidEdge, (-1, 4, 16)),
+    "cdim_at_set(g, [bad])": (lambda g, dm, bad: cdim_at_set(g, [bad]), InvalidAnchor,
+                              (-1, 4, 16)),
+    "check_resolving(g, dm, [bad])": (lambda g, dm, bad: check_resolving(g, dm, [bad]),
+                                      InvalidAnchor, (-1, 4, 16)),
+    "cdim_at_vertex_formula(g, bad)": (lambda g, dm, bad: cdim_at_vertex_formula(g, bad),
+                                       MetricDimError, (-1, 4, 16)),
+    "classify_extremes(g, bad)": (lambda g, dm, bad: classify_extremes(g, bad), MetricDimError,
+                                  (-1, 4, 16)),
 }
 
 
@@ -92,6 +108,15 @@ def test_public_calls_refuse_a_vertex_outside_the_graph(call, bad):
     g = path_graph(4)
     with pytest.raises(error):
         run(g, all_pairs_distances(g), bad)
+
+
+@pytest.mark.parametrize("bad", (-1, 5, 32))
+def test_minor_witness_with_a_vertex_outside_the_graph_fails(bad):
+    # On complete:5, 5 is the first vertex outside the graph and 1 << 5 a mask past it.
+    g, _ = generate("complete:5")
+    assert verify_minor_witness(g, "K5", ((0,), (1,), (2,), (3,), (4,)))
+    assert not verify_minor_witness(g, "K5", ((0,), (1,), (2,), (3,), (bad,)))
+    assert not verify_minor_witness(g, "K5", ((0,), (1,), (2,), (3,), (4, bad)))
 
 
 def test_has_edge_refuses_like_build_graph():

@@ -267,6 +267,10 @@ def test_one_graph_is_kernelized_and_planarity_tested_once(monkeypatch, spec):
     assert sorted(calls) == ["_is_planar", "_kernelize"]
 
 
+def test_an_empty_kernel_has_no_automorphisms():
+    assert minor._automorphisms([0, 0, 0], 0) == []
+
+
 def test_automorphisms_are_looked_for_only_after_real_work(monkeypatch):
     """No atlas graph and no small shipped family pops enough states to pay
     for the finder; the K5, K33 and planarity queries of one Moebius ladder

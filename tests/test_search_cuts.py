@@ -35,7 +35,7 @@ import metricdim as md
 from metricdim.cli import parse_graph_file
 from metricdim.graph import bits, distance_levels
 from metricdim import solver
-from metricdim.solver import _connected_hits, _plain_hits, _prepare, _roots
+from metricdim.solver import _Walker, _prepare, _roots
 
 from conftest import atlas, connected_graphs, naive_all_pairs, naive_resolves, subset_connected
 
@@ -46,6 +46,13 @@ TWIN_GRAPHS = ("multipartite:3,3,3", "bouquet:3,4,5", "paddle:5,3")
 def graphs(families=FAMILY_GRAPHS):
     yield from ((f"atlas graph {i}", g) for i, g in enumerate(atlas()))
     yield from ((spec, md.generate(spec)[0]) for spec in families)
+
+
+def plain_hits(masks: list[int], n: int, k: int):
+    """The walker's hits on the complete graph on range(n), over the roots in order."""
+    full = (1 << n) - 1
+    walker = _Walker([full ^ 1 << v for v in range(n)])
+    return itertools.chain.from_iterable(walker.streams(masks, k))
 
 
 def naive_masks(dists: list[dict[int, int]], n: int) -> set[int]:
@@ -141,12 +148,12 @@ def test_cuts_keep_every_hit_and_its_order():
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
                          if naive_resolves(dists, c, g.n)]
-            got = [tuple(bits(hit)) for hit in _plain_hits(masks, g.n, k)]
+            got = [tuple(bits(hit)) for hit in plain_hits(masks, g.n, k)]
             assert got == resolving, (where, k)
             grown = []
             for cur, free, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, unhit, cur, k - 1, free, nb, [0])
+                hits = _Walker(adj).hits(unhit, cur, k - 1, free, nb)
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in resolving if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -170,12 +177,12 @@ def test_twin_rule_keeps_exactly_the_prefix_sets():
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             leaders = [c for c in itertools.combinations(range(g.n), k)
                        if meets_in_prefixes(c, classes) and naive_resolves(dists, c, g.n)]
-            got = [tuple(bits(hit)) for hit in _plain_hits(masks, g.n, k)]
+            got = [tuple(bits(hit)) for hit in plain_hits(masks, g.n, k)]
             assert got == leaders, (where, k)
             grown = []
             for cur, free, nb in _roots(adj, masks, k):
                 unhit = [m for m in masks if not m & cur]
-                hits = _connected_hits(adj, unhit, cur, k - 1, free, nb, [0])
+                hits = _Walker(adj).hits(unhit, cur, k - 1, free, nb)
                 grown.extend(tuple(bits(hit)) for hit in hits)
             want = [c for c in leaders if subset_connected(g, c)]
             assert sorted(grown) == want, (where, k)
@@ -193,7 +200,7 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
             cur = 1 << a
             unhit = [m for m in _prepare(g, g.n, anchor=cur)[0] if not m & cur]
             for k in range(max(floor, 1), min(md.cdim_at_set(g, (a,)).value + 1, g.n) + 1):
-                hits = _connected_hits(adj, unhit, cur, k - 1, full ^ cur, adj[a], [0])
+                hits = _Walker(adj).hits(unhit, cur, k - 1, full ^ cur, adj[a])
                 grown = sorted(tuple(bits(hit)) for hit in hits)
                 want = [c for c in itertools.combinations(range(g.n), k)
                         if a in c and meets_in_prefixes(c, classes, (a,))
@@ -261,7 +268,7 @@ def test_anchor_inside_a_twin_class_pin():
 
 
 
-# Calls of ``_connected_hits``, recursive ones included, now that a node with
+# Calls of ``_Walker.hits``, recursive ones included, now that a node with
 # two slots open fills the last slot itself.  Every cut removes calls without
 # changing a hit, so only a count shows a weakened cut; a change that prunes
 # more lowers a pin and says so.  Each row builds its own Graph object, so no
@@ -283,16 +290,16 @@ CAPPED = {"dim": md.dim_exact, "cdim": md.cdim_exact, "profile": md.vertex_profi
 
 @pytest.fixture
 def walker_calls(monkeypatch):
-    """A one-item list that counts the calls of ``_connected_hits``."""
+    """A one-item list that counts the calls of ``_Walker.hits``."""
     calls = [0]
-    real = solver._connected_hits
+    real = solver._Walker.hits
 
-    def counted(*args):
+    def counted(self, *args):
         calls[0] += 1
-        return real(*args)
+        return real(self, *args)
 
-    # The recursion looks the module name up, so every call is counted.
-    monkeypatch.setattr(solver, "_connected_hits", counted)
+    # The recursion looks the method up on the class, so every call is counted.
+    monkeypatch.setattr(solver._Walker, "hits", counted)
     return calls
 
 
