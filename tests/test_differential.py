@@ -27,7 +27,8 @@ cdim witness answers, on the atlas graphs, the shipped families of the
 benchmark's catalog plan and wheel:12.  The
 walker runs on nine family and seeded graphs, on the plain masks and on the
 masks with the vertices the twin rule forces, from every root start and from
-single- and two-vertex anchors.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
+single- and two-vertex anchors, and again with an incumbent, where it must keep
+every reference hit that precedes it.  The planarity test sees every atlas graph, seeded G(n, p) graphs, edge-maximal
 planar graphs with one edge added or moved, and nonplanar minor kernels.  The
 kernel sees every atlas graph, disconnected ones included, and seeded random
 graphs.  Cut vertices, components of seeded vertex subsets and complete
@@ -208,29 +209,72 @@ def hit_streams(walker, twins, k, starts, grow_done):
     return streams
 
 
-@pytest.mark.parametrize("spec", WALKER_SPECS)
-def test_walker_yields_the_reference_hits_in_order(spec):
-    """On the plain masks and on the masks with the vertices the twin rule forces,
-    from the roots and from anchors (forced off each anchor)."""
+def walker_levels(spec):
+    """The walker's inputs on ``spec``, as (graph, twin classes, k, whether the masks
+    force, [(masks, start)]): at each level from the floor up to cdim(G) + 1, the
+    plain masks and the masks with the vertices the twin rule forces, from every
+    root and from single- and two-vertex anchors (forced off each anchor)."""
     g, _ = md.generate(spec)
     forced, twins, floor = _prepare(g, g.n)
     plain = _minimal(_pair_masks(distance_levels(g.adj_bits), g.vertex_mask()))
     anchors = [1 << v for v in range(g.n)]
     anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
     anchored = {a: _prepare(g, g.n, anchor=a)[0] for a in anchors}
-    hits = 0
     for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
         for masks in (plain, forced):
             starts = [(masks, start) for start in _roots(g.adj_bits, masks, k)]
             starts += [(masks if masks is plain else anchored[a],
                         (a, g.vertex_mask() ^ a, g.neighborhood_of_set(a)))
                        for a in anchors if a.bit_count() <= k]
-            for grow_done in (False, True):
-                got = hit_streams(_Walker(g.adj_bits), twins, k, starts, grow_done)
-                want = hit_streams(ReferenceWalker(g.adj_bits), twins, k, starts, grow_done)
-                assert got == want, (spec, k, masks is forced, grow_done)
-                hits += sum(map(len, got))
+            yield g, twins, k, masks is forced, starts
+
+
+@pytest.mark.parametrize("spec", WALKER_SPECS)
+def test_walker_yields_the_reference_hits_in_order(spec):
+    """On the plain masks and on the masks with the vertices the twin rule forces,
+    from the roots and from anchors (forced off each anchor)."""
+    hits = 0
+    for g, twins, k, forced, starts in walker_levels(spec):
+        for grow_done in (False, True):
+            got = hit_streams(_Walker(g.adj_bits), twins, k, starts, grow_done)
+            want = hit_streams(ReferenceWalker(g.adj_bits), twins, k, starts, grow_done)
+            assert got == want, (spec, k, forced, grow_done)
+            hits += sum(map(len, got))
     assert hits
+
+
+def precedes(a: int, b: int) -> bool:
+    """Whether vertex set ``a`` comes before ``b`` in lexicographic order: the
+    smallest vertex they differ in lies in ``a``."""
+    diff = a ^ b
+    return bool(diff & -diff & a)
+
+
+@pytest.mark.parametrize("spec", WALKER_SPECS)
+def test_walker_with_an_incumbent_keeps_every_reference_hit_that_precedes_it(spec):
+    """With ``best`` set to a reference hit of a start (its first, middle, last and
+    smallest), the walker from that start yields, in reference order, every
+    reference hit that precedes ``best``, and no set the reference walker does not
+    yield."""
+    dropped = 0
+    for g, twins, k, forced, starts in walker_levels(spec):
+        streams = hit_streams(ReferenceWalker(g.adj_bits), twins, k, starts, False)
+        for start, want in zip(starts, streams):
+            if not want:
+                continue
+            smallest = min(want, key=lambda hit: tuple(bits(hit)))
+            for best in {want[0], want[len(want) // 2], want[-1], smallest}:
+                walker = _Walker(g.adj_bits)
+                walker.best = best
+                got = hit_streams(walker, twins, k, [start], False)[0]
+                where = (spec, k, forced, start[1][0], best)
+                assert ([h for h in got if precedes(h, best)]
+                        == [h for h in want if precedes(h, best)]), where
+                # Every set got yields is a reference hit, in reference order.
+                rest = iter(want)
+                assert all(h in rest for h in got), where
+                dropped += len(want) - len(got)
+    assert dropped
 
 
 def minors_matching_reference(g: md.Graph, where: str, cap=None) -> int:

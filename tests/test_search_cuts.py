@@ -275,11 +275,11 @@ def test_anchor_inside_a_twin_class_pin():
 # value an earlier call proved moves the level its search starts at.
 NODE_PINS = [
     ("dim", "wheel:17", 238),
-    ("cdim", "wheel:17", 577),
+    ("cdim", "wheel:17", 383),
     ("profile", "wheel:17", 445),
     ("enum", "wheel:17", 727),
-    ("cdim", "grid:7x7", 1493),
-    ("cdim", "randtree:40:3", 30875),
+    ("cdim", "grid:7x7", 1450),
+    ("cdim", "randtree:40:3", 29459),
     ("cdim", "multipartite:4,4,4,4,4,4", 21),
     ("dim", "bouquet:4,4,4,4,4,4,4", 535),
     ("profile", "bouquet:4,4,4,4,4,4,4", 363),
@@ -335,8 +335,8 @@ def test_walker_node_pins_on_one_graph_object(walker_calls):
         walker_calls[0] = 0
         query()
         counts.append(walker_calls[0])
-    assert counts == [238, 487, 0, 0, 93, 138, 522]
+    assert counts == [238, 293, 0, 0, 73, 138, 522]
     md.dim_exact(md.generate("petersen")[0])
     walker_calls[0] = 0
     md.cdim_exact(g, dm)
-    assert walker_calls[0] == 577
+    assert walker_calls[0] == 383

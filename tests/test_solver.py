@@ -368,6 +368,8 @@ def test_the_proved_witness_answers_anchors_inside_it(monkeypatch):
     g, _ = generate("wheel:17")
     cdim = cdim_exact(g)
     assert cdim == (8, (0, 1, 3, 6, 8, 11, 13, 17))
+    # W answers before any mask is built, and with no search.
+    monkeypatch.setattr(solver, "_prepare", None)
     monkeypatch.setattr(solver._Walker, "hits", None)
     assert cdim_at_set(g, (17,)) == cdim_at_set(g, cdim.witness) == cdim_exact(g) == cdim
     assert solver._proved(g)[17 + 3] == 8
