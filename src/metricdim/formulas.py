@@ -16,8 +16,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import (
+    InvalidAnchor,
     IsAPath,
-    MetricDimError,
     NotATree,
     NotUnicyclic,
     TooMany,
@@ -476,10 +476,10 @@ def cdim_formula(g: Graph) -> FormulaResult:
 
 
 def cdim_at_vertex_formula(g: Graph, v: int) -> FormulaResult:
-    rec = _resolve(g)
+    # Checked before recognition, so a refused call keeps the last graph's record.
     if not (0 <= v < g.n):
-        raise MetricDimError(f"vertex {v} out of range")
-    return _forms(rec, g, v)[2]
+        raise InvalidAnchor(f"vertex {v} out of range")
+    return _forms(_resolve(g), g, v)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +528,8 @@ def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
 
 def classify_extremes(g: Graph, v: Optional[int] = None) -> ExtremesClassification:
     """Purely structural prediction of the extreme values 1 and n-1."""
+    if v is not None and not (0 <= v < g.n):
+        raise InvalidAnchor(f"vertex {v} out of range")
     ends = _path_ends(g)
     is_path = ends is not None
     is_complete = _is_complete(g)
@@ -539,8 +541,6 @@ def classify_extremes(g: Graph, v: Optional[int] = None) -> ExtremesClassificati
     )
     if v is None:
         return ExtremesClassification(cdim_one, cdim_top, graph_case)
-    if not (0 <= v < g.n):
-        raise MetricDimError(f"vertex {v} out of range")
 
     at_one = is_path and v in ends
     at_top = False

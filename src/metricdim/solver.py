@@ -92,10 +92,14 @@ without calling the walker.  A solver records its value once its search
 has found it: dim and enumeration write dim(G), an empty anchor cdim(G) and
 W, a singleton anchor its cdim_G(v) (also when W answers it), and the
 profile cdim(G) (its ``rrad``) and every cdim_G(v).  A call that raises
-writes nothing.  ``_prepare`` still runs on every call that W does not
-answer: W is read first, and W exists only after a search on the same
-object, so of ``_prepare`` only its option checks, which that answer runs
-too, could fail there.
+writes nothing.  A solver call checks its arguments before it reads the
+record or sets up with ``_prepare``, so a refused call leaves the record of
+the last graph as it was.  ``cdim_at_set`` then reads the record, so that W
+can answer before any mask is built, and sets up after; the other solvers
+set up first.  One path still replaces the record: a disconnected graph
+given to ``cdim_at_set`` replaces it with an empty one of its own before
+``_prepare``'s BFS raises NotConnected.  Checking connectivity before every
+W answer would cost a BFS on each of those calls.
 """
 
 from __future__ import annotations
@@ -181,31 +185,30 @@ def _pair_masks(levels: Sequence[Sequence[int]], full: int) -> list[int]:
     return ordered
 
 
-def _check_options(g: Graph, cap: Optional[int], workers: int, what: str = "solver") -> None:
-    """Reject a ``workers`` that is not an int >= 1, and a cap that refuses g."""
+def _check_options(g: Graph, cap: Optional[int], workers: int) -> None:
+    """Reject a ``workers`` that is not an int >= 1, and a cap that refuses g.
+
+    ``dim_exact``, ``cdim_at_set`` and ``vertex_profile`` run it before they
+    read the record or set up.
+    """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise InvalidOption(f"workers must be an int >= 1, got {workers!r}")
-    check_cap(g.n, cap, what)
+    check_cap(g.n, cap, "solver")
 
 
-def _prepare(
-    g: Graph,
-    cap: Optional[int],
-    workers: int = 1,
-    what: str = "solver",
-    anchor: int = 0,
-) -> tuple[list[int], tuple[int, ...], int]:
-    """Checked arguments to (masks, twin classes, lower bound on the answer).
+def _prepare(g: Graph, *, anchor: int = 0) -> tuple[list[int], tuple[int, ...], int]:
+    """Set-up for one search on g: (masks, twin classes, lower bound on the answer).
 
-    The masks are the inclusion-minimal ones among the distinguisher masks
-    and a one-vertex mask for each vertex the twin rule forces: all but the
-    top vertex of each twin class's part outside ``anchor``.  A set holding
-    ``anchor`` meets them all exactly when it resolves g and meets that part
-    of every class in a prefix.  The bound is the larger of the diameter
-    floor and the number of forced and anchor vertices, which every such set
-    holds; with no anchor that number is the twin-class lower bound.
+    It checks no argument: the solvers check theirs before they call it.
+    Its BFS raises NotConnected on a disconnected g.  The masks are the
+    inclusion-minimal ones among the distinguisher masks and a one-vertex
+    mask for each vertex the twin rule forces: all but the top vertex of
+    each twin class's part outside ``anchor``.  A set holding ``anchor``
+    meets them all exactly when it resolves g and meets that part of every
+    class in a prefix.  The bound is the larger of the diameter floor and
+    the number of forced and anchor vertices, which every such set holds;
+    with no anchor that number is the twin-class lower bound.
     """
-    _check_options(g, cap, workers, what)
     levels = distance_levels(g.adj_bits)
     masks = _pair_masks(levels, g.vertex_mask())
     # Only twins have a mask of size two, and twinhood is an equivalence, so
@@ -289,8 +292,9 @@ class _Walker:
     ``done`` and ``best`` start at 0, which cuts nothing.  Only
     ``vertex_profile`` grows ``done``, between hits, and only
     ``cdim_at_set`` sets ``best``, the incumbent: to each hit that precedes
-    it, and back to 0 at each level.  ``dim_exact`` and
-    ``enumerate_min_resolving_sets`` walk the complete graph.
+    it, and back to 0 at each level.  ``_plain_level``, the level loop of
+    ``dim_exact`` and ``enumerate_min_resolving_sets``, walks the complete
+    graph.
     """
 
     __slots__ = ("adj", "done", "best")
@@ -404,6 +408,25 @@ class _Walker:
             free ^= b
 
 
+def _plain_level(g: Graph) -> tuple[int, tuple[int, ...], Iterator[int]]:
+    """dim(G), g's twin classes and the hits of that level, in lexicographic order.
+
+    The hits are the resolving dim(G)-sets that meet every twin class in a
+    prefix, grown on the complete graph; the first is the lexicographically
+    smallest witness.  The levels start at dim(G) once a call on the same
+    Graph object has proved it, and the value found is recorded.
+    """
+    masks, twins, floor = _prepare(g)
+    proved = _proved(g)
+    walker = _Walker([g.vertex_mask() ^ 1 << v for v in range(g.n)])
+    for k in range(max(floor, proved[0]), g.n):
+        hits = chain.from_iterable(walker.streams(masks, k))
+        for first in hits:
+            proved[0] = k
+            return k, twins, chain((first,), hits)
+    raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
+
+
 def dim_exact(
     g: Graph,
     dm: Optional[DistanceMatrix] = None,
@@ -416,14 +439,9 @@ def dim_exact(
     The search starts at dim(G) once a call on the same Graph object has
     proved it, and records the value it finds.  ``dm`` is never read.
     """
-    masks, _, floor = _prepare(g, cap, workers)
-    proved = _proved(g)
-    walker = _Walker([g.vertex_mask() ^ 1 << v for v in range(g.n)])
-    for k in range(max(floor, proved[0]), g.n):
-        for hit in chain.from_iterable(walker.streams(masks, k)):
-            proved[0] = k
-            return SolveResult(k, tuple(bits(hit)))
-    raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
+    _check_options(g, cap, workers)
+    k, _, hits = _plain_level(g)
+    return SolveResult(k, tuple(bits(next(hits))))
 
 
 def cdim_at_set(
@@ -456,16 +474,15 @@ def cdim_at_set(
     anchor_set = frozenset(anchor)
     if any(v < 0 or v >= g.n for v in anchor_set):
         raise InvalidAnchor(f"anchor {sorted(anchor_set)} not within 0..{g.n - 1}")
+    _check_options(g, cap, workers)
     anchor_mask = sum(1 << v for v in anchor_set)
     proved = _proved(g)
     witness = proved[2]
     if witness and not anchor_mask & ~witness:
-        # W exists only after a search on g, so of _prepare only its checks can fail.
-        _check_options(g, cap, workers)
         if len(anchor_set) == 1:
             proved[min(anchor_set) + 3] = proved[1]
         return SolveResult(proved[1], tuple(bits(witness)))
-    masks, _, floor = _prepare(g, cap, workers, anchor=anchor_mask)
+    masks, _, floor = _prepare(g, anchor=anchor_mask)
     start = max(floor, proved[1] or proved[0], *[proved[v + 3] for v in anchor_set])
     # Growth from a disconnected anchor also meets disconnected supersets.
     need_check = not g.is_connected_subset(anchor_mask)
@@ -533,7 +550,8 @@ def vertex_profile(
     on the same Graph object has proved it, and records cdim(G) and every
     cdim_G(v).  ``dm`` is never read.
     """
-    masks, twins, floor = _prepare(g, cap, workers)
+    _check_options(g, cap, workers)
+    masks, twins, floor = _prepare(g)
     paired = reduce(or_, twins, 0)
     proved = _proved(g)
     full = g.vertex_mask()
@@ -569,22 +587,17 @@ def enumerate_min_resolving_sets(
     """All minimum resolving sets, in lexicographic order."""
     # The search starts at dim(G) once a call on the same Graph object has
     # proved it, and records the value it finds.  ``dm`` is never read.
-    masks, twins, floor = _prepare(g, cap, what="enumeration")
-    proved = _proved(g)
-    walker = _Walker([g.vertex_mask() ^ 1 << v for v in range(g.n)])
-    for k in range(max(floor, proved[0]), g.n):
-        # Each hit stands for its orbit under twin swaps.  It meets every
-        # class in all of it or all but its top vertex, and the orbit puts
-        # that top vertex back in place of any one vertex of the class.
-        orbits = []
-        for hit in chain.from_iterable(walker.streams(masks, k)):
-            orbit = [hit]
-            for c in twins:
-                top = c & ~hit
-                if top:
-                    orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
-            orbits += orbit
-        if orbits:
-            proved[0] = k
-            return sorted(tuple(bits(hit)) for hit in orbits)
-    raise AssertionError("unreachable: deleting any one vertex leaves a resolving set")
+    check_cap(g.n, cap, "enumeration")
+    _, twins, hits = _plain_level(g)
+    # Each hit stands for its orbit under twin swaps.  It meets every class
+    # in all of it or all but its top vertex, and the orbit puts that top
+    # vertex back in place of any one vertex of the class.
+    orbits = []
+    for hit in hits:
+        orbit = [hit]
+        for c in twins:
+            top = c & ~hit
+            if top:
+                orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
+        orbits += orbit
+    return sorted(tuple(bits(hit)) for hit in orbits)

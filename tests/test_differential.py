@@ -137,8 +137,12 @@ def test_solvers_sharing_a_graph_object_match_fresh_copies(reverse):
         if reverse:
             calls.reverse()
         shared = [call(g) for _, call in calls]
+        fresh = {}
         for (name, call), got in zip(calls, shared):
-            assert got == call(distinct_copy(g)), (i, name)
+            fresh[name] = call(distinct_copy(g))
+            assert got == fresh[name], (i, name)
+        # The first minimum resolving set is the dim witness.
+        assert fresh["enum"][0] == fresh["dim"].witness, i
 
 
 # The shipped families of the benchmark's catalog plan, and wheel:12.
@@ -215,11 +219,11 @@ def walker_levels(spec):
     plain masks and the masks with the vertices the twin rule forces, from every
     root and from single- and two-vertex anchors (forced off each anchor)."""
     g, _ = md.generate(spec)
-    forced, twins, floor = _prepare(g, g.n)
+    forced, twins, floor = _prepare(g)
     plain = _minimal(_pair_masks(distance_levels(g.adj_bits), g.vertex_mask()))
     anchors = [1 << v for v in range(g.n)]
     anchors += [1 << u | 1 << v for u, v in itertools.combinations(range(g.n), 2)][::5]
-    anchored = {a: _prepare(g, g.n, anchor=a)[0] for a in anchors}
+    anchored = {a: _prepare(g, anchor=a)[0] for a in anchors}
     for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
         for masks in (plain, forced):
             starts = [(masks, start) for start in _roots(g.adj_bits, masks, k)]

@@ -6,6 +6,7 @@ import pytest
 
 from metricdim import (
     Graph,
+    InvalidAnchor,
     IsAPath,
     MetricDimError,
     NotATree,
@@ -210,7 +211,7 @@ FORMS_SPECS = (
     "petersen",
     *(f"randtree:{n}:{seed}" for n in range(3, 25) for seed in range(5)),
 )
-FORMS_DIGEST = "532c5af2491ef1d77c2d79ac97c0d17de168fb48d8df8c8d7cd251b6e38ee900"
+FORMS_DIGEST = "790588ce48443bb69fea2132efc9b850407154b829a741e1cf0f1eeae6c000bf"
 
 
 def _answer(evaluate, *args):
@@ -412,6 +413,17 @@ def test_classify_refuses_a_vertex_outside_the_graph(spec, v):
     g, _ = generate(spec)
     with pytest.raises(MetricDimError, match=f"^vertex {v} out of range$"):
         classify_extremes(g, v)
+
+
+def test_cdim_at_vertex_formula_refuses_a_vertex_before_recognition(monkeypatch):
+    # kite:3 has no closed form: recognizing it first would raise Unsupported and
+    # replace the wheel's record.
+    wheel, kite = generate("wheel:9")[0], generate("kite:3")[0]
+    want = cdim_formula(wheel)
+    with pytest.raises(InvalidAnchor, match="^vertex 99 out of range$"):
+        cdim_at_vertex_formula(kite, 99)
+    monkeypatch.setattr(formulas, "recognize", None)
+    assert cdim_formula(wheel) == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from metricdim import (
     InvalidAnchor,
     InvalidEdge,
     InvalidOption,
-    MetricDimError,
     NotConnected,
     TooLarge,
     TooSmall,
@@ -95,8 +94,8 @@ OUT_OF_RANGE = {
     "check_resolving(g, dm, [bad])": (lambda g, dm, bad: check_resolving(g, dm, [bad]),
                                       InvalidAnchor, (-1, 4, 16)),
     "cdim_at_vertex_formula(g, bad)": (lambda g, dm, bad: cdim_at_vertex_formula(g, bad),
-                                       MetricDimError, (-1, 4, 16)),
-    "classify_extremes(g, bad)": (lambda g, dm, bad: classify_extremes(g, bad), MetricDimError,
+                                       InvalidAnchor, (-1, 4, 16)),
+    "classify_extremes(g, bad)": (lambda g, dm, bad: classify_extremes(g, bad), InvalidAnchor,
                                   (-1, 4, 16)),
 }
 

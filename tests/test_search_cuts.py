@@ -93,7 +93,7 @@ def check_prepare(where, g):
     every = naive_masks(naive_all_pairs(g), g.n)
     tp = md.twin_partition(g)
     for anchor in ((), (0,), (g.n - 1,)):
-        masks, twins, floor = _prepare(g, g.n, anchor=sum(1 << v for v in anchor))
+        masks, twins, floor = _prepare(g, anchor=sum(1 << v for v in anchor))
         forced = naive_forced(tp.classes, anchor)
         assert masks == naive_minimal(every | forced), (where, anchor)
         # Every set grown holds the anchor and the forced vertices.
@@ -143,7 +143,7 @@ def test_cuts_keep_every_hit_and_its_order():
     for where, g in graphs():
         dists = naive_all_pairs(g)
         masks = naive_minimal(naive_masks(dists, g.n))
-        floor = _prepare(g, g.n)[2]
+        floor = _prepare(g)[2]
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             resolving = [c for c in itertools.combinations(range(g.n), k)
@@ -172,7 +172,7 @@ def test_twin_rule_keeps_exactly_the_prefix_sets():
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        masks, _, floor = _prepare(g, g.n)
+        masks, _, floor = _prepare(g)
         adj = g.adj_bits
         for k in range(floor, min(md.cdim_exact(g).value + 1, g.n) + 1):
             leaders = [c for c in itertools.combinations(range(g.n), k)
@@ -192,13 +192,13 @@ def test_twin_rule_from_an_anchor_keeps_exactly_the_prefix_sets_off_the_anchor()
     for where, g in graphs(TWIN_GRAPHS):
         dists = naive_all_pairs(g)
         classes = md.twin_partition(g).classes
-        _, twins, floor = _prepare(g, g.n)
+        _, twins, floor = _prepare(g)
         if not twins:
             continue
         adj, full = g.adj_bits, g.vertex_mask()
         for a in range(g.n):
             cur = 1 << a
-            unhit = [m for m in _prepare(g, g.n, anchor=cur)[0] if not m & cur]
+            unhit = [m for m in _prepare(g, anchor=cur)[0] if not m & cur]
             for k in range(max(floor, 1), min(md.cdim_at_set(g, (a,)).value + 1, g.n) + 1):
                 hits = _Walker(adj).hits(unhit, cur, k - 1, full ^ cur, adj[a])
                 grown = sorted(tuple(bits(hit)) for hit in hits)

@@ -364,6 +364,28 @@ def test_calls_that_raise_after_the_witness_is_proved_record_nothing():
     assert solver._proved(g) == record
 
 
+def test_calls_refused_on_other_graphs_keep_the_record(monkeypatch):
+    # Each solver checks its arguments before it reads the record, so a refused call
+    # on another graph does not replace the record of the last graph searched.
+    g, _ = generate("wheel:17")
+    cdim_exact(g)
+    record = list(solver._proved(g))
+    path, big = generate("path:5")[0], generate("complete:25")[0]
+    with pytest.raises(TooLarge):
+        cdim_exact(big)
+    with pytest.raises(TooLarge):
+        dim_exact(big)
+    with pytest.raises(TooLarge):
+        enumerate_min_resolving_sets(generate("complete:17")[0])
+    with pytest.raises(InvalidOption):
+        cdim_at_set(path, [1], workers=0)
+    with pytest.raises(InvalidOption):
+        vertex_profile(path, cap=0)
+    assert solver._proved(g) == record
+    monkeypatch.setattr(solver, "_prepare", None)
+    assert cdim_at_set(g, (17,)) == (8, (0, 1, 3, 6, 8, 11, 13, 17))
+
+
 def test_the_proved_witness_answers_anchors_inside_it(monkeypatch):
     g, _ = generate("wheel:17")
     cdim = cdim_exact(g)
