@@ -49,7 +49,7 @@ def _walk_chain(g: Graph, start: int, first: int) -> tuple[list[int], int]:
     """
     chain = []
     prev, cur = start, first
-    while g.degree(cur) == 2:
+    while g.adj_bits[cur].bit_count() == 2:
         chain.append(cur)
         prev, cur = cur, (g.adj_bits[cur] ^ 1 << prev).bit_length() - 1
     return chain, cur
@@ -96,7 +96,7 @@ def tree_skeleton(t: Graph) -> TreeSkeleton:
 
 def _skeleton(t: Graph) -> TreeSkeleton:
     """``tree_skeleton`` of a graph already known to be a tree."""
-    deg = [t.degree(v) for v in range(t.n)]
+    deg = list(map(int.bit_count, t.adj_bits))
     majors = [v for v in range(t.n) if deg[v] >= 3]
     leaves = [v for v in range(t.n) if deg[v] == 1]
     sigma = len(leaves)
@@ -186,7 +186,7 @@ def _path_ends(g: Graph) -> Optional[tuple[int, int]]:
     """
     if g.m != g.n - 1:
         return None
-    ends = [v for v in range(g.n) if g.degree(v) == 1]
+    ends = [v for v in range(g.n) if g.adj_bits[v].bit_count() == 1]
     if len(ends) != 2:
         return None
     passed, _ = _walk_chain(g, ends[0], g.adj_bits[ends[0]].bit_length() - 1)
@@ -198,7 +198,7 @@ def _is_petersen(g: Graph) -> bool:
     girth 5, and the Petersen graph is the only such graph."""
     if g.n != 10 or g.m != 15:
         return False
-    if any(g.degree(v) != 3 for v in range(10)):
+    if any(g.adj_bits[v].bit_count() != 3 for v in range(10)):
         return False
     if any(g.adj_bits[u] & g.adj_bits[v] for u, v in g.edges()):
         return False  # triangle
@@ -212,7 +212,7 @@ def _is_petersen(g: Graph) -> bool:
 
 
 def _recognize_wheel(g: Graph) -> Optional[int]:
-    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+    hubs = [v for v in range(g.n) if g.adj_bits[v].bit_count() == g.n - 1]
     # No n < 5 gets through: recognize answers n <= 3 (a path or K3), and at n = 4 a degree-3 rim is K4.
     if len(hubs) != 1:
         return None
@@ -220,7 +220,7 @@ def _recognize_wheel(g: Graph) -> Optional[int]:
     rim = g.vertex_mask() & ~(1 << hub)
     # Every rim vertex of degree 3 has two rim neighbours, so the rim is
     # one cycle exactly when it is connected.
-    if all(g.degree(v) == 3 for v in bits(rim)) and g.is_connected_subset(rim):
+    if all(g.adj_bits[v].bit_count() == 3 for v in bits(rim)) and g.is_connected_subset(rim):
         return hub
     return None
 
@@ -235,11 +235,11 @@ def _recognize_bouquet(g: Graph) -> Optional[tuple[int, tuple[tuple[int, ...], .
     have both their neighbours on that cycle or at w.  So the cycles number
     deg(w) / 2 >= 2.
     """
-    big = [v for v in range(g.n) if g.degree(v) >= 3]
+    big = [v for v in range(g.n) if g.adj_bits[v].bit_count() >= 3]
     if len(big) != 1:
         return None
     w = big[0]
-    if any(g.degree(v) != 2 for v in range(g.n) if v != w):
+    if any(g.adj_bits[v].bit_count() != 2 for v in range(g.n) if v != w):
         return None
     todo = g.adj_bits[w]  # each cycle takes two of w's neighbours, its ends
     cycles = []
@@ -261,11 +261,11 @@ def _recognize_multipartite(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
     classes = {full & ~row for row in g.adj_bits}
     if len(classes) < 2 or sum(map(int.bit_count, classes)) != g.n:
         return None
-    return tuple(sorted((tuple(bits(c)) for c in classes), key=lambda p: (len(p), p)))
+    return tuple(sorted(map(bits, classes), key=lambda p: (len(p), p)))
 
 
 def _recognize_grid(g: Graph) -> Optional[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    corners = [v for v in range(g.n) if g.degree(v) == 2]
+    corners = [v for v in range(g.n) if g.adj_bits[v].bit_count() == 2]
     if len(corners) != 4:
         return None
     # An s x t grid has s + t = 2n - m and s * t = n, so n and m fix s >= t
@@ -320,7 +320,7 @@ def recognize(g: Graph) -> Optional[Recognized]:
     if _is_complete(g):
         return Recognized("complete", {})
     # Connected with every degree two is a cycle; connected with n - 1 edges is a tree.
-    if g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
+    if g.m == g.n and all(g.adj_bits[v].bit_count() == 2 for v in range(g.n)):
         return Recognized("cycle", {})
     if g.m == g.n - 1:
         return Recognized("tree", {})
@@ -459,7 +459,7 @@ def _forms(rec: Recognized, g: Graph, v: Optional[int] = None) -> tuple[FormulaR
     if v is None:
         return forms
     if s == t:
-        value, label = (t, "boundary") if g.degree(v) <= 3 else (t + 1, "interior")
+        value, label = (t, "boundary") if g.adj_bits[v].bit_count() <= 3 else (t + 1, "interior")
     elif data["coords"][v][0] in (1, s):
         value, label = t, "end-column"
     else:
@@ -500,25 +500,25 @@ def _star_center(g: Graph) -> Optional[int]:
     if g.m != g.n - 1 or g.n < 3:
         return None
     # With m = n - 1, a vertex of degree n - 1 holds every edge: the rest are its leaves.
-    return next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
+    return next((v for v in range(g.n) if g.adj_bits[v].bit_count() == g.n - 1), None)
 
 
 def _tail_end_structure(g: Graph, v: int) -> Optional[str]:
     """Detect v as the far tail end of a fork (independent head) or paddle
     (clique head); both force the whole tail plus the head into any connected
     resolving set at v."""
-    if g.degree(v) != 1:
+    if g.adj_bits[v].bit_count() != 1:
         return None
     passed, q = _walk_chain(g, v, g.adj_bits[v].bit_length() - 1)
     path = [v, *passed]
-    if g.degree(q) < 3:
+    if g.adj_bits[q].bit_count() < 3:
         return None
     # q has degree >= 3 and one tail neighbour, so head holds two vertices or
     # more; inner tail vertices have degree two, so every edge off the tail
     # joins two vertices of head + [q], and no edge count is needed.
     tail = set(path)
     head = [u for u in range(g.n) if u != q and u not in tail]
-    if all(g.degree(u) == 1 and g.has_edge(u, q) for u in head):
+    if all(g.adj_bits[u].bit_count() == 1 and g.has_edge(u, q) for u in head):
         return "fork-u1"
     block = head + [q]
     if all(g.has_edge(a, b) for a, b in itertools.combinations(block, 2)):
@@ -625,7 +625,7 @@ def _find_cycle(g: Graph) -> tuple[int, ...]:
     cyc = next(b for b in blocks(g.adj_bits) if b.bit_count() > 2)
     start = (cyc & -cyc).bit_length() - 1
     order = [start]
-    prev, cur = start, next(bits(g.adj_bits[start] & cyc))
+    prev, cur = start, bits(g.adj_bits[start] & cyc)[0]
     while cur != start:
         order.append(cur)
         prev, cur = cur, ((g.adj_bits[cur] & cyc) ^ 1 << prev).bit_length() - 1
@@ -665,7 +665,7 @@ def unicyclic_cdim_eq_dim(g: Graph) -> UnicyclicClassification:
     legs = _sun_legs(g, cyc)
     if legs is None:
         return UnicyclicClassification(False, "not-a-sun", cyc)
-    degs = [g.degree(v) for v in cyc]
+    degs = [g.adj_bits[v].bit_count() for v in cyc]
     run = best = 0
     for d in degs + degs:  # circular runs; a cycle of degree-two vertices gives 2m
         best = best + 1 if d == 2 else 0

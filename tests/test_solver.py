@@ -386,6 +386,19 @@ def test_calls_refused_on_other_graphs_keep_the_record(monkeypatch):
     assert cdim_at_set(g, (17,)) == (8, (0, 1, 3, 6, 8, 11, 13, 17))
 
 
+def test_a_disconnected_graph_keeps_the_record(monkeypatch):
+    # The record tests connectivity when its key changes and stores nothing when
+    # it raises, so the last connected graph's record survives.
+    g, _ = generate("wheel:17")
+    cdim_exact(g)
+    record = list(solver._proved(g))
+    with pytest.raises(NotConnected):
+        cdim_at_set(build_graph(4, [(0, 1), (2, 3)]), (0,))
+    assert solver._proved(g) == record
+    monkeypatch.setattr(solver, "_prepare", None)
+    assert cdim_at_set(g, (17,)) == (8, (0, 1, 3, 6, 8, 11, 13, 17))
+
+
 def test_the_proved_witness_answers_anchors_inside_it(monkeypatch):
     g, _ = generate("wheel:17")
     cdim = cdim_exact(g)
